@@ -259,14 +259,12 @@ def cmd_sweep(cfg: RunConfig, alpha_stop: float, alpha_step: float) -> int:
     if cfg.solid is not SolidKind.TETRAHEDRON:
         print("sweep tabulates the tetrahedron type count", file=sys.stderr)
         return EXIT_CONFIG
-    if alpha_step <= 0.0:
-        print("sweep step must be positive", file=sys.stderr)
+    if not (math.isfinite(alpha_step) and alpha_step > 0.0):
+        print("sweep step must be positive and finite", file=sys.stderr)
         return EXIT_CONFIG
     grid = []
-    a = cfg.alpha
-    while a <= alpha_stop + 1e-12:
+    while (a := cfg.alpha + len(grid) * alpha_step) <= alpha_stop + 1e-12:
         grid.append(a)
-        a += alpha_step
     if not grid:
         print("empty sweep range", file=sys.stderr)
         return EXIT_CONFIG
@@ -293,10 +291,16 @@ def cmd_export(cfg: RunConfig, in_path: str, class_index: int) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read result document: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if not isinstance(doc, dict):
+        print("invalid result document: not a JSON object", file=sys.stderr)
+        return EXIT_VALIDATION
     if doc.get("schema_version") != SCHEMA_VERSION:
         print("unsupported schema_version", file=sys.stderr)
         return EXIT_VALIDATION
     classes = doc.get("classes") or []
+    if not isinstance(classes, list):
+        print("invalid result document: classes is not a list", file=sys.stderr)
+        return EXIT_VALIDATION
     if not classes:
         print("result document has no classes to draw", file=sys.stderr)
         return EXIT_CONFIG
@@ -304,17 +308,19 @@ def cmd_export(cfg: RunConfig, in_path: str, class_index: int) -> int:
         print(f"class index {class_index} out of range", file=sys.stderr)
         return EXIT_CONFIG
     cls_doc = classes[class_index]
-    if not cls_doc["closure_residual"] <= cfg.tol_closure:
-        print(
-            f"document closure residual {cls_doc['closure_residual']!r} exceeds "
-            f"tolerance {cfg.tol_closure!r}; refusing to draw",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
     try:
+        residual = cls_doc["closure_residual"]
+        if not residual <= cfg.tol_closure:
+            print(
+                f"document closure residual {residual!r} exceeds "
+                f"tolerance {cfg.tol_closure!r}; refusing to draw",
+                file=sys.stderr,
+            )
+            return EXIT_VALIDATION
         spec = solids.build_solid(_KINDS[doc["solid"]], float(doc["alpha"]))
         svg = render_svg(spec, cls_doc)
-    except (KeyError, DomainError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, DomainError, ValueError) as exc:
+        # a field that is missing, of the wrong type or out of range
         print(f"invalid result document: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     _write_out(svg, cfg.out)
@@ -376,6 +382,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
+    if not all(math.isfinite(t) and t > 0 for t in (args.tol_closure, args.tol_vertex)):
+        print("tolerances must be positive and finite", file=sys.stderr)
+        return EXIT_CONFIG
     if args.format != args.native_format:
         print(
             f"{args.command} writes {args.native_format}; "
@@ -406,9 +415,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ptype = _parse_type(args.type) if getattr(args, "type", None) else None
         if getattr(args, "depth", 12) < 3:
             print("--depth must be at least 3", file=sys.stderr)
-            return EXIT_CONFIG
-        if args.tol_closure <= 0 or args.tol_vertex <= 0:
-            print("tolerances must be positive", file=sys.stderr)
             return EXIT_CONFIG
         lo, hi = solids.ADMISSIBLE[kind]
         if not lo < alpha < hi:

@@ -5,9 +5,13 @@ rotation of the development fixes exactly one great circle (the equator of
 its axis), so a sequence either carries the unique geodesic with those
 crossings or none at all.  No shooting, no root-finding.
 
-The search over sequences is a depth-first walk over faces, pruned by a sound
+The search over sequences is a depth-first walk over faces, pruned by a
 pole-feasibility test (does any great circle cross all developed edges the
 right way?) and by a running lower bound on length against the 2*pi cap.
+The feasible poles form a convex polygon in the gnomonic chart about the first
+edge's entry vertex; each crossing clips it by its two half-planes
+(Sutherland-Hodgman), and a branch survives while a witness pole meets every
+constraint strictly.
 """
 
 from __future__ import annotations
@@ -30,16 +34,16 @@ from .sphtrig import (
     mat_compose,
     mat_transpose,
     neg,
-    norm,
     normalize,
     pole_edge_crossing,
+    pole_frame,
 )
 from .solids import SolidKind, SolidSpec, symmetry_group
 from .unfold import CrossingSequence, Development, develop
 
 TWO_PI = 2.0 * PI
 
-FEAS_MARGIN = 1e-12  # declare a pole feasible only above this margin
+FEAS_MARGIN = 1e-12  # poles closer than this to a chart's horizon are ignored
 
 
 class ClassificationError(ValueError):
@@ -82,141 +86,94 @@ class GeodesicClass:
 
 # ---------------------------------------------------------------------------
 # pole feasibility: does a unit u exist with u.c > 0 for all constraints?
+#
+# Poles are kept in the gnomonic chart about a unit vector q0 that is itself a
+# constraint: u = q0 + x e1 + y e2.  Great circles are straight lines there, so
+# each constraint u.c > 0 is a half-plane and the feasible set is a convex
+# polygon, narrowed by Sutherland-Hodgman clipping.  Vertices are stored as
+# the 3-vectors q0 + x e1 + y e2, so a constraint is evaluated by one dot.
+
+PoleRegion = Tuple[List[Vec3], Optional[Vec3]]  # polygon, strict witness
 
 
-def _margin(u: Vec3, cons: Sequence[Vec3]) -> float:
-    m = math.inf
-    for c in cons:
-        d = u[0] * c[0] + u[1] * c[1] + u[2] * c[2]
-        if d < m:
-            m = d
-    return m
+def _pole_box(q0: Vec3) -> List[Vec3]:
+    """The square |x|, |y| <= 1/FEAS_MARGIN in the chart about unit q0.
 
-
-def _affine_min_norm(pts: List[Vec3]) -> Optional[Tuple[Vec3, List[float]]]:
-    """Min-norm point of the affine hull of up to 4 points, with weights."""
-    k = len(pts)
-    if k == 1:
-        return pts[0], [1.0]
-    # KKT system for min |sum w_i p_i|^2 with sum w_i = 1
-    size = k + 1
-    m = [[0.0] * (size + 1) for _ in range(size)]
-    for i in range(k):
-        for j in range(k):
-            m[i][j] = 2.0 * dot(pts[i], pts[j])
-        m[i][k] = 1.0
-        m[i][size] = 0.0
-    for j in range(k):
-        m[k][j] = 1.0
-    m[k][size] = 1.0
-    # gaussian elimination, partial pivoting
-    for col in range(size):
-        piv = max(range(col, size), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) < 1e-14:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1.0 / m[col][col]
-        for r in range(size):
-            if r != col and m[r][col] != 0.0:
-                f = m[r][col] * inv
-                for c2 in range(col, size + 1):
-                    m[r][c2] -= f * m[col][c2]
-    w = [m[i][size] / m[i][i] for i in range(k)]
-    x = (0.0, 0.0, 0.0)
-    for wi, p in zip(w, pts):
-        x = (x[0] + wi * p[0], x[1] + wi * p[1], x[2] + wi * p[2])
-    return x, w
-
-
-def _feasible_pole(
-    cons: Sequence[Vec3], warm: Optional[Vec3] = None
-) -> Tuple[bool, Optional[Vec3]]:
-    """Decide whether some unit u has u.c > FEAS_MARGIN for every c in cons.
-
-    By duality the best achievable margin equals the distance from the origin
-    to the convex hull of the constraint vectors, so the decision is run as a
-    minimum-norm-point computation (Wolfe's algorithm).  Any convex point with
-    norm <= FEAS_MARGIN certifies infeasibility; a unit witness with margin >
-    FEAS_MARGIN certifies feasibility; if neither certificate appears the set
-    is reported feasible, which is the sound direction for search pruning.
+    A pole outside it has margin below FEAS_MARGIN on q0, so bounding the
+    chart this way drops no pole with margin >= FEAS_MARGIN.
     """
-    if not cons:
-        return True, warm
-    if warm is not None and _margin(warm, cons) > FEAS_MARGIN:
-        return True, warm
-    idx = [0]
-    weights = [1.0]
-    x = cons[0]
-    for _ in range(200):
-        nx = norm(x)
-        if nx <= FEAS_MARGIN:
-            return False, None
-        jmin = min(range(len(cons)), key=lambda j: dot(cons[j], x))
-        dmin = dot(cons[jmin], x)
-        if dmin >= dot(x, x) - 1e-15:
-            # x is the min-norm point; its direction is the best pole
-            u = normalize(x)
-            if _margin(u, cons) > FEAS_MARGIN:
-                return True, u
-            return False, None
-        if jmin in idx:
-            break
-        idx.append(jmin)
-        weights.append(0.0)
-        # minor cycle: pull x to the min-norm point of the corral
-        while True:
-            sol = _affine_min_norm([cons[j] for j in idx])
-            if sol is None:
-                idx.pop()
-                weights.pop()
-                break
-            y, v = sol
-            if all(vi > 1e-12 for vi in v):
-                x = y
-                weights = v
-                break
-            step = 1.0
-            for wi, vi in zip(weights, v):
-                if vi < 1e-12 and wi - vi > 1e-15:
-                    step = min(step, wi / (wi - vi))
-            weights = [(1.0 - step) * wi + step * vi for wi, vi in zip(weights, v)]
-            x = (0.0, 0.0, 0.0)
-            keep_i: List[int] = []
-            keep_w: List[float] = []
-            for j, wi in zip(idx, weights):
-                if wi > 1e-12:
-                    keep_i.append(j)
-                    keep_w.append(wi)
-            if not keep_i:
-                keep_i = [idx[0]]
-                keep_w = [1.0]
-            idx, weights = keep_i, keep_w
-            total = sum(weights)
-            weights = [wi / total for wi in weights]
-            for j, wi in zip(idx, weights):
-                c = cons[j]
-                x = (x[0] + wi * c[0], x[1] + wi * c[1], x[2] + wi * c[2])
-    # no certificate either way: do not prune
-    u = normalize(x) if norm(x) > 1e-14 else None
-    if u is not None and _margin(u, cons) > FEAS_MARGIN:
-        return True, u
-    return True, warm
+    e1, e2 = pole_frame(q0)
+    b = 1.0 / FEAS_MARGIN
+    return [
+        (q0[0] + sx * e1[0] + sy * e2[0],
+         q0[1] + sx * e1[1] + sy * e2[1],
+         q0[2] + sx * e1[2] + sy * e2[2])
+        for sx, sy in ((b, b), (-b, b), (-b, -b), (b, -b))
+    ]
 
 
-def feasible_pole_exists(
-    arcs: Iterable[Tuple[Vec3, Vec3]], warm: Optional[Vec3] = None
-) -> bool:
+def _clip(poly: List[Vec3], c: Vec3) -> List[Vec3]:
+    """The part of a convex chart polygon where u.c >= 0."""
+    out: List[Vec3] = []
+    s = poly[-1]
+    ds = s[0] * c[0] + s[1] * c[1] + s[2] * c[2]
+    for e in poly:
+        de = e[0] * c[0] + e[1] * c[1] + e[2] * c[2]
+        if (ds >= 0.0) != (de >= 0.0):
+            # weighted form: stays accurate when one end is ~1/FEAS_MARGIN away
+            w = ds - de
+            out.append(((ds * e[0] - de * s[0]) / w,
+                        (ds * e[1] - de * s[1]) / w,
+                        (ds * e[2] - de * s[2]) / w))
+        if de >= 0.0:
+            out.append(e)
+        s, ds = e, de
+    return out
+
+
+def _narrow(
+    region: PoleRegion, cons: Sequence[Vec3], new: int
+) -> Optional[PoleRegion]:
+    """Clip a (polygon, witness) region by the last `new` constraints of `cons`.
+
+    Returns the clipped polygon with a witness pole that satisfies every
+    constraint strictly, or None when there is none.  The previous witness
+    is kept while it passes the new constraints; otherwise the normalized
+    vertex centroid is tried against all of them.  A polygon that clipped
+    down to zero area has no strict witness and so counts as infeasible.
+    """
+    poly, witness = region
+    added = cons[len(cons) - new:]
+    for c in added:
+        poly = _clip(poly, c)
+        if len(poly) < 3:
+            return None
+    if witness is not None and all(dot(witness, c) > 0.0 for c in added):
+        return poly, witness
+    k = 1.0 / len(poly)
+    u = normalize((sum(v[0] for v in poly) * k,
+                   sum(v[1] for v in poly) * k,
+                   sum(v[2] for v in poly) * k))
+    if all(dot(u, c) > 0.0 for c in cons):
+        return poly, u
+    return None
+
+
+def feasible_pole_exists(arcs: Iterable[Tuple[Vec3, Vec3]]) -> bool:
     """Whether a unit pole u satisfies u.a > 0 > u.b for every arc (a, b).
 
-    Sound for pruning: returns True whenever such a pole exists (and may
-    return True in undecidable numerical corner cases, never falsely False).
+    Decided by clipping the chart square about the first `a` (see
+    `_pole_box`) by every constraint; True only with a witness pole that
+    meets all of them strictly, so the answer is exact up to rounding and
+    poles with margin below FEAS_MARGIN are ignored.
     """
     cons: List[Vec3] = []
     for a, b in arcs:
         cons.append(a)
         cons.append(neg(b))
-    ok, _ = _feasible_pole(cons, warm)
-    return ok
+    if not cons:
+        return True
+    return _narrow((_pole_box(normalize(cons[0])), None), cons, len(cons)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +500,7 @@ def enumerate_classes(
         entry_local: int,
         placement: Mat3,
         cons: List[Vec3],
-        warm: Optional[Vec3],
+        region: PoleRegion,
         lb: float,
         anchor_edge: int,
         anchor_face: int,
@@ -566,11 +523,10 @@ def enumerate_classes(
             q = mat_apply(placement, chart[(j + 1) % n])
             cons.append(q)
             cons.append(neg(p))
-            child_warm = warm
-            ok = True
+            child: Optional[PoleRegion] = region
             if prune:
-                ok, child_warm = _feasible_pole(cons, warm)
-            if ok:
+                child = _narrow(region, cons, 2)
+            if child is not None:
                 gi, j2, _ = spec.gluing[(cur_face, j)]
                 edges.append(e)
                 dfs(
@@ -579,7 +535,7 @@ def enumerate_classes(
                     j2,
                     mat_compose(placement, spec.steps[(cur_face, j)]),
                     cons,
-                    child_warm,
+                    child,
                     lb2,
                     anchor_edge,
                     anchor_face,
@@ -595,14 +551,13 @@ def enumerate_classes(
         p = chart[j0]
         q = chart[(j0 + 1) % n]
         cons = [q, neg(p)]
-        warm = normalize((q[0] - p[0], q[1] - p[1], q[2] - p[2]))
         dfs(
             [e0],
             g0,
             j2,
             spec.steps[(f_from, j0)],
             cons,
-            warm,
+            _narrow((_pole_box(q), None), cons, 2),
             0.0,
             e0,
             f_from,

@@ -205,13 +205,19 @@ def mat_apply(m: Mat3, v: Vec3) -> Vec3:
 
 def mat_compose(a: Mat3, b: Mat3) -> Mat3:
     """Matrix product a.b, i.e. apply b first, then a."""
-    return tuple(
-        tuple(
-            a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-            for j in range(3)
-        )
-        for i in range(3)
-    )  # type: ignore[return-value]
+    (a0, a1, a2) = a
+    (b0, b1, b2) = b
+    return (
+        (a0[0] * b0[0] + a0[1] * b1[0] + a0[2] * b2[0],
+         a0[0] * b0[1] + a0[1] * b1[1] + a0[2] * b2[1],
+         a0[0] * b0[2] + a0[1] * b1[2] + a0[2] * b2[2]),
+        (a1[0] * b0[0] + a1[1] * b1[0] + a1[2] * b2[0],
+         a1[0] * b0[1] + a1[1] * b1[1] + a1[2] * b2[1],
+         a1[0] * b0[2] + a1[1] * b1[2] + a1[2] * b2[2]),
+        (a2[0] * b0[0] + a2[1] * b1[0] + a2[2] * b2[0],
+         a2[0] * b0[1] + a2[1] * b1[1] + a2[2] * b2[1],
+         a2[0] * b0[2] + a2[1] * b1[2] + a2[2] * b2[2]),
+    )
 
 
 def mat_transpose(m: Mat3) -> Mat3:

@@ -108,11 +108,13 @@ def test_sweep_rows(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "alpha_radians,N,c1,c2,types_found,types_excluded"
     assert len(lines) == 12
-    for row in lines[1:]:
+    for k, row in enumerate(lines[1:]):
         fields = row.split(",")
         assert fields[1] == "1"
         assert fields[4] == "0:1"
         alpha = float(fields[0])
+        # grid points are alpha + k*step, not a running sum of steps
+        assert alpha == parse_alpha("0.55pi") + k * parse_alpha("0.01pi")
         assert float(fields[2]) < 1 < float(fields[3])
         assert 0.55 * PI - 1e-9 < alpha < 0.65 * PI + 1e-9
 
@@ -174,6 +176,36 @@ def test_export_refuses_tampered_residual(tmp_path):
     assert rc == 4
 
 
+def _drop_residual(doc):
+    del doc["classes"][0]["closure_residual"]
+    return doc
+
+
+def _bad_edge_id(doc):
+    doc["classes"][0]["canonical_sequence"][1] = 999
+    return doc
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: [doc],
+    _drop_residual,
+    lambda doc: dict(doc, classes=5),
+    lambda doc: dict(doc, alpha=None),
+    _bad_edge_id,
+], ids=["top-level-list", "no-closure-residual", "classes-not-list",
+        "alpha-null", "edge-out-of-range"])
+def test_export_malformed_document(tmp_path, capsys, mutate):
+    res = tmp_path / "octa.json"
+    main(["enumerate", "--solid", "octa", "--alpha", "0.4pi", "--out", str(res)])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(json.loads(res.read_text()))))
+    capsys.readouterr()
+    rc = main(["export", "--in", str(bad), "--out", str(tmp_path / "bad.svg")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invalid result document") and err.count("\n") == 1
+
+
 def test_export_empty_document(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps(
@@ -204,3 +236,14 @@ def test_bad_args():
                  "--depth", "2"]) == 2
     assert main(["enumerate", "--solid", "octa", "--alpha", "0.4pi",
                  "--tol-closure", "-1"]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--tol-closure", "--tol-vertex"])
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--solid", "octa", "--alpha", "0.4pi"],
+    ["export", "--in", "unread.json"],
+], ids=["enumerate", "export"])
+def test_non_finite_tolerance_rejected(capsys, command, flag, value):
+    assert main(command + [flag, value]) == 2
+    assert capsys.readouterr().err == "tolerances must be positive and finite\n"

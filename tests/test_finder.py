@@ -19,7 +19,7 @@ from sphgeo.finder import (
     tetra_type_sequence,
 )
 from sphgeo.solids import SolidKind, build_solid, symmetry_group
-from sphgeo.sphtrig import PI, dot, normalize
+from sphgeo.sphtrig import PI, dot, neg, normalize
 from sphgeo.unfold import CrossingSequence, develop
 
 from util import random_sequence, random_unit, sampled_is_simple, trace_geodesic
@@ -60,6 +60,16 @@ def test_infeasible_contradictory_signs():
     assert not feasible_pole_exists([(a, b), (b, a)])
 
 
+def test_infeasible_zero_area_region():
+    # u.c > 0 and u.(-c) > 0 pinch the polygon onto the great circle of c:
+    # clipping leaves a degenerate polygon, which has no strict witness
+    rng = random.Random(60)
+    for _ in range(300):
+        a = random_unit(rng)
+        c = random_unit(rng)
+        assert not feasible_pole_exists([(a, neg(c)), (neg(c), neg(a))])
+
+
 def test_feasible_random_with_witness():
     rng = random.Random(61)
     for _ in range(300):
@@ -91,8 +101,6 @@ def test_infeasible_random_antipodal_pairs():
 def test_infeasible_by_convex_certificate():
     # build constraint sets whose convex hull provably contains the origin:
     # c4 = -(l1 c1 + l2 c2 + l3 c3), so no pole can be positive on all four
-    from sphgeo.finder import _feasible_pole
-
     rng = random.Random(63)
     built = 0
     while built < 300:
@@ -104,9 +112,33 @@ def test_infeasible_by_convex_certificate():
         if n < 1e-3:
             continue
         c4 = tuple(x / n for x in s)
-        ok, _ = _feasible_pole([c1, c2, c3, c4])
-        assert not ok
+        # arcs (a, b) demand u.a > 0 and u.(-b) > 0: the same four constraints
+        assert not feasible_pole_exists([(c1, neg(c2)), (c3, neg(c4))])
         built += 1
+
+
+def test_feasible_agrees_with_dense_sampling():
+    # a sampled pole clearing every constraint by 1e-6 certifies feasibility
+    n = 3000
+    golden = PI * (3.0 - math.sqrt(5.0))
+    poles = []
+    for i in range(n):
+        z = 1.0 - (2 * i + 1) / n
+        r = math.sqrt(1.0 - z * z)
+        poles.append((r * math.cos(golden * i), r * math.sin(golden * i), z))
+    rng = random.Random(65)
+    sampled_feasible = infeasible = 0
+    for _ in range(150):
+        arcs = [(random_unit(rng), random_unit(rng))
+                for _ in range(rng.randrange(1, 6))]
+        cons = [c for a, b in arcs for c in (a, neg(b))]
+        if any(all(dot(u, c) > 1e-6 for c in cons) for u in poles):
+            sampled_feasible += 1
+            assert feasible_pole_exists(arcs)
+        elif not feasible_pole_exists(arcs):
+            infeasible += 1
+    # both outcomes occur, so neither branch is vacuous
+    assert sampled_feasible > 30 and infeasible > 30
 
 
 def test_feasibility_shrinks_with_constraints():
