@@ -28,6 +28,8 @@ EXIT_CONFIG = 2
 EXIT_NOT_REALIZABLE = 3
 EXIT_VALIDATION = 4
 
+SWEEP_MAX_POINTS = 10_000  # each point solves every tetrahedron type once
+
 _KINDS = {
     "tetra": SolidKind.TETRAHEDRON,
     "octa": SolidKind.OCTAHEDRON,
@@ -262,18 +264,28 @@ def cmd_sweep(cfg: RunConfig, alpha_stop: float, alpha_step: float) -> int:
     if not (math.isfinite(alpha_step) and alpha_step > 0.0):
         print("sweep step must be positive and finite", file=sys.stderr)
         return EXIT_CONFIG
-    grid = []
-    while (a := cfg.alpha + len(grid) * alpha_step) <= alpha_stop + 1e-12:
-        grid.append(a)
-    if not grid:
+    lo, hi = solids.ADMISSIBLE[SolidKind.TETRAHEDRON]
+    if not lo < alpha_stop < hi:
+        print(f"sweep stop {alpha_stop!r} outside ({lo!r}, {hi!r})", file=sys.stderr)
+        return EXIT_CONFIG
+    # size the grid alpha + k*step <= stop before building it; the float
+    # quotient can be off by one either way, so settle it on the grid itself
+    stop = alpha_stop + 1e-12
+    span = (stop - cfg.alpha) / alpha_step  # inf when a tiny step overflows it
+    count = max(0, math.floor(min(span, SWEEP_MAX_POINTS)) + 1)
+    while count > 0 and cfg.alpha + (count - 1) * alpha_step > stop:
+        count -= 1
+    while count <= SWEEP_MAX_POINTS and cfg.alpha + count * alpha_step <= stop:
+        count += 1
+    if count > SWEEP_MAX_POINTS:
+        print(f"sweep grid has more than {SWEEP_MAX_POINTS} points", file=sys.stderr)
+        return EXIT_CONFIG
+    if count == 0:
         print("empty sweep range", file=sys.stderr)
         return EXIT_CONFIG
-    lo, hi = solids.ADMISSIBLE[SolidKind.TETRAHEDRON]
     rows = ["alpha_radians,N,c1,c2,types_found,types_excluded"]
-    for a in grid:
-        if not lo < a < hi:
-            print(f"sweep alpha {a!r} outside ({lo!r}, {hi!r})", file=sys.stderr)
-            return EXIT_CONFIG
+    for k in range(count):
+        a = cfg.alpha + k * alpha_step
         rep = counts.count_tetra(a)
         found = ";".join(f"{p}:{q}" for p, q in rep.realizable)
         missed = ";".join(

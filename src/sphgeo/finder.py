@@ -5,6 +5,14 @@ rotation of the development fixes exactly one great circle (the equator of
 its axis), so a sequence either carries the unique geodesic with those
 crossings or none at all.  No shooting, no root-finding.
 
+Simplicity is decided combinatorially.  A face is convex and each segment of
+a solved candidate is a minor chord between two points of its boundary; the
+gnomonic chart about the face centre maps the face to a convex Euclidean
+polygon and the chords to straight segments.  Two chords of a convex polygon
+meet only if their endpoints interleave around the boundary or coincide, so
+sorting each face's chord endpoints by boundary position and checking that
+they nest like parentheses decides simplicity in O(k log k) for k crossings.
+
 The search over sequences is a depth-first walk over faces, pruned by a
 pole-feasibility test (does any great circle cross all developed edges the
 right way?) and by a running lower bound on length against the 2*pi cap.
@@ -22,17 +30,16 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .sphtrig import (
     PI,
+    ArcCrossing,
     DomainError,
     Mat3,
     Vec3,
     angle_between,
-    arcs_intersect,
     axis_angle,
     cross,
     dot,
     mat_apply,
     mat_compose,
-    mat_transpose,
     neg,
     normalize,
     pole_edge_crossing,
@@ -44,6 +51,10 @@ from .unfold import CrossingSequence, Development, develop
 TWO_PI = 2.0 * PI
 
 FEAS_MARGIN = 1e-12  # poles closer than this to a chart's horizon are ignored
+
+# the search recurses once per crossing, so its depth stays well below
+# Python's default recursion limit of 1000
+MAX_SEARCH_DEPTH = 200
 
 
 class ClassificationError(ValueError):
@@ -273,7 +284,7 @@ def _path_for_pole(
             t, inc = 1.0 - hits[i].t, PI - inc_exit
         crossings.append(Crossing(c.edge, t, inc))
 
-    if not _dev_is_simple(spec, dev, pts, closing_pt):
+    if not _dev_is_simple(spec, dev, hits):
         return None
 
     return GeodesicPath(
@@ -299,25 +310,44 @@ def _incidence(
 
 
 def _dev_is_simple(
-    spec: SolidSpec,
-    dev: Development,
-    pts: Sequence[Vec3],
-    closing_pt: Vec3,
+    spec: SolidSpec, dev: Development, hits: Sequence[ArcCrossing]
 ) -> bool:
-    m = len(pts)
-    by_face: Dict[int, List[Tuple[Vec3, Vec3]]] = {}
-    for i in range(m):
-        r_inv = mat_transpose(dev.placements[i + 1])
-        a = mat_apply(r_inv, pts[i])
-        b = mat_apply(r_inv, pts[i + 1] if i < m - 1 else closing_pt)
-        by_face.setdefault(dev.faces[i + 1], []).append((a, b))
-    for segs in by_face.values():
-        # segments in one physical face belong to distinct visits, so any
-        # contact at all is a self-intersection
-        for i in range(len(segs)):
-            for k in range(i + 1, len(segs)):
-                if arcs_intersect(segs[i][0], segs[i][1], segs[k][0], segs[k][1]):
-                    return False
+    """Whether the in-face segments through `hits` are pairwise disjoint.
+
+    Each segment is a minor chord between two boundary points of one convex
+    face (`_path_for_pole` certifies this), so two segments in one physical
+    face meet exactly when their endpoints interleave around its boundary or
+    touch.  A crossing at fraction t of face-local edge j sits at boundary
+    position (j, t) in the face it exits and (j2, 1 - t) in the face it
+    enters, where the glued edge j2 runs the other way.  Segment i runs from
+    crossing i to crossing i + 1 in face dev.faces[i + 1].  Endpoints on
+    different edges never touch: every t keeps tol_vertex clear of a vertex.
+    """
+    m = len(hits)
+    ends: Dict[int, List[Tuple[int, float, int]]] = {}
+    for i, c in enumerate(dev.seq.crossings):
+        t = hits[i].t
+        j = spec.face_edge_local[(c.from_face, c.edge)]
+        j2 = spec.gluing[(c.from_face, j)][1]
+        ends.setdefault(c.from_face, []).append((j, t, (i - 1) % m))
+        ends.setdefault(c.to_face, []).append((j2, 1.0 - t, i))
+    # endpoints closer than 1e-10 of arc on one edge count as contact
+    tol = 1e-10 / spec.edge_length
+    for face_ends in ends.values():
+        face_ends.sort()
+        prev_j, prev_t = -1, 0.0
+        open_chords: List[int] = []
+        for j, t, seg in face_ends:
+            if j == prev_j and t - prev_t < tol:
+                return False
+            prev_j, prev_t = j, t
+            if open_chords and open_chords[-1] == seg:
+                open_chords.pop()
+            else:
+                open_chords.append(seg)
+        # disjoint chords nest like parentheses; a crossing pair never closes
+        if open_chords:
+            return False
     return True
 
 
@@ -325,14 +355,10 @@ def is_simple(spec: SolidSpec, path: GeodesicPath) -> bool:
     """Whether the path's in-face segments are pairwise disjoint on the surface
     (consecutive segments touch only at their shared edge crossing)."""
     dev = develop(spec, path.seq)
-    pts = []
-    for p, q in dev.arcs:
-        hit = pole_edge_crossing(path.pole, p, q)
-        if hit is None:
-            return False
-        pts.append(hit.point)
-    closing_pt = mat_apply(dev.closing, pts[0])
-    return _dev_is_simple(spec, dev, pts, closing_pt)
+    hits = [pole_edge_crossing(path.pole, p, q) for p, q in dev.arcs]
+    if any(h is None for h in hits):
+        return False
+    return _dev_is_simple(spec, dev, hits)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +505,8 @@ def enumerate_classes(
     """
     if max_crossings < 3:
         raise DomainError("max_crossings must be at least 3")
+    if max_crossings > MAX_SEARCH_DEPTH:
+        raise DomainError(f"max_crossings must be at most {MAX_SEARCH_DEPTH}")
     n = spec.face_size
     chart = spec.chart
     found: Set[Tuple[int, ...]] = set()

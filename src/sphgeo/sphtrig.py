@@ -228,9 +228,6 @@ def mat_transpose(m: Mat3) -> Mat3:
     )
 
 
-mat_inverse = mat_transpose  # orthonormal
-
-
 def mat_det(m: Mat3) -> float:
     return dot(m[0], cross(m[1], m[2]))
 

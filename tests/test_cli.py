@@ -141,6 +141,39 @@ def test_sweep_outside_interval():
     assert rc == 2
 
 
+@pytest.mark.parametrize("stop,step,message", [
+    ("0.65pi", "1e-300", "sweep grid has more than 10000 points\n"),
+    ("0.65pi", "1e-320", "sweep grid has more than 10000 points\n"),
+    ("inf", "0.01pi", "sweep stop inf outside "),
+    ("nan", "0.01pi", "sweep stop nan outside "),
+], ids=["tiny-step", "subnormal-step", "inf-stop", "nan-stop"])
+def test_sweep_grid_bounded(capsys, stop, step, message):
+    # rejected before any grid point is built or solved
+    rc = main(["sweep", "--solid", "tetra", "--alpha", "0.55pi",
+               "--alpha-stop", stop, "--alpha-step", step])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1
+
+
+def test_sweep_grid_at_cap(tmp_path, monkeypatch):
+    # exactly SWEEP_MAX_POINTS points is accepted, one more is not
+    monkeypatch.setattr(cli, "SWEEP_MAX_POINTS", 4)
+    argv = ["sweep", "--solid", "tetra", "--alpha", "0.55pi",
+            "--alpha-step", "0.01pi", "--out", str(tmp_path / "s.csv")]
+    assert main(argv + ["--alpha-stop", "0.59pi"]) == 2
+    assert main(argv + ["--alpha-stop", "0.58pi"]) == 0
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 4
+
+
+def test_enumerate_depth_bounded(capsys):
+    rc = main(["enumerate", "--solid", "cube", "--alpha", "0.52pi",
+               "--depth", "2000"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: max_crossings must be at most 200\n"
+
+
 def test_export_svg(tmp_path):
     res = tmp_path / "octa.json"
     main(["enumerate", "--solid", "octa", "--alpha", "0.4pi", "--out", str(res)])

@@ -1,9 +1,10 @@
 import math
 import random
+import sys
 
 import pytest
 
-from sphgeo import sphtrig
+from sphgeo import counts, finder, sphtrig
 from sphgeo.finder import (
     ClassificationError,
     GeodesicPath,
@@ -22,7 +23,13 @@ from sphgeo.solids import SolidKind, build_solid, symmetry_group
 from sphgeo.sphtrig import PI, dot, neg, normalize
 from sphgeo.unfold import CrossingSequence, develop
 
-from util import random_sequence, random_unit, sampled_is_simple, trace_geodesic
+from util import (
+    pairwise_is_simple,
+    random_sequence,
+    random_unit,
+    sampled_is_simple,
+    trace_geodesic,
+)
 
 OCTA_TYPE1 = ("A1A2", "A2A5", "A5A3", "A3A4", "A4A6", "A6A1")
 OCTA_TYPE2 = ("A1A2", "A2A6", "A2A3", "A3A5", "A3A4", "A4A6", "A4A1", "A1A5")
@@ -376,6 +383,76 @@ def test_figure_eight_rejected():
     assert solve_sequence(spec, seq) is None
 
 
+@pytest.fixture
+def simplicity_verdicts(monkeypatch):
+    """Check every simplicity decision against the pairwise reference and
+    record the verdicts."""
+    verdicts = []
+    chords = finder._dev_is_simple
+
+    def checked(spec, dev, hits):
+        got = chords(spec, dev, hits)
+        assert got == pairwise_is_simple(spec, dev, hits), dev.seq.edge_word()
+        verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(finder, "_dev_is_simple", checked)
+    return verdicts
+
+
+@pytest.mark.parametrize("kind,alphas", [
+    (SolidKind.TETRAHEDRON, (0.36 * PI, 0.5 * PI, 0.6 * PI)),
+    (SolidKind.OCTAHEDRON, (0.36 * PI, 0.42 * PI, 0.48 * PI)),
+    (SolidKind.CUBE, (0.54 * PI, 0.6 * PI, 0.65 * PI)),
+])
+def test_chord_nesting_agrees_with_pairwise(kind, alphas, simplicity_verdicts):
+    for alpha in alphas:
+        enumerate_classes(build_solid(kind, alpha), 16)
+    # the narrowest angle of each solid yields candidates that close but
+    # cross themselves
+    assert True in simplicity_verdicts and False in simplicity_verdicts
+
+
+def test_chord_nesting_agrees_on_long_tetra_types(simplicity_verdicts):
+    # near the flat limit the typed sequences run to ~100 crossings
+    counts.count_tetra(0.336 * PI)
+    assert len(simplicity_verdicts) > 20
+
+
+@pytest.mark.parametrize("kind,alpha", [
+    (SolidKind.TETRAHEDRON, 0.4 * PI),
+    (SolidKind.OCTAHEDRON, 0.45 * PI),
+    (SolidKind.CUBE, 0.6 * PI),
+])
+def test_chord_nesting_agrees_on_random_chords(kind, alpha):
+    # arbitrary crossing points still give in-face minor chords, so both
+    # checks decide the same question; a coarse grid of t makes the same
+    # surface point recur (contact), a fine one makes chords cross
+    spec = build_solid(kind, alpha)
+    rng = random.Random(5)
+    verdicts = []
+    for trial in range(300):
+        dev = develop(spec, random_sequence(spec, rng, max_len=14))
+        hits = []
+        for p, q in dev.arcs:
+            t = rng.choice((0.25, 0.5, 0.75)) if trial % 2 else rng.uniform(0.01, 0.99)
+            hits.append(sphtrig.ArcCrossing(t, 0.0, sphtrig.slerp(p, q, t)))
+        got = finder._dev_is_simple(spec, dev, hits)
+        assert got == pairwise_is_simple(spec, dev, hits), dev.seq.edge_word()
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("word", [
+    (0, 2, 5, 3, 0, 2, 5, 3),  # doubled band
+    (0, 4, 3, 1, 2, 4),        # figure eight
+])
+def test_chord_nesting_rejects_self_crossing(word, simplicity_verdicts):
+    spec = build_solid(SolidKind.TETRAHEDRON, 0.42 * PI)
+    assert solve_sequence(spec, CrossingSequence.from_edges(spec, word)) is None
+    assert simplicity_verdicts == [False]
+
+
 # ---------------------------------------------------------------------------
 # canonicalization
 
@@ -629,3 +706,10 @@ def test_enumerate_rejects_shallow_depth():
     spec = build_solid(SolidKind.OCTAHEDRON, 0.45 * PI)
     with pytest.raises(sphtrig.DomainError):
         enumerate_classes(spec, 2)
+
+
+def test_enumerate_rejects_depth_beyond_recursion_bound():
+    assert finder.MAX_SEARCH_DEPTH * 4 <= sys.getrecursionlimit()
+    spec = build_solid(SolidKind.CUBE, 0.52 * PI)
+    with pytest.raises(sphtrig.DomainError):
+        enumerate_classes(spec, finder.MAX_SEARCH_DEPTH + 1)

@@ -161,3 +161,29 @@ def sampled_is_simple(spec: SolidSpec, seq: CrossingSequence, pole,
             if best < 2.0 * step:
                 return False
     return True
+
+
+def pairwise_is_simple(spec: SolidSpec, dev: unfold.Development, hits) -> bool:
+    """Reference simplicity check: every pair of in-face segments that lie in
+    one physical face is tested with the great-circle arc predicate, O(m^2).
+
+    Takes the same arguments as `finder._dev_is_simple`: the development and
+    the pole's crossing with each developed edge arc.
+    """
+    pts = [h.point for h in hits]
+    closing = sphtrig.mat_apply(dev.closing, pts[0])
+    m = len(pts)
+    by_face = {}
+    for i in range(m):
+        inv = sphtrig.mat_transpose(dev.placements[i + 1])
+        a = sphtrig.mat_apply(inv, pts[i])
+        b = sphtrig.mat_apply(inv, pts[i + 1] if i < m - 1 else closing)
+        by_face.setdefault(dev.faces[i + 1], []).append((a, b))
+    for segs in by_face.values():
+        # segments in one physical face belong to distinct visits, so any
+        # contact at all is a self-intersection
+        for i in range(len(segs)):
+            for k in range(i + 1, len(segs)):
+                if sphtrig.arcs_intersect(*segs[i], *segs[k]):
+                    return False
+    return True
