@@ -19,7 +19,13 @@ right way?) and by a running lower bound on length against the 2*pi cap.
 The feasible poles form a convex polygon in the gnomonic chart about the first
 edge's entry vertex; each crossing clips it by its two half-planes
 (Sutherland-Hodgman), and a branch survives while a witness pole meets every
-constraint strictly.
+constraint strictly.  The symmetry group is transitive on (face, edge)
+incidences, so the walk starts from one directed crossing only, and the
+mirror that fixes that crossing halves what is left: a branch is skipped
+when the mirror image of its word is smaller and shares its prefix.  The
+walk lays out the development as it goes, so a closed word is solved on
+those placements without being developed again; a word that repeats a
+shorter one is skipped, since a geodesic traversed twice is not simple.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .sphtrig import (
+    IDENTITY,
     PI,
     ArcCrossing,
     DomainError,
@@ -46,7 +53,7 @@ from .sphtrig import (
     pole_frame,
 )
 from .solids import SolidKind, SolidSpec, symmetry_group
-from .unfold import CrossingSequence, Development, develop
+from .unfold import CrossingSequence, Development, DirectedCrossing, develop
 
 TWO_PI = 2.0 * PI
 
@@ -204,7 +211,13 @@ def solve_sequence(
     traversal direction, with strictly increasing azimuths spanning exactly
     the rotation angle, stay clear of vertices, and be simple on the surface.
     """
-    dev = develop(spec, seq)
+    return _solve_development(spec, develop(spec, seq), tol_closure, tol_vertex)
+
+
+def _solve_development(
+    spec: SolidSpec, dev: Development, tol_closure: float, tol_vertex: float
+) -> Optional[GeodesicPath]:
+    """`solve_sequence` on a development that is already laid out."""
     axis, ang, near_identity = axis_angle(dev.closing)
     if near_identity:
         return None
@@ -272,7 +285,7 @@ def _path_for_pole(
         v1 = spec.faces[c.from_face][j]
         v2 = spec.faces[c.from_face][(j + 1) % n]
         inc_exit = _incidence(spec, dev.placements[i], j, pts[i], pole)
-        gi, j2, _ = spec.gluing[(c.from_face, j)]
+        j2 = spec.gluing[(c.from_face, j)][1]
         inc_enter = _incidence(spec, dev.placements[i + 1], j2, pts[i], pole)
         # the two face copies develop the edge independently; the angles they
         # see must agree (edge orientations oppose, hence the pi flip)
@@ -490,10 +503,24 @@ def class_tag(spec: SolidSpec, path: GeodesicPath) -> str:
 # exhaustive enumeration
 
 
+def _start_mirror(spec: SolidSpec, start_face: int) -> Tuple[int, ...]:
+    """Edge permutation of the one symmetry other than the identity that
+    fixes edge 0 and `start_face`: the reflection across the perpendicular
+    bisector of edge 0."""
+    ident = tuple(range(spec.n_vertices))
+    mirrors = [
+        g for g in symmetry_group(spec)
+        if g.perm != ident and g.edge_perm[0] == 0
+        and g.face_perm[start_face] == start_face
+    ]
+    if len(mirrors) != 1:
+        raise RuntimeError("the stabilizer of the start crossing is not {id, mirror}")
+    return mirrors[0].edge_perm
+
+
 def enumerate_classes(
     spec: SolidSpec,
     max_crossings: int,
-    prune: bool = True,
     tol_closure: float = 1e-9,
     tol_vertex: float = 1e-9,
 ) -> List[GeodesicClass]:
@@ -501,7 +528,14 @@ def enumerate_classes(
     one canonical representative per symmetry class, in canonical order.
 
     Exhaustive up to the crossing bound: every class whose representative
-    crosses <= max_crossings edges is found.
+    crosses <= max_crossings edges is found.  The symmetry group is
+    transitive on (face, edge) incidences, so every class has a word that
+    starts by crossing edge 0 out of face A = edge_faces[0][0], and the
+    search walks only from there.  Those words are closed under the mirror
+    sigma that fixes that crossing; while the prefix is its own sigma-image
+    a child edge e with sigma(e) < e is skipped, which never cuts the least
+    such word of a class, as sigma of it is no smaller.  Closures are
+    solved on the development the walk has already laid out.
     """
     if max_crossings < 3:
         raise DomainError("max_crossings must be at least 3")
@@ -509,87 +543,78 @@ def enumerate_classes(
         raise DomainError(f"max_crossings must be at most {MAX_SEARCH_DEPTH}")
     n = spec.face_size
     chart = spec.chart
+    start_face = spec.edge_faces[0][0]
+    sigma = _start_mirror(spec, start_face)
     found: Set[Tuple[int, ...]] = set()
     tried: Set[Tuple[int, ...]] = set()
+    # the walk's own development, laid out as `develop` does it: crossing i
+    # leaves the copy of faces[i] placed by placements[i] through the
+    # developed edge arcs[i]; cons holds the two pole constraints of each arc
+    edges: List[int] = []
+    faces: List[int] = [start_face]
+    placements: List[Mat3] = [IDENTITY]
+    arcs: List[Tuple[Vec3, Vec3]] = []
+    cons: List[Vec3] = []
 
-    def close_and_solve(word: Tuple[int, ...]) -> None:
+    def close_and_solve() -> None:
+        word = tuple(edges)
+        m = len(word)
+        # a proper power retraces a shorter closed geodesic: never simple
+        for d in range(1, m // 2 + 1):
+            if m % d == 0 and word[d:] + word[:d] == word:
+                return
         key = _cyclic_min(word)
         if key in tried:
             return
         tried.add(key)
-        seq = CrossingSequence.from_edges(spec, word)
-        path = solve_sequence(spec, seq, tol_closure, tol_vertex)
-        if path is not None:
+        seq = CrossingSequence(tuple(
+            DirectedCrossing(faces[i], word[i], faces[i + 1]) for i in range(m)
+        ))
+        dev = Development(seq, tuple(faces), tuple(placements), tuple(arcs))
+        if _solve_development(spec, dev, tol_closure, tol_vertex) is not None:
             found.add(canonical_word(spec, word))
 
-    def dfs(
-        edges: List[int],
-        cur_face: int,
-        entry_local: int,
-        placement: Mat3,
-        cons: List[Vec3],
-        region: PoleRegion,
-        lb: float,
-        anchor_edge: int,
-        anchor_face: int,
-    ) -> None:
-        depth = len(edges)
-        if depth >= 3 and cur_face == anchor_face and edges[-1] != anchor_edge:
-            close_and_solve(tuple(edges))
-        if depth == max_crossings:
-            return
-        for j in range(n):
-            if j == entry_local:
-                continue
+    def cross(j: int, region: Optional[PoleRegion], lb: float, tied: bool) -> None:
+        """Cross local edge j of the current face copy.  While some pole
+        still crosses every developed edge, close the walk if it is back in
+        the start face and go on through the other edges of the face
+        entered.  A None region starts the chart about this first crossing's
+        entry vertex; `tied` says the prefix is its own sigma-image."""
+        cur_face = faces[-1]
+        placement = placements[-1]
+        p = mat_apply(placement, chart[j])
+        q = mat_apply(placement, chart[(j + 1) % n])
+        cons.append(q)
+        cons.append(neg(p))
+        region = _narrow(region or (_pole_box(q), None), cons, 2)
+        if region is not None:
             e = spec.face_edges[cur_face][j]
-            if e < anchor_edge:
-                continue
-            lb2 = lb + spec.chord_gap[(entry_local, j)]
-            if prune and lb2 >= TWO_PI - 1e-12:
-                continue
-            p = mat_apply(placement, chart[j])
-            q = mat_apply(placement, chart[(j + 1) % n])
-            cons.append(q)
-            cons.append(neg(p))
-            child: Optional[PoleRegion] = region
-            if prune:
-                child = _narrow(region, cons, 2)
-            if child is not None:
-                gi, j2, _ = spec.gluing[(cur_face, j)]
-                edges.append(e)
-                dfs(
-                    edges,
-                    gi,
-                    j2,
-                    mat_compose(placement, spec.steps[(cur_face, j)]),
-                    cons,
-                    child,
-                    lb2,
-                    anchor_edge,
-                    anchor_face,
-                )
-                edges.pop()
-            cons.pop()
-            cons.pop()
+            face, entry = spec.gluing[(cur_face, j)]
+            tied = tied and sigma[e] == e
+            edges.append(e)
+            faces.append(face)
+            arcs.append((p, q))
+            placements.append(mat_compose(placement, spec.steps[(cur_face, j)]))
+            if len(edges) >= 3 and face == start_face and e != 0:
+                close_and_solve()
+            if len(edges) < max_crossings:
+                for k in range(n):
+                    if k == entry:
+                        continue
+                    e2 = spec.face_edges[face][k]
+                    if tied and sigma[e2] < e2:
+                        continue
+                    lb2 = lb + spec.chord_gap[(entry, k)]
+                    if lb2 < TWO_PI - 1e-12:
+                        cross(k, region, lb2, tied)
+            edges.pop()
+            faces.pop()
+            arcs.pop()
+            placements.pop()
+        cons.pop()
+        cons.pop()
 
-    for e0 in range(len(spec.edges)):
-        f_from = spec.edge_faces[e0][0]
-        j0 = spec.face_edge_local[(f_from, e0)]
-        g0, j2, _ = spec.gluing[(f_from, j0)]
-        p = chart[j0]
-        q = chart[(j0 + 1) % n]
-        cons = [q, neg(p)]
-        dfs(
-            [e0],
-            g0,
-            j2,
-            spec.steps[(f_from, j0)],
-            cons,
-            _narrow((_pole_box(q), None), cons, 2),
-            0.0,
-            e0,
-            f_from,
-        )
+    cross(spec.face_edge_local[(start_face, 0)], None, 0.0, True)
 
     classes: List[GeodesicClass] = []
     for word in sorted(found):

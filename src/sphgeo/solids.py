@@ -104,12 +104,6 @@ class SymmetryOp:
     edge_perm: Tuple[int, ...]
     face_perm: Tuple[int, ...]
 
-    def apply_vertex(self, v: int) -> int:
-        return self.perm[v]
-
-    def apply_edge(self, e: int) -> int:
-        return self.edge_perm[e]
-
 
 @dataclass(frozen=True, eq=False)
 class SolidSpec:
@@ -126,7 +120,7 @@ class SolidSpec:
     edge_faces: Tuple[Tuple[int, int], ...]          # per edge id, both adjacent faces
     face_edge_local: Dict[Tuple[int, int], int]      # (face, edge id) -> local index
     face_edges: Tuple[Tuple[int, ...], ...]          # per face, edge ids in local order
-    gluing: Dict[Tuple[int, int], Tuple[int, int, bool]]
+    gluing: Dict[Tuple[int, int], Tuple[int, int]]   # (face, local edge) -> same for the neighbour
     chart: Tuple[Vec3, ...]                          # canonical face polygon
     circumradius: float
     edge_length: float
@@ -190,12 +184,11 @@ def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
         f2, _ = directed[(b, a)]
         edge_faces.append((min(f1, f2), max(f1, f2)))
 
-    gluing: Dict[Tuple[int, int], Tuple[int, int, bool]] = {}
+    gluing: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for fi, f in enumerate(faces):
         for j in range(n):
             a, b = f[j], f[(j + 1) % n]
-            gi, j2 = directed[(b, a)]
-            gluing[(fi, j)] = (gi, j2, True)
+            gluing[(fi, j)] = directed[(b, a)]
 
     rho = sphtrig.circumradius(n, alpha)
     sr, cr = math.sin(rho), math.cos(rho)
@@ -208,7 +201,7 @@ def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
     # transfer rotation across each directed edge: glue the neighbour's chart
     # copy of the shared edge onto this face's copy, endpoints matched
     steps: Dict[Tuple[int, int], Mat3] = {}
-    for (fi, j), (gi, j2, _) in gluing.items():
+    for (fi, j), (gi, j2) in gluing.items():
         steps[(fi, j)] = sphtrig.rotation_from_pairs(
             chart[(j2 + 1) % n], chart[j2], chart[j], chart[(j + 1) % n]
         )

@@ -7,8 +7,9 @@ per-edge transfer rotations around the cycle is the closing rotation
 (holonomy) whose axis is the only possible pole of that arc.
 
 Per-directed-edge transfer rotations are precomputed once per solid (in
-``SolidSpec.steps``); developments themselves are rebuilt from scratch for
-every sequence.
+``SolidSpec.steps``).  ``develop`` lays a sequence out from scratch; the
+exhaustive search in ``finder`` builds the same ``Development`` incrementally,
+one placement per crossing, with the same products in the same order.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def step_rotation(spec: SolidSpec, placement: Mat3, crossing: DirectedCrossing) 
         raise DomainError(
             f"edge {crossing.edge} is not an edge of face {crossing.from_face}"
         )
-    gi, _, _ = spec.gluing[(crossing.from_face, j)]
+    gi = spec.gluing[(crossing.from_face, j)][0]
     if gi != crossing.to_face:
         raise DomainError("crossing does not match the gluing map")
     return mat_compose(placement, spec.steps[(crossing.from_face, j)])

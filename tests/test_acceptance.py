@@ -15,7 +15,7 @@ from sphgeo.solids import SolidKind, build_solid, symmetry_group
 from sphgeo.sphtrig import PI, angle_between, arc_midpoint, axis_angle
 from sphgeo.unfold import CrossingSequence, holonomy
 
-from util import random_sequence
+from util import random_sequence, reference_classes
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -286,18 +286,16 @@ def test_criterion_9_property_suites():
             f"{kind.value}: t-dev {worst_t:.1e}, angle-dev {worst_ang:.1e}"
         )
 
-    # (c) pruning-vs-no-pruning equivalence at depth <= 8, seeded alphas
+    # (c) pruned search equals the unpruned reference at depth <= 8,
+    # seeded alphas
     rng = random.Random(424243)
     for kind in SolidKind:
         lo, hi = solids.ADMISSIBLE[kind]
         for _ in range(3):
             alpha = lo + (hi - lo) * rng.uniform(0.15, 0.85)
             spec = build_solid(kind, alpha)
-            a = enumerate_classes(spec, 8, prune=True)
-            b = enumerate_classes(spec, 8, prune=False)
-            same = [(c.seq.edge_word(), c.tag) for c in a] == [
-                (c.seq.edge_word(), c.tag) for c in b
-            ]
+            a = enumerate_classes(spec, 8)
+            same = [(c.seq.edge_word(), c.tag) for c in a] == reference_classes(spec, 8)
             ok &= same
             if not same:
                 details.append(f"prune mismatch {kind.value} alpha={alpha}")

@@ -27,6 +27,7 @@ from util import (
     pairwise_is_simple,
     random_sequence,
     random_unit,
+    reference_classes,
     sampled_is_simple,
     trace_geodesic,
 )
@@ -407,9 +408,11 @@ def simplicity_verdicts(monkeypatch):
 ])
 def test_chord_nesting_agrees_with_pairwise(kind, alphas, simplicity_verdicts):
     for alpha in alphas:
-        enumerate_classes(build_solid(kind, alpha), 16)
-    # the narrowest angle of each solid yields candidates that close but
-    # cross themselves
+        spec = build_solid(kind, alpha)
+        for cls in enumerate_classes(spec, 16):
+            # a class traversed twice closes but retraces itself
+            doubled = CrossingSequence.from_edges(spec, cls.seq.edge_word() * 2)
+            solve_sequence(spec, doubled)
     assert True in simplicity_verdicts and False in simplicity_verdicts
 
 
@@ -680,6 +683,34 @@ def test_enumerate_deterministic():
 
 
 @pytest.mark.parametrize("kind,alphas", [
+    (SolidKind.TETRAHEDRON, (0.36 * PI, 0.5 * PI, 0.6 * PI)),
+    (SolidKind.OCTAHEDRON, (0.36 * PI, 0.45 * PI)),
+    (SolidKind.CUBE, (0.54 * PI, 0.64 * PI)),
+])
+def test_proper_powers_never_simple(kind, alphas, monkeypatch):
+    # a closed geodesic traversed twice retraces itself, so the search may
+    # skip every word that is a proper power without solving it
+    closures = []
+    solve = finder._solve_development
+
+    def recorded(spec, dev, tol_closure, tol_vertex):
+        closures.append(dev.seq.edge_word())
+        return solve(spec, dev, tol_closure, tol_vertex)
+
+    monkeypatch.setattr(finder, "_solve_development", recorded)
+    for alpha in alphas:
+        spec = build_solid(kind, alpha)
+        classes = enumerate_classes(spec, 16)
+        assert classes and closures
+        for w in closures:
+            assert all(w[d:] + w[:d] != w for d in range(1, len(w)))
+        for cls in classes:
+            doubled = cls.seq.edge_word() * 2
+            assert solve_sequence(spec, CrossingSequence.from_edges(spec, doubled)) is None
+        closures.clear()
+
+
+@pytest.mark.parametrize("kind,alphas", [
     (SolidKind.TETRAHEDRON, (0.44 * PI, 0.52 * PI, 0.61 * PI)),
     (SolidKind.OCTAHEDRON, (0.38 * PI, 0.42 * PI, 0.47 * PI)),
     (SolidKind.CUBE, (0.54 * PI, 0.59 * PI, 0.64 * PI)),
@@ -687,11 +718,8 @@ def test_enumerate_deterministic():
 def test_pruning_equivalence_depth8(kind, alphas):
     for alpha in alphas:
         spec = build_solid(kind, alpha)
-        pruned = enumerate_classes(spec, 8, prune=True)
-        full = enumerate_classes(spec, 8, prune=False)
-        assert [(c.seq.edge_word(), c.tag) for c in pruned] == [
-            (c.seq.edge_word(), c.tag) for c in full
-        ]
+        pruned = enumerate_classes(spec, 8)
+        assert [(c.seq.edge_word(), c.tag) for c in pruned] == reference_classes(spec, 8)
 
 
 def test_enumerate_stable_beyond_required_depth():

@@ -67,9 +67,8 @@ def test_octahedron_boundary_is_rejected():
 @pytest.mark.parametrize("kind", list(SolidKind))
 def test_gluing_is_involution(kind):
     spec = build_solid(kind, MIDPOINTS[kind])
-    for (f, j), (g, j2, flipped) in spec.gluing.items():
-        assert flipped
-        assert spec.gluing[(g, j2)][:2] == (f, j)
+    for (f, j), (g, j2) in spec.gluing.items():
+        assert spec.gluing[(g, j2)] == (f, j)
         # glued edges carry the same vertex pair, reversed
         n = spec.face_size
         a, b = spec.faces[f][j], spec.faces[f][(j + 1) % n]
@@ -165,6 +164,27 @@ def test_group_closed_under_composition(kind):
         for q in perms:
             comp = tuple(p[q[i]] for i in range(spec.n_vertices))
             assert comp in perms
+
+
+@pytest.mark.parametrize("kind", list(SolidKind))
+def test_group_transitive_on_incidences(kind):
+    # the exhaustive search starts only by crossing edge 0 out of face
+    # edge_faces[0][0]; that needs every (face, edge) incidence in its orbit,
+    # and its pruning needs the stabilizer to be {id, mirror}
+    spec = build_solid(kind, MIDPOINTS[kind])
+    ops = symmetry_group(spec)
+    start = (spec.edge_faces[0][0], 0)
+    for f, face_edges in enumerate(spec.face_edges):
+        for e in face_edges:
+            assert any((g.face_perm[f], g.edge_perm[e]) == start for g in ops)
+    stab = [g for g in ops if (g.face_perm[start[0]], g.edge_perm[0]) == start]
+    ident = tuple(range(spec.n_vertices))
+    assert len(stab) == 2 and stab[0].perm == ident
+    sigma = stab[1]
+    assert not sigma.is_rotation
+    # the reflection across the perpendicular bisector of edge 0
+    a, b = spec.edges[0]
+    assert (sigma.perm[a], sigma.perm[b]) == (b, a)
 
 
 @pytest.mark.parametrize("kind", list(SolidKind))

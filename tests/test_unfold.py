@@ -72,7 +72,7 @@ def test_validate_checks_face_chain():
 @pytest.mark.parametrize("kind", list(SolidKind))
 def test_step_across_and_back_is_identity(kind):
     spec = build_solid(kind, MIDPOINTS[kind])
-    for (f, j), (g, j2, _) in spec.gluing.items():
+    for (f, j), (g, j2) in spec.gluing.items():
         e = spec.face_edges[f][j]
         there = step_rotation(spec, IDENTITY, DirectedCrossing(f, e, g))
         back = step_rotation(spec, there, DirectedCrossing(g, e, f))
@@ -91,7 +91,7 @@ def test_developed_edge_copies_coincide(kind):
         dev = develop(spec, seq)
         for i, c in enumerate(seq.crossings):
             j = spec.face_edge_local[(c.from_face, c.edge)]
-            gi, j2, _ = spec.gluing[(c.from_face, j)]
+            gi, j2 = spec.gluing[(c.from_face, j)]
             p = mat_apply(dev.placements[i], spec.chart[j])
             q = mat_apply(dev.placements[i], spec.chart[(j + 1) % n])
             p2 = mat_apply(dev.placements[i + 1], spec.chart[j2])

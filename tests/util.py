@@ -6,7 +6,7 @@ import math
 import random
 from typing import List, Optional, Tuple
 
-from sphgeo import sphtrig, unfold
+from sphgeo import finder, sphtrig, unfold
 from sphgeo.solids import SolidSpec
 from sphgeo.unfold import CrossingSequence
 
@@ -35,13 +35,13 @@ def random_closed_word(
         e0 = rng.randrange(len(spec.edges))
         f0 = spec.edge_faces[e0][rng.randrange(2)]
         j = spec.face_edge_local[(f0, e0)]
-        cur, entry, _ = spec.gluing[(f0, j)]
+        cur, entry = spec.gluing[(f0, j)]
         word = [e0]
         for _ in range(max_len - 1):
             choices = [k for k in range(n) if k != entry]
             k = rng.choice(choices)
             word.append(spec.face_edges[cur][k])
-            cur, entry, _ = spec.gluing[(cur, k)]
+            cur, entry = spec.gluing[(cur, k)]
             if len(word) >= 3 and cur == f0 and word[-1] != word[0]:
                 return tuple(word)
         # walk failed to close in time; retry
@@ -132,7 +132,7 @@ def trace_geodesic(spec: SolidSpec, path) -> Tuple[Tuple[int, ...], float, float
         t_inv = sphtrig.mat_transpose(spec.steps[(face, j2)])
         x = sphtrig.mat_apply(t_inv, y)
         d = sphtrig.mat_apply(t_inv, d_y)
-        face, entry = spec.gluing[(face, j2)][:2]
+        face, entry = spec.gluing[(face, j2)]
     pos_err = sphtrig.angle_between(x, x0)
     dir_err = sphtrig.angle_between(sphtrig.normalize(d), sphtrig.normalize(d0))
     return tuple(edges), pos_err, dir_err
@@ -187,3 +187,41 @@ def pairwise_is_simple(spec: SolidSpec, dev: unfold.Development, hits) -> bool:
                 if sphtrig.arcs_intersect(*segs[i], *segs[k]):
                     return False
     return True
+
+
+def reference_classes(spec: SolidSpec, depth: int) -> List[Tuple[Tuple[int, ...], str]]:
+    """Slow oracle for `finder.enumerate_classes`: the (canonical word, tag)
+    of every class with at most `depth` crossings, in canonical order.
+
+    Walks every face path from every directed edge crossing, with no
+    feasibility, length or symmetry pruning, and solves every closed word
+    with `finder.solve_sequence`; a class is found when any of its words
+    solves.  The tag comes from the canonical word's own solution, or is
+    None when that fails to re-solve.
+    """
+    n = spec.face_size
+    found = set()
+    word: List[int] = []
+
+    def walk(start: int, face: int, entry: int) -> None:
+        if len(word) >= 3 and face == start and word[-1] != word[0]:
+            seq = CrossingSequence.from_edges(spec, word)
+            if finder.solve_sequence(spec, seq) is not None:
+                found.add(finder.canonical_word(spec, tuple(word)))
+        if len(word) == depth:
+            return
+        for k in range(n):
+            if k != entry:
+                word.append(spec.face_edges[face][k])
+                walk(start, *spec.gluing[(face, k)])
+                word.pop()
+
+    for (f0, j0), (g0, entry0) in spec.gluing.items():
+        word.append(spec.face_edges[f0][j0])
+        walk(f0, g0, entry0)
+        word.pop()
+    out = []
+    for w in sorted(found):
+        path = finder.solve_sequence(spec, CrossingSequence.from_edges(spec, w))
+        out.append((w, None if path is None else finder.class_tag(spec, path)))
+    return out
