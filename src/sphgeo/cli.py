@@ -11,6 +11,7 @@ realizable, 4 result-document validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import counts, finder, solids, sphtrig, unfold
 from .solids import SolidKind, SolidSpec
-from .sphtrig import PI, DomainError
+from .sphtrig import PI, DomainError, Vec3
 
 SCHEMA_VERSION = "1"
 
@@ -46,7 +47,6 @@ class RunConfig:
     tol_closure: float
     tol_vertex: float
     out: Optional[str]
-    fmt: str
 
 
 def parse_alpha(text: str) -> float:
@@ -131,9 +131,11 @@ def _write_out(text: str, out: Optional[str]) -> None:
 _SVG_SCALE = 120.0  # px per radian
 
 
-def _project(pole, point) -> Tuple[float, float]:
+def _project(pole: Vec3, e1: Vec3, e2: Vec3, point: Vec3) -> Tuple[float, float]:
+    # (e1, e2) is pole_frame(pole), built once per render; the azimuth is
+    # sphtrig.azimuth_about's, with the same float operations
     r = sphtrig.angle_between(pole, point)
-    az = sphtrig.azimuth_about(pole, point)
+    az = math.atan2(sphtrig.dot(point, e2), sphtrig.dot(point, e1))
     return r * math.cos(az), -r * math.sin(az)
 
 
@@ -145,15 +147,42 @@ def _path_cmd(points_2d: List[Tuple[float, float]], half: float) -> str:
     return " ".join(cmds)
 
 
-def render_svg(spec: SolidSpec, cls_doc: Dict) -> str:
+def _check_crossings(stored: Sequence[Dict], path: finder.GeodesicPath,
+                     tol: float) -> None:
+    """Raise DomainError unless the document's crossings are the path's,
+    edge for edge, with `t` and incidence angle within `tol`."""
+    if len(stored) != len(path.crossings):
+        raise DomainError("stored crossings do not match the re-solved path")
+    for i, (doc_c, c) in enumerate(zip(stored, path.crossings)):
+        if not (
+            doc_c["edge"] == c.edge
+            and abs(doc_c["t"] - c.t) <= tol
+            and abs(doc_c["incidence_angle"] - c.incidence) <= tol
+        ):
+            raise DomainError(f"stored crossing {i} does not match the re-solved path")
+
+
+def render_svg(
+    spec: SolidSpec,
+    cls_doc: Dict,
+    tol_closure: float = 1e-9,
+    tol_vertex: float = 1e-9,
+) -> str:
     """Render the development of one class: face outlines plus the geodesic
-    equator arc, projected so the geodesic shows as (part of) a circle."""
+    equator arc, projected so the geodesic shows as (part of) a circle.
+
+    The class is re-solved from its sequence with the given tolerances, and
+    its stored crossings must match the solution within `tol_closure`;
+    otherwise DomainError is raised and nothing is drawn.
+    """
     seq = unfold.CrossingSequence.from_edges(spec, cls_doc["canonical_sequence"])
-    path = finder.solve_sequence(spec, seq)
+    dev = unfold.develop(spec, seq)
+    path = finder._solve_development(spec, dev, tol_closure, tol_vertex)
     if path is None:
         raise DomainError("document sequence does not solve at this angle")
-    dev = unfold.develop(spec, seq)
+    _check_crossings(cls_doc["crossings"], path, tol_closure)
     pole = path.pole
+    e1, e2 = sphtrig.pole_frame(pole)
     n = spec.face_size
     half = _SVG_SCALE * PI + 20.0
     size = 2.0 * half
@@ -166,21 +195,19 @@ def render_svg(spec: SolidSpec, cls_doc: Dict) -> str:
             a = sphtrig.mat_apply(placement, spec.chart[j])
             b = sphtrig.mat_apply(placement, spec.chart[(j + 1) % n])
             for k in range(samples):
-                pts.append(_project(pole, sphtrig.slerp(a, b, k / samples)))
+                pts.append(_project(pole, e1, e2, sphtrig.slerp(a, b, k / samples)))
         pts.append(pts[0])
         face_paths.append(f'  <path d="{_path_cmd(pts, half)}"/>')
 
-    hits = [sphtrig.pole_edge_crossing(pole, a, b) for a, b in dev.arcs]
-    az0 = hits[0].azimuth
+    az0 = sphtrig.pole_edge_crossing(pole, *dev.arcs[0]).azimuth
     theta = path.total_length
-    e1, e2 = sphtrig.pole_frame(pole)
     geo_pts = []
     for k in range(10 * samples + 1):
         az = az0 + theta * k / (10 * samples)
         x = math.cos(az)
         y = math.sin(az)
-        p = tuple(x * e1[i] + y * e2[i] for i in range(3))
-        geo_pts.append(_project(pole, p))
+        p = (x * e1[0] + y * e2[0], x * e1[1] + y * e2[1], x * e1[2] + y * e2[2])
+        geo_pts.append(_project(pole, e1, e2, p))
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -330,7 +357,7 @@ def cmd_export(cfg: RunConfig, in_path: str, class_index: int) -> int:
             )
             return EXIT_VALIDATION
         spec = solids.build_solid(_KINDS[doc["solid"]], float(doc["alpha"]))
-        svg = render_svg(spec, cls_doc)
+        svg = render_svg(spec, cls_doc, cfg.tol_closure, cfg.tol_vertex)
     except (KeyError, IndexError, TypeError, DomainError, ValueError) as exc:
         # a field that is missing, of the wrong type or out of range
         print(f"invalid result document: {exc}", file=sys.stderr)
@@ -343,6 +370,7 @@ def cmd_export(cfg: RunConfig, in_path: str, class_index: int) -> int:
 # argument parsing
 
 
+@functools.cache  # one parser per process, built by the first main call
 def _make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sphgeo",
@@ -415,7 +443,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 tol_closure=args.tol_closure,
                 tol_vertex=args.tol_vertex,
                 out=args.out,
-                fmt=args.format,
             )
             return cmd_export(cfg, args.in_path, args.class_index)
 
@@ -444,7 +471,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             tol_closure=args.tol_closure,
             tol_vertex=args.tol_vertex,
             out=args.out,
-            fmt=args.format,
         )
         if args.command == "solve":
             return cmd_solve(cfg)

@@ -52,7 +52,7 @@ from .sphtrig import (
     pole_edge_crossing,
     pole_frame,
 )
-from .solids import SolidKind, SolidSpec, symmetry_group
+from .solids import SolidKind, SolidSpec, cyclic_min, symmetry_group
 from .unfold import CrossingSequence, Development, DirectedCrossing, develop
 
 TWO_PI = 2.0 * PI
@@ -239,11 +239,13 @@ def _path_for_pole(
     if theta < 1e-9:
         return None
     m = len(dev.arcs)
-    hits = []
+    # the equator must cross from the exited copy's side to the entered one;
+    # most poles fail this somewhere, so test every arc before any crossing
     for p, q in dev.arcs:
-        # the equator must cross from the exited copy's side to the entered one
         if not dot(pole, q) > 0.0 > dot(pole, p):
             return None
+    hits = []
+    for p, q in dev.arcs:
         hit = pole_edge_crossing(pole, p, q)
         if hit is None:
             return None
@@ -378,21 +380,11 @@ def is_simple(spec: SolidSpec, path: GeodesicPath) -> bool:
 # canonical forms under cyclic shift x reversal x symmetry
 
 
-def _cyclic_min(word: Tuple[int, ...]) -> Tuple[int, ...]:
-    best = None
-    for w in (word, word[::-1]):
-        for r in range(len(w)):
-            cand = w[r:] + w[:r]
-            if best is None or cand < best:
-                best = cand
-    return best  # type: ignore[return-value]
-
-
 def canonical_word(spec: SolidSpec, word: Tuple[int, ...]) -> Tuple[int, ...]:
     best = None
     for g in symmetry_group(spec):
         ep = g.edge_perm
-        cand = _cyclic_min(tuple(ep[e] for e in word))
+        cand = cyclic_min(tuple(ep[e] for e in word))
         if best is None or cand < best:
             best = cand
     return best  # type: ignore[return-value]
@@ -409,7 +401,7 @@ def orbit_size(spec: SolidSpec, seq: CrossingSequence) -> int:
     the symmetry orbit."""
     word = seq.edge_word()
     return len(
-        {_cyclic_min(tuple(g.edge_perm[e] for e in word)) for g in symmetry_group(spec)}
+        {cyclic_min(tuple(g.edge_perm[e] for e in word)) for g in symmetry_group(spec)}
     )
 
 
@@ -563,7 +555,7 @@ def enumerate_classes(
         for d in range(1, m // 2 + 1):
             if m % d == 0 and word[d:] + word[:d] == word:
                 return
-        key = _cyclic_min(word)
+        key = cyclic_min(word)
         if key in tried:
             return
         tried.add(key)

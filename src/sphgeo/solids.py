@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -252,13 +251,11 @@ def cone_angle(spec: SolidSpec, vertex: int) -> float:
 # ---------------------------------------------------------------------------
 # symmetry group
 
-_SYM_CACHE: Dict[SolidKind, Tuple[Tuple[int, ...], ...]] = {}
 
-
-def _face_key(face: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Canonical form of a cyclic vertex list up to rotation and reversal."""
+def cyclic_min(word: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Canonical form of a cyclic sequence up to rotation and reversal."""
     best = None
-    for w in (face, face[::-1]):
+    for w in (word, word[::-1]):
         for r in range(len(w)):
             cand = w[r:] + w[:r]
             if best is None or cand < best:
@@ -268,13 +265,11 @@ def _face_key(face: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def _is_automorphism(kind: SolidKind, perm: Tuple[int, ...]) -> bool:
     faces = _FACES[kind]
-    keys = {_face_key(f) for f in faces}
-    return all(_face_key(tuple(perm[v] for v in f)) in keys for f in faces)
+    keys = {cyclic_min(f) for f in faces}
+    return all(cyclic_min(tuple(perm[v] for v in f)) in keys for f in faces)
 
 
 def _closure(kind: SolidKind) -> Tuple[Tuple[int, ...], ...]:
-    if kind in _SYM_CACHE:
-        return _SYM_CACHE[kind]
     gens = _SYM_GENERATORS[kind]
     nv = len(gens[0])
     ident = tuple(range(nv))
@@ -295,16 +290,15 @@ def _closure(kind: SolidKind) -> Tuple[Tuple[int, ...], ...]:
         raise AssertionError(
             f"symmetry closure has order {len(seen)}, expected {_GROUP_ORDER[kind]}"
         )
-    _SYM_CACHE[kind] = tuple(sorted(seen))
-    return _SYM_CACHE[kind]
+    return tuple(sorted(seen))
 
 
 def _orientation_preserving(spec: SolidSpec, perm: Tuple[int, ...]) -> bool:
     face = spec.faces[0]
     image = tuple(perm[v] for v in face)
-    key = _face_key(image)
+    key = cyclic_min(image)
     for f in spec.faces:
-        if _face_key(f) == key:
+        if cyclic_min(f) == key:
             # does `image` occur as a rotation of f (preserving) or of its
             # reversal (reversing)?
             n = len(f)
@@ -315,25 +309,25 @@ def _orientation_preserving(spec: SolidSpec, perm: Tuple[int, ...]) -> bool:
     raise AssertionError("image face not found")
 
 
-_OPS_CACHE: "weakref.WeakKeyDictionary[SolidSpec, Tuple[SymmetryOp, ...]]" = (
-    weakref.WeakKeyDictionary()
-)
+# the ops act on vertex, edge and face ids only, which depend on the kind
+# alone, so every angle of one kind shares them
+_OPS_CACHE: Dict[SolidKind, Tuple[SymmetryOp, ...]] = {}
 
 
 def symmetry_group(spec: SolidSpec) -> Tuple[SymmetryOp, ...]:
     """Full isometry group as combinatorial automorphisms (incl. reflections)."""
-    cached = _OPS_CACHE.get(spec)
+    cached = _OPS_CACHE.get(spec.kind)
     if cached is not None:
         return cached
     ops = []
-    keys = {_face_key(f): i for i, f in enumerate(spec.faces)}
+    keys = {cyclic_min(f): i for i, f in enumerate(spec.faces)}
     for perm in _closure(spec.kind):
         edge_perm = tuple(
             spec.edge_id(perm[a], perm[b]) for (a, b) in spec.edges
         )
         face_perm = []
         for f in spec.faces:
-            face_perm.append(keys[_face_key(tuple(perm[v] for v in f))])
+            face_perm.append(keys[cyclic_min(tuple(perm[v] for v in f))])
         ops.append(
             SymmetryOp(
                 perm=perm,
@@ -343,5 +337,5 @@ def symmetry_group(spec: SolidSpec) -> Tuple[SymmetryOp, ...]:
             )
         )
     result = tuple(ops)
-    _OPS_CACHE[spec] = result
+    _OPS_CACHE[spec.kind] = result
     return result

@@ -7,6 +7,10 @@ import pytest
 
 from sphgeo import cli
 from sphgeo.cli import main, parse_alpha
+from sphgeo.finder import enumerate_classes
+from sphgeo.solids import SolidKind, build_solid
+
+from util import reference_render_svg
 
 PI = math.pi
 
@@ -219,14 +223,20 @@ def _bad_edge_id(doc):
     return doc
 
 
+def _tampered_t(doc):
+    doc["classes"][0]["crossings"][2]["t"] += 1e-6
+    return doc
+
+
 @pytest.mark.parametrize("mutate", [
     lambda doc: [doc],
     _drop_residual,
     lambda doc: dict(doc, classes=5),
     lambda doc: dict(doc, alpha=None),
     _bad_edge_id,
+    _tampered_t,
 ], ids=["top-level-list", "no-closure-residual", "classes-not-list",
-        "alpha-null", "edge-out-of-range"])
+        "alpha-null", "edge-out-of-range", "tampered-t"])
 def test_export_malformed_document(tmp_path, capsys, mutate):
     res = tmp_path / "octa.json"
     main(["enumerate", "--solid", "octa", "--alpha", "0.4pi", "--out", str(res)])
@@ -237,6 +247,63 @@ def test_export_malformed_document(tmp_path, capsys, mutate):
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("invalid result document") and err.count("\n") == 1
+
+
+def test_export_honours_tol_vertex(tmp_path, capsys):
+    # the 8-crossing octa class crosses four edges near t = 0.09; the
+    # re-solve before drawing must apply --tol-vertex as enumerate does
+    res = tmp_path / "octa.json"
+    main(["enumerate", "--solid", "octa", "--alpha", "0.45pi", "--out", str(res)])
+    doc = json.loads(res.read_text())
+    idx = next(
+        i for i, c in enumerate(doc["classes"])
+        if len(c["canonical_sequence"]) == 8
+    )
+    argv = ["export", "--in", str(res), "--class-index", str(idx),
+            "--out", str(tmp_path / "octa.svg")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--tol-vertex", "0.2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invalid result document") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind,alphas", [
+    (SolidKind.TETRAHEDRON, (0.36 * PI, 0.45 * PI, 0.6 * PI)),
+    (SolidKind.OCTAHEDRON, (0.36 * PI, 0.42 * PI, 0.48 * PI)),
+    (SolidKind.CUBE, (0.52 * PI, 0.58 * PI, 0.64 * PI)),
+])
+def test_render_svg_matches_reference(kind, alphas):
+    # one pole frame and one development per render draw the same bytes as
+    # the reference renderer, which rebuilds both
+    tags = set()
+    for alpha in alphas:
+        spec = build_solid(kind, alpha)
+        classes = enumerate_classes(spec, 12)
+        assert classes
+        for cls in classes:
+            doc = cli.class_to_doc(spec, cls)
+            assert cli.render_svg(spec, doc) == reference_render_svg(spec, doc)
+            tags.add(cls.tag)
+    if kind is SolidKind.TETRAHEDRON:
+        assert "vertex-loop" in tags
+
+
+def test_parser_reused_after_error(tmp_path):
+    # main builds its parser once per process; a call that the parser
+    # rejects must leave it fit for the calls after it
+    outputs = []
+    for run, bad in (("a", ["enumerate", "--solid", "octa"]),
+                     ("b", ["export", "--in", "x.json", "--class-index", "one"])):
+        assert main(bad) == 2
+        doc, svg = tmp_path / f"{run}.json", tmp_path / f"{run}.svg"
+        assert main(["enumerate", "--solid", "octa", "--alpha", "0.4pi",
+                     "--out", str(doc)]) == 0
+        assert main(["export", "--in", str(doc), "--class-index", "1",
+                     "--out", str(svg)]) == 0
+        outputs.append((doc.read_bytes(), svg.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert cli._make_parser() is cli._make_parser()
 
 
 def test_export_empty_document(tmp_path):

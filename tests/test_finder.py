@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -708,6 +709,30 @@ def test_proper_powers_never_simple(kind, alphas, monkeypatch):
             doubled = cls.seq.edge_word() * 2
             assert solve_sequence(spec, CrossingSequence.from_edges(spec, doubled)) is None
         closures.clear()
+
+
+def test_side_test_precedes_crossings(monkeypatch):
+    # a pole on the wrong side of only the last arc is rejected before any
+    # crossing point is computed
+    spec = build_solid(SolidKind.OCTAHEDRON, 0.42 * PI)
+    cls = enumerate_classes(spec, 8)[0]
+    dev = develop(spec, cls.seq)
+    pole, theta = cls.path.pole, cls.path.total_length
+    calls = []
+    crossing = finder.pole_edge_crossing
+
+    def counted(pole, a, b):
+        calls.append((a, b))
+        return crossing(pole, a, b)
+
+    monkeypatch.setattr(finder, "pole_edge_crossing", counted)
+    assert finder._path_for_pole(spec, dev, pole, theta, 1e-9, 1e-9) is not None
+    assert len(calls) == len(dev.arcs)
+    calls.clear()
+    p, q = dev.arcs[-1]
+    flipped = dataclasses.replace(dev, arcs=dev.arcs[:-1] + ((q, p),))
+    assert finder._path_for_pole(spec, flipped, pole, theta, 1e-9, 1e-9) is None
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind,alphas", [

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sphgeo import sphtrig
+from sphgeo import solids, sphtrig
 from sphgeo.solids import (
     ADMISSIBLE,
     SolidKind,
@@ -195,6 +195,19 @@ def test_ops_preserve_gluing(kind):
         for e, (f1, f2) in enumerate(spec.edge_faces):
             img = spec.edge_faces[op.edge_perm[e]]
             assert {op.face_perm[f1], op.face_perm[f2]} == set(img)
+
+
+@pytest.mark.parametrize("kind", list(SolidKind))
+def test_group_shared_across_angles(kind, monkeypatch):
+    # the ops act on ids alone, so every angle of one kind gets one table,
+    # and building it from another angle gives the same ops
+    lo, hi = ADMISSIBLE[kind]
+    near = build_solid(kind, lo + 0.2 * (hi - lo))
+    far = build_solid(kind, lo + 0.8 * (hi - lo))
+    ops = symmetry_group(near)
+    assert symmetry_group(far) is ops
+    monkeypatch.setattr(solids, "_OPS_CACHE", {})
+    assert symmetry_group(far) == ops
 
 
 def test_edge_by_names():

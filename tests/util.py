@@ -8,6 +8,7 @@ from typing import List, Optional, Tuple
 
 from sphgeo import finder, sphtrig, unfold
 from sphgeo.solids import SolidSpec
+from sphgeo.sphtrig import PI, DomainError
 from sphgeo.unfold import CrossingSequence
 
 
@@ -225,3 +226,80 @@ def reference_classes(spec: SolidSpec, depth: int) -> List[Tuple[Tuple[int, ...]
         path = finder.solve_sequence(spec, CrossingSequence.from_edges(spec, w))
         out.append((w, None if path is None else finder.class_tag(spec, path)))
     return out
+
+
+# Reference SVG renderer: it develops the sequence twice and builds the pole
+# frame again for every projected point; `cli.render_svg` must write the same
+# bytes.
+
+_REF_SVG_SCALE = 120.0  # px per radian
+
+
+def _reference_project(pole, point) -> Tuple[float, float]:
+    r = sphtrig.angle_between(pole, point)
+    az = sphtrig.azimuth_about(pole, point)
+    return r * math.cos(az), -r * math.sin(az)
+
+
+def _reference_path_cmd(points_2d: List[Tuple[float, float]], half: float) -> str:
+    cmds = []
+    for i, (x, y) in enumerate(points_2d):
+        op = "M" if i == 0 else "L"
+        cmds.append(
+            f"{op} {half + _REF_SVG_SCALE * x:.6f} {half + _REF_SVG_SCALE * y:.6f}"
+        )
+    return " ".join(cmds)
+
+
+def reference_render_svg(spec: SolidSpec, cls_doc) -> str:
+    """Render the development of one class: face outlines plus the geodesic
+    equator arc, projected so the geodesic shows as (part of) a circle."""
+    seq = unfold.CrossingSequence.from_edges(spec, cls_doc["canonical_sequence"])
+    path = finder.solve_sequence(spec, seq)
+    if path is None:
+        raise DomainError("document sequence does not solve at this angle")
+    dev = unfold.develop(spec, seq)
+    pole = path.pole
+    n = spec.face_size
+    half = _REF_SVG_SCALE * PI + 20.0
+    size = 2.0 * half
+    samples = 24
+
+    face_paths = []
+    for placement in dev.placements[:-1]:
+        pts: List[Tuple[float, float]] = []
+        for j in range(n):
+            a = sphtrig.mat_apply(placement, spec.chart[j])
+            b = sphtrig.mat_apply(placement, spec.chart[(j + 1) % n])
+            for k in range(samples):
+                pts.append(_reference_project(pole, sphtrig.slerp(a, b, k / samples)))
+        pts.append(pts[0])
+        face_paths.append(f'  <path d="{_reference_path_cmd(pts, half)}"/>')
+
+    hits = [sphtrig.pole_edge_crossing(pole, a, b) for a, b in dev.arcs]
+    az0 = hits[0].azimuth
+    theta = path.total_length
+    e1, e2 = sphtrig.pole_frame(pole)
+    geo_pts = []
+    for k in range(10 * samples + 1):
+        az = az0 + theta * k / (10 * samples)
+        x = math.cos(az)
+        y = math.sin(az)
+        p = tuple(x * e1[i] + y * e2[i] for i in range(3))
+        geo_pts.append(_reference_project(pole, p))
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{size:.0f}" height="{size:.0f}" '
+        f'viewBox="0 0 {size:.0f} {size:.0f}">',
+        '<g id="faces" fill="none" stroke="#334d80" stroke-width="1.2">',
+        *face_paths,
+        "</g>",
+        '<g id="geodesic" fill="none" stroke="#c03030" stroke-width="2">',
+        f'  <path d="{_reference_path_cmd(geo_pts, half)}"/>',
+        "</g>",
+        "</svg>",
+        "",
+    ]
+    return "\n".join(lines)
