@@ -3,7 +3,10 @@
 
 Every non-excluded type is resolved by its targeted crossing sequence, so N
 is exact for each grid angle; the table flags any point where the strict
-envelope c1 < N < c2 fails (none are known).
+envelope c1 < N < c2 fails.  It fails on two known bands, where N exceeds c2:
+alpha in about (0.35340pi, 0.35509pi), where N = 6 (for example at 0.354pi
+and 0.3545pi), and alpha in about (0.39183pi, 0.4pi), where N = 3 (for
+example at 0.395pi and 0.398pi).  The default 29-point grid misses both.
 """
 
 import argparse

@@ -199,7 +199,7 @@ def render_svg(
         pts.append(pts[0])
         face_paths.append(f'  <path d="{_path_cmd(pts, half)}"/>')
 
-    az0 = sphtrig.pole_edge_crossing(pole, *dev.arcs[0]).azimuth
+    az0 = sphtrig.equator_crossings(pole, dev.arcs[:1])[0].azimuth
     theta = path.total_length
     geo_pts = []
     for k in range(10 * samples + 1):
@@ -230,8 +230,9 @@ def render_svg(
 # commands
 
 
-def _build_spec(cfg: RunConfig) -> SolidSpec:
-    return solids.build_solid(cfg.solid, cfg.alpha)
+@functools.lru_cache(maxsize=1)  # enumerate then export reuse one spec
+def _build_spec(kind: SolidKind, alpha: float) -> SolidSpec:
+    return solids.build_solid(kind, alpha)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -242,7 +243,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if cfg.ptype is None:
         print("solve requires --type p,q", file=sys.stderr)
         return EXIT_CONFIG
-    spec = _build_spec(cfg)
+    spec = _build_spec(cfg.solid, cfg.alpha)
     p, q = cfg.ptype
     if counts.necessary_excluded(p, q, cfg.alpha):
         print(f"type ({p},{q}) is excluded at alpha={cfg.alpha!r} "
@@ -272,7 +273,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_enumerate(cfg: RunConfig) -> int:
-    spec = _build_spec(cfg)
+    spec = _build_spec(cfg.solid, cfg.alpha)
     classes = finder.enumerate_classes(
         spec, cfg.max_crossings, tol_closure=cfg.tol_closure, tol_vertex=cfg.tol_vertex
     )
@@ -323,7 +324,8 @@ def cmd_sweep(cfg: RunConfig, alpha_stop: float, alpha_step: float) -> int:
     return EXIT_OK
 
 
-def cmd_export(cfg: RunConfig, in_path: str, class_index: int) -> int:
+def cmd_export(in_path: str, class_index: int, tol_closure: float,
+               tol_vertex: float, out: Optional[str]) -> int:
     try:
         with open(in_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -349,20 +351,20 @@ def cmd_export(cfg: RunConfig, in_path: str, class_index: int) -> int:
     cls_doc = classes[class_index]
     try:
         residual = cls_doc["closure_residual"]
-        if not residual <= cfg.tol_closure:
+        if not residual <= tol_closure:
             print(
                 f"document closure residual {residual!r} exceeds "
-                f"tolerance {cfg.tol_closure!r}; refusing to draw",
+                f"tolerance {tol_closure!r}; refusing to draw",
                 file=sys.stderr,
             )
             return EXIT_VALIDATION
-        spec = solids.build_solid(_KINDS[doc["solid"]], float(doc["alpha"]))
-        svg = render_svg(spec, cls_doc, cfg.tol_closure, cfg.tol_vertex)
+        spec = _build_spec(_KINDS[doc["solid"]], float(doc["alpha"]))
+        svg = render_svg(spec, cls_doc, tol_closure, tol_vertex)
     except (KeyError, IndexError, TypeError, DomainError, ValueError) as exc:
         # a field that is missing, of the wrong type or out of range
         print(f"invalid result document: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    _write_out(svg, cfg.out)
+    _write_out(svg, out)
     return EXIT_OK
 
 
@@ -379,20 +381,16 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(
-        p: argparse.ArgumentParser, need_solid: bool = True, fmt: str = "json"
-    ) -> None:
+    def common(p: argparse.ArgumentParser, need_solid: bool = True) -> None:
         if need_solid:
             p.add_argument("--solid", required=True, choices=sorted(_KINDS))
             p.add_argument("--alpha", required=True,
                            help="facet angle: radians or '<k>pi' (e.g. 0.45pi)")
-        p.add_argument("--depth", type=int, default=12,
-                       help="max crossings searched (default 12)")
+            p.add_argument("--depth", type=int, default=12,
+                           help="max crossings searched (default 12)")
         p.add_argument("--tol-closure", type=float, default=1e-9)
         p.add_argument("--tol-vertex", type=float, default=1e-9)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", default=fmt, choices=["json", "csv", "svg"])
-        p.set_defaults(native_format=fmt)
 
     p_solve = sub.add_parser("solve", help="solve one tetrahedron type (p,q)")
     common(p_solve)
@@ -402,14 +400,14 @@ def _make_parser() -> argparse.ArgumentParser:
     common(p_enum)
 
     p_sweep = sub.add_parser("sweep", help="tabulate N, c1, c2 over an alpha range")
-    common(p_sweep, fmt="csv")
+    common(p_sweep)
     p_sweep.add_argument("--alpha-stop", required=True,
                          help="inclusive end of the alpha range")
     p_sweep.add_argument("--alpha-step", required=True,
                          help="grid step (radians or '<k>pi')")
 
     p_exp = sub.add_parser("export", help="render a result document to SVG")
-    common(p_exp, need_solid=False, fmt="svg")
+    common(p_exp, need_solid=False)
     p_exp.add_argument("--in", dest="in_path", required=True,
                        help="result JSON produced by solve/enumerate")
     p_exp.add_argument("--class-index", type=int, default=0)
@@ -425,26 +423,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not all(math.isfinite(t) and t > 0 for t in (args.tol_closure, args.tol_vertex)):
         print("tolerances must be positive and finite", file=sys.stderr)
         return EXIT_CONFIG
-    if args.format != args.native_format:
-        print(
-            f"{args.command} writes {args.native_format}; "
-            f"--format {args.format} is not supported here",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
 
     try:
         if args.command == "export":
-            cfg = RunConfig(
-                solid=SolidKind.TETRAHEDRON,  # unused by export
-                alpha=0.0,
-                ptype=None,
-                max_crossings=args.depth,
-                tol_closure=args.tol_closure,
-                tol_vertex=args.tol_vertex,
-                out=args.out,
-            )
-            return cmd_export(cfg, args.in_path, args.class_index)
+            return cmd_export(args.in_path, args.class_index, args.tol_closure,
+                              args.tol_vertex, args.out)
 
         if args.solid not in _KINDS:
             print(f"unknown solid {args.solid!r}", file=sys.stderr)
@@ -452,7 +435,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         kind = _KINDS[args.solid]
         alpha = parse_alpha(args.alpha)
         ptype = _parse_type(args.type) if getattr(args, "type", None) else None
-        if getattr(args, "depth", 12) < 3:
+        if args.depth < 3:
             print("--depth must be at least 3", file=sys.stderr)
             return EXIT_CONFIG
         lo, hi = solids.ADMISSIBLE[kind]

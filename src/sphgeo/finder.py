@@ -3,7 +3,10 @@
 Closure of a candidate crossing sequence is solved algebraically: the closing
 rotation of the development fixes exactly one great circle (the equator of
 its axis), so a sequence either carries the unique geodesic with those
-crossings or none at all.  No shooting, no root-finding.
+crossings or none at all.  No shooting, no root-finding.  A pole is solved
+in one pass: all edges are side-tested by two dots each, then the crossings
+follow with the pole's frame built once.  Each incidence angle is measured
+on the exited face copy's edge and, independently, the entered copy's.
 
 Simplicity is decided combinatorially.  A face is convex and each segment of
 a solved candidate is a minor chord between two points of its boundary; the
@@ -45,11 +48,11 @@ from .sphtrig import (
     axis_angle,
     cross,
     dot,
+    equator_crossings,
     mat_apply,
     mat_compose,
     neg,
     normalize,
-    pole_edge_crossing,
     pole_frame,
 )
 from .solids import SolidKind, SolidSpec, cyclic_min, symmetry_group
@@ -238,20 +241,22 @@ def _path_for_pole(
 ) -> Optional[GeodesicPath]:
     if theta < 1e-9:
         return None
-    m = len(dev.arcs)
     # the equator must cross from the exited copy's side to the entered one;
     # most poles fail this somewhere, so test every arc before any crossing
+    dots = []
     for p, q in dev.arcs:
-        if not dot(pole, q) > 0.0 > dot(pole, p):
+        dp = dot(pole, p)
+        dq = dot(pole, q)
+        if not dq > 0.0 > dp:
             return None
-    hits = []
-    for p, q in dev.arcs:
-        hit = pole_edge_crossing(pole, p, q)
-        if hit is None:
-            return None
+        dots.append((dp, dq))
+    hits = equator_crossings(pole, dev.arcs, dots)
+    if hits is None:
+        return None
+    for hit in hits:
         if not tol_vertex < hit.t < 1.0 - tol_vertex:
             return None
-        hits.append(hit)
+    m = len(hits)
 
     gaps = []
     for i in range(m):
@@ -286,9 +291,16 @@ def _path_for_pole(
         j = spec.face_edge_local[(c.from_face, c.edge)]
         v1 = spec.faces[c.from_face][j]
         v2 = spec.faces[c.from_face][(j + 1) % n]
-        inc_exit = _incidence(spec, dev.placements[i], j, pts[i], pole)
+        point = pts[i]
+        direction = normalize(cross(pole, point))     # geodesic tangent
+        # the edge as the exited copy develops it is arcs[i]; the entered
+        # copy develops it again from its own placement
+        inc_exit = _edge_angle(direction, point, *dev.arcs[i])
         j2 = spec.gluing[(c.from_face, j)][1]
-        inc_enter = _incidence(spec, dev.placements[i + 1], j2, pts[i], pole)
+        placement = dev.placements[i + 1]
+        inc_enter = _edge_angle(direction, point,
+                                mat_apply(placement, spec.chart[j2]),
+                                mat_apply(placement, spec.chart[(j2 + 1) % n]))
         # the two face copies develop the edge independently; the angles they
         # see must agree (edge orientations oppose, hence the pi flip)
         if abs(inc_exit - (PI - inc_enter)) > 1e-10:
@@ -312,16 +324,27 @@ def _path_for_pole(
     )
 
 
-def _incidence(
-    spec: SolidSpec, placement: Mat3, local_edge: int, point: Vec3, pole: Vec3
-) -> float:
-    n = spec.face_size
-    p = mat_apply(placement, spec.chart[local_edge])
-    q = mat_apply(placement, spec.chart[(local_edge + 1) % n])
-    edge_pole = normalize(cross(p, q))
-    tau = normalize(cross(edge_pole, point))      # edge tangent, p -> q
-    direction = normalize(cross(pole, point))     # geodesic tangent
-    return angle_between(direction, tau)
+def _edge_angle(direction: Vec3, point: Vec3, p: Vec3, q: Vec3) -> float:
+    """Angle between `direction` and the tangent at `point` of the edge arc
+    (p, q), oriented p -> q: the floats of angle_between(direction,
+    normalize(cross(normalize(cross(p, q)), point)))."""
+    p0, p1, p2 = p
+    q0, q1, q2 = q
+    n0, n1, n2 = p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0
+    r = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+    if r < 1e-15:
+        raise DomainError("cannot normalize a (near-)zero vector")
+    n0, n1, n2 = n0 / r, n1 / r, n2 / r        # edge pole
+    x0, x1, x2 = point
+    t0, t1, t2 = n1 * x2 - n2 * x1, n2 * x0 - n0 * x2, n0 * x1 - n1 * x0
+    r = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
+    if r < 1e-15:
+        raise DomainError("cannot normalize a (near-)zero vector")
+    t0, t1, t2 = t0 / r, t1 / r, t2 / r        # edge tangent
+    d0, d1, d2 = direction
+    c0, c1, c2 = d1 * t2 - d2 * t1, d2 * t0 - d0 * t2, d0 * t1 - d1 * t0
+    return math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
+                      d0 * t0 + d1 * t1 + d2 * t2)
 
 
 def _dev_is_simple(
@@ -370,8 +393,8 @@ def is_simple(spec: SolidSpec, path: GeodesicPath) -> bool:
     """Whether the path's in-face segments are pairwise disjoint on the surface
     (consecutive segments touch only at their shared edge crossing)."""
     dev = develop(spec, path.seq)
-    hits = [pole_edge_crossing(path.pole, p, q) for p, q in dev.arcs]
-    if any(h is None for h in hits):
+    hits = equator_crossings(path.pole, dev.arcs)
+    if hits is None:
         return False
     return _dev_is_simple(spec, dev, hits)
 

@@ -10,7 +10,7 @@ its inputs; nothing mutates.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 Vec3 = Tuple[float, float, float]
 Mat3 = Tuple[Vec3, Vec3, Vec3]
@@ -357,24 +357,62 @@ class ArcCrossing(NamedTuple):
     point: Vec3
 
 
+def equator_crossings(
+    pole: Vec3,
+    arcs: Sequence[Tuple[Vec3, Vec3]],
+    dots: Optional[Sequence[Tuple[float, float]]] = None,
+) -> Optional[List[ArcCrossing]]:
+    """Interior intersections of the equator of `pole` with each minor arc
+    (a, b) of `arcs`, in order.
+
+    Returns None as soon as one arc does not strictly cross the equator, i.e.
+    when (pole.a)(pole.b) >= -1e-14.  `dots` holds those two products per arc
+    when the caller has them already.  The pole frame is built once and each
+    arc's length once; the floats are those of `slerp` at the root fraction t
+    followed by `azimuth_about`.
+    """
+    if dots is None:
+        dots = [(dot(pole, a), dot(pole, b)) for a, b in arcs]
+    (f0, f1, f2), (g0, g1, g2) = pole_frame(pole)
+    hits = []
+    for (a, b), (da, db) in zip(arcs, dots):
+        if da * db >= -1e-14:
+            return None
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        length = math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
+                            a0 * b0 + a1 * b1 + a2 * b2)
+        # da*sin((1-s)L) + db*sin(sL) = 0 with the root in (0, L)
+        s_len = math.atan2(da * math.sin(length), da * math.cos(length) - db)
+        if s_len <= 0.0:
+            s_len += PI
+        t = s_len / length
+        if length < 1e-15:
+            point = a
+        else:
+            sa = math.sin((1.0 - t) * length)
+            sb = math.sin(t * length)
+            x, y, z = a0 * sa + b0 * sb, a1 * sa + b1 * sb, a2 * sa + b2 * sb
+            r = math.sqrt(x * x + y * y + z * z)
+            if r < 1e-15:
+                raise DomainError("cannot normalize a (near-)zero vector")
+            point = (x / r, y / r, z / r)
+        p0, p1, p2 = point
+        hits.append(ArcCrossing(
+            t, math.atan2(p0 * g0 + p1 * g1 + p2 * g2, p0 * f0 + p1 * f1 + p2 * f2),
+            point))
+    return hits
+
+
 def pole_edge_crossing(pole: Vec3, a: Vec3, b: Vec3) -> Optional[ArcCrossing]:
     """Interior intersection of the equator of `pole` with the minor arc (a, b).
 
     Returns None when the arc does not strictly cross the equator, i.e. when
     (pole.a)(pole.b) >= -1e-14.
     """
-    da = dot(pole, a)
-    db = dot(pole, b)
-    if da * db >= -1e-14:
-        return None
-    length = angle_between(a, b)
-    # da*sin((1-s)L) + db*sin(sL) = 0 with the root in (0, L)
-    s_len = math.atan2(da * math.sin(length), da * math.cos(length) - db)
-    if s_len <= 0.0:
-        s_len += PI
-    t = s_len / length
-    point = slerp(a, b, t)
-    return ArcCrossing(t, azimuth_about(pole, point), point)
+    hits = equator_crossings(pole, ((a, b),))
+    return None if hits is None else hits[0]
 
 
 def point_on_arc(p: Vec3, a: Vec3, b: Vec3, tol: float = 1e-10) -> bool:

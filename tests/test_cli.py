@@ -1,11 +1,12 @@
 import json
 import math
 import re
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
-from sphgeo import cli
+from sphgeo import cli, solids
 from sphgeo.cli import main, parse_alpha
 from sphgeo.finder import enumerate_classes
 from sphgeo.solids import SolidKind, build_solid
@@ -13,6 +14,11 @@ from sphgeo.solids import SolidKind, build_solid
 from util import reference_render_svg
 
 PI = math.pi
+
+# `sweep` near the flat limit, as written by the arc-by-arc closure solver
+SWEEP_FLAT_ARGS = ["sweep", "--solid", "tetra", "--alpha", "0.334pi",
+                   "--alpha-stop", "0.340pi", "--alpha-step", "0.0005pi"]
+SWEEP_FLAT_CSV = Path(__file__).parent / "data" / "sweep_flat.csv"
 
 
 def test_parse_alpha():
@@ -131,6 +137,14 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_matches_golden_file(tmp_path):
+    out = tmp_path / "flat.csv"
+    assert main(SWEEP_FLAT_ARGS + ["--out", str(out)]) == 0
+    golden = SWEEP_FLAT_CSV.read_bytes()
+    assert golden.count(b"\n") == 1 + 13
+    assert out.read_bytes() == golden
 
 
 def test_sweep_empty_range():
@@ -304,6 +318,43 @@ def test_parser_reused_after_error(tmp_path):
         outputs.append((doc.read_bytes(), svg.read_bytes()))
     assert outputs[0] == outputs[1]
     assert cli._make_parser() is cli._make_parser()
+
+
+def test_export_reuses_enumerated_spec(tmp_path, monkeypatch):
+    # enumerate then export of the same solid and angle builds one spec, and
+    # the memo keeps only the latest one
+    built = []
+    build = solids.build_solid
+
+    def counted(kind, alpha):
+        built.append((kind, alpha))
+        return build(kind, alpha)
+
+    monkeypatch.setattr(solids, "build_solid", counted)
+    cli._build_spec.cache_clear()
+    doc = tmp_path / "octa.json"
+    assert main(["enumerate", "--solid", "octa", "--alpha", "0.4pi",
+                 "--out", str(doc)]) == 0
+    for i in (0, 1):
+        assert main(["export", "--in", str(doc), "--class-index", str(i),
+                     "--out", str(tmp_path / f"{i}.svg")]) == 0
+    assert len(built) == 1
+    assert main(["enumerate", "--solid", "cube", "--alpha", "0.6pi",
+                 "--out", str(tmp_path / "cube.json")]) == 0
+    assert len(built) == 2
+    assert cli._build_spec.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--solid", "octa", "--alpha", "0.4pi", "--format", "json"],
+    ["sweep", "--solid", "tetra", "--alpha", "0.55pi", "--alpha-stop", "0.56pi",
+     "--alpha-step", "0.01pi", "--format", "csv"],
+    ["export", "--in", "unread.json", "--format", "svg"],
+    ["export", "--in", "unread.json", "--depth", "12"],
+], ids=["enumerate-format", "sweep-format", "export-format", "export-depth"])
+def test_removed_flags_rejected(capsys, argv):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_export_empty_document(tmp_path):

@@ -29,6 +29,7 @@ from util import (
     random_sequence,
     random_unit,
     reference_classes,
+    reference_path_for_pole,
     sampled_is_simple,
     trace_geodesic,
 )
@@ -718,21 +719,69 @@ def test_side_test_precedes_crossings(monkeypatch):
     cls = enumerate_classes(spec, 8)[0]
     dev = develop(spec, cls.seq)
     pole, theta = cls.path.pole, cls.path.total_length
-    calls = []
-    crossing = finder.pole_edge_crossing
+    computed = []
+    crossings = finder.equator_crossings
 
-    def counted(pole, a, b):
-        calls.append((a, b))
-        return crossing(pole, a, b)
+    def counted(pole, arcs, dots=None):
+        hits = crossings(pole, arcs, dots)
+        computed.append(0 if hits is None else len(hits))
+        return hits
 
-    monkeypatch.setattr(finder, "pole_edge_crossing", counted)
+    monkeypatch.setattr(finder, "equator_crossings", counted)
     assert finder._path_for_pole(spec, dev, pole, theta, 1e-9, 1e-9) is not None
-    assert len(calls) == len(dev.arcs)
-    calls.clear()
+    assert computed == [len(dev.arcs)]
+    computed.clear()
     p, q = dev.arcs[-1]
     flipped = dataclasses.replace(dev, arcs=dev.arcs[:-1] + ((q, p),))
     assert finder._path_for_pole(spec, flipped, pole, theta, 1e-9, 1e-9) is None
-    assert calls == []
+    assert computed == []
+
+
+def test_incidence_sides_developed_independently():
+    # the entered face copy develops the crossed edge from its own placement;
+    # a copy that is off by 1e-6 rad makes the two incidence angles disagree
+    spec = build_solid(SolidKind.CUBE, 0.59 * PI)
+    cls = enumerate_classes(spec, 8)[0]
+    dev = develop(spec, cls.seq)
+    pole, theta = cls.path.pole, cls.path.total_length
+    assert finder._path_for_pole(spec, dev, pole, theta, 1e-9, 1e-9) is not None
+    for k in range(1, len(dev.arcs)):
+        tilt = sphtrig.rot_about(normalize(dev.arcs[k - 1][0]), 1e-6)
+        placements = list(dev.placements)
+        placements[k] = sphtrig.mat_compose(tilt, placements[k])
+        bent = dataclasses.replace(dev, placements=tuple(placements))
+        assert reference_path_for_pole(spec, bent, pole, theta, 1e-9, 1e-9) is None
+        assert finder._path_for_pole(spec, bent, pole, theta, 1e-9, 1e-9) is None
+
+
+def test_path_for_pole_matches_reference(monkeypatch):
+    # the one-pass solver must give the arc-by-arc reference's floats exactly,
+    # on every pole that count_tetra and enumerate_classes try
+    calls = []
+    solve = finder._path_for_pole
+
+    def recorded(*args):
+        path = solve(*args)
+        calls.append((args, path))
+        return path
+
+    monkeypatch.setattr(finder, "_path_for_pole", recorded)
+    for k in range(13):
+        counts.count_tetra((0.334 + 0.0005 * k) * PI)
+    for k in range(12):
+        counts.count_tetra((1 / 3 + (k + 0.5) / 36) * PI)
+    for kind, alphas in [
+        (SolidKind.TETRAHEDRON, (0.36, 0.48, 0.61)),
+        (SolidKind.OCTAHEDRON, (0.36, 0.42, 0.47)),
+        (SolidKind.CUBE, (0.53, 0.59, 0.65)),
+    ]:
+        for alpha in alphas:
+            enumerate_classes(build_solid(kind, alpha * PI), 16)
+    outcomes = set()
+    for args, path in calls:
+        assert repr(path) == repr(reference_path_for_pole(*args))
+        outcomes.add(path is None)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("kind,alphas", [

@@ -60,12 +60,10 @@ def sampled_segments(
     """Face-local sample points of every in-face segment of the path with
     the given pole, or None when the pole misses an edge."""
     dev = unfold.develop(spec, seq)
-    pts = []
-    for a, b in dev.arcs:
-        hit = sphtrig.pole_edge_crossing(pole, a, b)
-        if hit is None:
-            return None
-        pts.append(hit.point)
+    hits = sphtrig.equator_crossings(pole, dev.arcs)
+    if hits is None:
+        return None
+    pts = [h.point for h in hits]
     closing = sphtrig.mat_apply(dev.closing, pts[0])
     out = []
     m = len(pts)
@@ -303,3 +301,117 @@ def reference_render_svg(spec: SolidSpec, cls_doc) -> str:
         "",
     ]
     return "\n".join(lines)
+
+
+# Reference closure solver for one pole: the crossing and incidence work done
+# arc by arc through the sphtrig helpers, each crossing computed on its own
+# (a fresh pole frame, the arc length twice) and each incidence developed from
+# its placement.  `finder._path_for_pole` must return a path with the same
+# repr, or None exactly when this does.
+
+
+def reference_pole_edge_crossing(pole, a, b):
+    """Interior intersection of the equator of `pole` with the minor arc (a, b).
+
+    Returns None when the arc does not strictly cross the equator, i.e. when
+    (pole.a)(pole.b) >= -1e-14.
+    """
+    da = sphtrig.dot(pole, a)
+    db = sphtrig.dot(pole, b)
+    if da * db >= -1e-14:
+        return None
+    length = sphtrig.angle_between(a, b)
+    # da*sin((1-s)L) + db*sin(sL) = 0 with the root in (0, L)
+    s_len = math.atan2(da * math.sin(length), da * math.cos(length) - db)
+    if s_len <= 0.0:
+        s_len += PI
+    t = s_len / length
+    point = sphtrig.slerp(a, b, t)
+    return sphtrig.ArcCrossing(t, sphtrig.azimuth_about(pole, point), point)
+
+
+def reference_path_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex):
+    if theta < 1e-9:
+        return None
+    m = len(dev.arcs)
+    # the equator must cross from the exited copy's side to the entered one;
+    # most poles fail this somewhere, so test every arc before any crossing
+    for p, q in dev.arcs:
+        if not sphtrig.dot(pole, q) > 0.0 > sphtrig.dot(pole, p):
+            return None
+    hits = []
+    for p, q in dev.arcs:
+        hit = reference_pole_edge_crossing(pole, p, q)
+        if hit is None:
+            return None
+        if not tol_vertex < hit.t < 1.0 - tol_vertex:
+            return None
+        hits.append(hit)
+
+    gaps = []
+    for i in range(m):
+        if i < m - 1:
+            d = (hits[i + 1].azimuth - hits[i].azimuth) % (2.0 * PI)
+        else:
+            d = (hits[0].azimuth + theta - hits[i].azimuth) % (2.0 * PI)
+        if d <= 0.0:
+            return None
+        gaps.append(d)
+
+    # Each in-face chord must equal its azimuth gap; acos gives the minor-arc
+    # length, so agreement also certifies the segment is the minor arc, which
+    # face convexity then keeps inside the face copy.
+    pts = [h.point for h in hits]
+    closing_pt = sphtrig.mat_apply(dev.closing, pts[0])
+    arc_lengths = []
+    for i in range(m):
+        nxt = pts[i + 1] if i < m - 1 else closing_pt
+        seg = sphtrig.angle_between(pts[i], nxt)
+        if abs(seg - gaps[i]) > tol_closure:
+            return None
+        arc_lengths.append(seg)
+    total = math.fsum(arc_lengths)
+    residual = abs(total - theta)
+    if residual > tol_closure or not total < 2.0 * PI:
+        return None
+
+    n = spec.face_size
+    crossings = []
+    for i, c in enumerate(dev.seq.crossings):
+        j = spec.face_edge_local[(c.from_face, c.edge)]
+        v1 = spec.faces[c.from_face][j]
+        v2 = spec.faces[c.from_face][(j + 1) % n]
+        inc_exit = _reference_incidence(spec, dev.placements[i], j, pts[i], pole)
+        j2 = spec.gluing[(c.from_face, j)][1]
+        inc_enter = _reference_incidence(spec, dev.placements[i + 1], j2, pts[i], pole)
+        # the two face copies develop the edge independently; the angles they
+        # see must agree (edge orientations oppose, hence the pi flip)
+        if abs(inc_exit - (PI - inc_enter)) > 1e-10:
+            return None
+        if v1 < v2:
+            t, inc = hits[i].t, inc_exit
+        else:
+            t, inc = 1.0 - hits[i].t, PI - inc_exit
+        crossings.append(finder.Crossing(c.edge, t, inc))
+
+    if not finder._dev_is_simple(spec, dev, hits):
+        return None
+
+    return finder.GeodesicPath(
+        seq=dev.seq,
+        crossings=tuple(crossings),
+        arc_lengths=tuple(arc_lengths),
+        total_length=total,
+        pole=pole,
+        closure_residual=residual,
+    )
+
+
+def _reference_incidence(spec, placement, local_edge, point, pole):
+    n = spec.face_size
+    p = sphtrig.mat_apply(placement, spec.chart[local_edge])
+    q = sphtrig.mat_apply(placement, spec.chart[(local_edge + 1) % n])
+    edge_pole = sphtrig.normalize(sphtrig.cross(p, q))
+    tau = sphtrig.normalize(sphtrig.cross(edge_pole, point))      # edge tangent, p -> q
+    direction = sphtrig.normalize(sphtrig.cross(pole, point))     # geodesic tangent
+    return sphtrig.angle_between(direction, tau)
