@@ -29,7 +29,7 @@ def main() -> None:
         for cls in enumerate_classes(spec, args.depth):
             name = f"{kind.value}_{cls.tag.replace(',', '_')}.svg"
             path = out / name
-            path.write_text(render_svg(spec, class_to_doc(spec, cls)))
+            path.write_text(render_svg(spec, class_to_doc(cls)))
             print(f"wrote {path} ({len(cls.seq.crossings)} crossings, "
                   f"orbit {cls.orbit_size})")
 

@@ -21,15 +21,12 @@ from .sphtrig import (
     tetra_edge,
 )
 from .solids import ADMISSIBLE, SolidKind, SolidSpec, build_solid, cone_angle, symmetry_group
-from .unfold import CrossingSequence, Development, DirectedCrossing, develop, holonomy
+from .unfold import CrossingSequence, Development, DirectedCrossing, develop
 from .finder import (
     GeodesicClass,
     GeodesicPath,
-    canonicalize,
     classify_tetra_type,
     enumerate_classes,
-    feasible_pole_exists,
-    is_simple,
     solve_sequence,
     solve_tetra_type,
     tetra_type_sequence,

@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import counts, finder, solids, sphtrig, unfold
@@ -36,17 +35,6 @@ _KINDS = {
     "octa": SolidKind.OCTAHEDRON,
     "cube": SolidKind.CUBE,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    solid: SolidKind
-    alpha: float
-    ptype: Optional[Tuple[int, int]]
-    max_crossings: int
-    tol_closure: float
-    tol_vertex: float
-    out: Optional[str]
 
 
 def parse_alpha(text: str) -> float:
@@ -70,7 +58,7 @@ def _parse_type(text: str) -> Tuple[int, int]:
 # result documents
 
 
-def class_to_doc(spec: SolidSpec, cls: finder.GeodesicClass) -> Dict:
+def class_to_doc(cls: finder.GeodesicClass) -> Dict:
     return {
         "canonical_sequence": list(cls.seq.edge_word()),
         "kind_tag": cls.tag,
@@ -107,7 +95,7 @@ def result_document(
         "schema_version": SCHEMA_VERSION,
         "solid": spec.kind.value,
         "alpha": spec.alpha,
-        "classes": [class_to_doc(spec, c) for c in classes],
+        "classes": [class_to_doc(c) for c in classes],
         "bounds": bounds_to_doc(bounds) if bounds is not None else None,
     }
 
@@ -133,7 +121,7 @@ _SVG_SCALE = 120.0  # px per radian
 
 def _project(pole: Vec3, e1: Vec3, e2: Vec3, point: Vec3) -> Tuple[float, float]:
     # (e1, e2) is pole_frame(pole), built once per render; the azimuth is
-    # sphtrig.azimuth_about's, with the same float operations
+    # the one sphtrig.equator_crossings computes, with the same float operations
     r = sphtrig.angle_between(pole, point)
     az = math.atan2(sphtrig.dot(point, e2), sphtrig.dot(point, e1))
     return r * math.cos(az), -r * math.sin(az)
@@ -230,63 +218,48 @@ def render_svg(
 # commands
 
 
-@functools.lru_cache(maxsize=1)  # enumerate then export reuse one spec
-def _build_spec(kind: SolidKind, alpha: float) -> SolidSpec:
-    return solids.build_solid(kind, alpha)
-
-
-def cmd_solve(cfg: RunConfig) -> int:
-    if cfg.solid is not SolidKind.TETRAHEDRON:
+def cmd_solve(kind: SolidKind, alpha: float, ptype: Optional[Tuple[int, int]],
+              tol_closure: float, tol_vertex: float, out: Optional[str]) -> int:
+    if kind is not SolidKind.TETRAHEDRON:
         print("solve drives the typed tetrahedron search; use enumerate for "
               "octa/cube", file=sys.stderr)
         return EXIT_CONFIG
-    if cfg.ptype is None:
+    if ptype is None:
         print("solve requires --type p,q", file=sys.stderr)
         return EXIT_CONFIG
-    spec = _build_spec(cfg.solid, cfg.alpha)
-    p, q = cfg.ptype
-    if counts.necessary_excluded(p, q, cfg.alpha):
-        print(f"type ({p},{q}) is excluded at alpha={cfg.alpha!r} "
-              f"(s={counts.s_form(p, q)} >= g={counts.g_alpha(cfg.alpha)!r})",
+    spec = solids.build_solid(kind, alpha)
+    p, q = ptype
+    if counts.necessary_excluded(p, q, alpha):
+        print(f"type ({p},{q}) is excluded at alpha={alpha!r} "
+              f"(s={counts.s_form(p, q)} >= g={counts.g_alpha(alpha)!r})",
               file=sys.stderr)
         return EXIT_NOT_REALIZABLE
-    path = finder.solve_tetra_type(spec, p, q, cfg.tol_closure, cfg.tol_vertex)
+    path = finder.solve_tetra_type(spec, p, q, tol_closure, tol_vertex)
     if path is None:
-        print(f"type ({p},{q}) is not realizable at alpha={cfg.alpha!r}",
+        print(f"type ({p},{q}) is not realizable at alpha={alpha!r}",
               file=sys.stderr)
         return EXIT_NOT_REALIZABLE
-    seq = finder.canonicalize(spec, path.seq)
-    cpath = finder.solve_sequence(spec, seq, cfg.tol_closure, cfg.tol_vertex)
-    if cpath is None:
-        # keep sequence and path consistent if canonical re-solve ever fails
-        seq, cpath = path.seq, path
-    cls = finder.GeodesicClass(
-        seq=seq,
-        path=cpath,
-        orbit_size=finder.orbit_size(spec, seq),
-        tag=f"{p},{q}",
-    )
-    report = counts.count_tetra(cfg.alpha)
-    doc = result_document(spec, [cls], report)
-    _write_out(dump_json(doc), cfg.out)
+    word = finder.canonical_word(spec, path.seq.edge_word())
+    cls = finder.solve_class(spec, word, tol_closure, tol_vertex)
+    report = counts.count_tetra(alpha, tol_closure=tol_closure, tol_vertex=tol_vertex)
+    _write_out(dump_json(result_document(spec, [cls], report)), out)
     return EXIT_OK
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    spec = _build_spec(cfg.solid, cfg.alpha)
-    classes = finder.enumerate_classes(
-        spec, cfg.max_crossings, tol_closure=cfg.tol_closure, tol_vertex=cfg.tol_vertex
-    )
+def cmd_enumerate(kind: SolidKind, alpha: float, max_crossings: int,
+                  tol_closure: float, tol_vertex: float, out: Optional[str]) -> int:
+    spec = solids.build_solid(kind, alpha)
+    classes = finder.enumerate_classes(spec, max_crossings, tol_closure, tol_vertex)
     bounds = None
-    if cfg.solid is SolidKind.TETRAHEDRON:
-        bounds = counts.count_tetra(cfg.alpha, cfg.max_crossings)
-    doc = result_document(spec, classes, bounds)
-    _write_out(dump_json(doc), cfg.out)
+    if kind is SolidKind.TETRAHEDRON:
+        bounds = counts.count_tetra(alpha, max_crossings, tol_closure, tol_vertex)
+    _write_out(dump_json(result_document(spec, classes, bounds)), out)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, alpha_stop: float, alpha_step: float) -> int:
-    if cfg.solid is not SolidKind.TETRAHEDRON:
+def cmd_sweep(kind: SolidKind, alpha: float, alpha_stop: float, alpha_step: float,
+              tol_closure: float, tol_vertex: float, out: Optional[str]) -> int:
+    if kind is not SolidKind.TETRAHEDRON:
         print("sweep tabulates the tetrahedron type count", file=sys.stderr)
         return EXIT_CONFIG
     if not (math.isfinite(alpha_step) and alpha_step > 0.0):
@@ -296,14 +269,11 @@ def cmd_sweep(cfg: RunConfig, alpha_stop: float, alpha_step: float) -> int:
     if not lo < alpha_stop < hi:
         print(f"sweep stop {alpha_stop!r} outside ({lo!r}, {hi!r})", file=sys.stderr)
         return EXIT_CONFIG
-    # size the grid alpha + k*step <= stop before building it; the float
-    # quotient can be off by one either way, so settle it on the grid itself
+    # count the grid alpha + k*step <= stop before building it; the points
+    # grow with k, so the count is the first k past the stop (or past the cap)
     stop = alpha_stop + 1e-12
-    span = (stop - cfg.alpha) / alpha_step  # inf when a tiny step overflows it
-    count = max(0, math.floor(min(span, SWEEP_MAX_POINTS)) + 1)
-    while count > 0 and cfg.alpha + (count - 1) * alpha_step > stop:
-        count -= 1
-    while count <= SWEEP_MAX_POINTS and cfg.alpha + count * alpha_step <= stop:
+    count = 0
+    while count <= SWEEP_MAX_POINTS and alpha + count * alpha_step <= stop:
         count += 1
     if count > SWEEP_MAX_POINTS:
         print(f"sweep grid has more than {SWEEP_MAX_POINTS} points", file=sys.stderr)
@@ -313,14 +283,14 @@ def cmd_sweep(cfg: RunConfig, alpha_stop: float, alpha_step: float) -> int:
         return EXIT_CONFIG
     rows = ["alpha_radians,N,c1,c2,types_found,types_excluded"]
     for k in range(count):
-        a = cfg.alpha + k * alpha_step
-        rep = counts.count_tetra(a)
+        a = alpha + k * alpha_step
+        rep = counts.count_tetra(a, tol_closure=tol_closure, tol_vertex=tol_vertex)
         found = ";".join(f"{p}:{q}" for p, q in rep.realizable)
         missed = ";".join(
             f"{v.p}:{v.q}" for v in rep.verdicts if not v.found
         )
         rows.append(f"{a!r},{rep.n},{rep.c1!r},{rep.c2!r},{found},{missed}")
-    _write_out("\n".join(rows) + "\n", cfg.out)
+    _write_out("\n".join(rows) + "\n", out)
     return EXIT_OK
 
 
@@ -329,7 +299,8 @@ def cmd_export(in_path: str, class_index: int, tol_closure: float,
     try:
         with open(in_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         print(f"cannot read result document: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not isinstance(doc, dict):
@@ -358,7 +329,9 @@ def cmd_export(in_path: str, class_index: int, tol_closure: float,
                 file=sys.stderr,
             )
             return EXIT_VALIDATION
-        spec = _build_spec(_KINDS[doc["solid"]], float(doc["alpha"]))
+        if residual < 0.0:
+            raise DomainError(f"negative closure residual {residual!r}")
+        spec = solids.build_solid(_KINDS[doc["solid"]], float(doc["alpha"]))
         svg = render_svg(spec, cls_doc, tol_closure, tol_vertex)
     except (KeyError, IndexError, TypeError, DomainError, ValueError) as exc:
         # a field that is missing, of the wrong type or out of range
@@ -381,33 +354,37 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, need_solid: bool = True) -> None:
-        if need_solid:
-            p.add_argument("--solid", required=True, choices=sorted(_KINDS))
-            p.add_argument("--alpha", required=True,
-                           help="facet angle: radians or '<k>pi' (e.g. 0.45pi)")
-            p.add_argument("--depth", type=int, default=12,
-                           help="max crossings searched (default 12)")
+    def solid(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--solid", required=True, choices=sorted(_KINDS))
+        p.add_argument("--alpha", required=True,
+                       help="facet angle: radians or '<k>pi' (e.g. 0.45pi)")
+
+    def output(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol-closure", type=float, default=1e-9)
         p.add_argument("--tol-vertex", type=float, default=1e-9)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_solve = sub.add_parser("solve", help="solve one tetrahedron type (p,q)")
-    common(p_solve)
+    solid(p_solve)
+    output(p_solve)
     p_solve.add_argument("--type", default=None, help="tetrahedron type 'p,q'")
 
     p_enum = sub.add_parser("enumerate", help="find all geodesic classes")
-    common(p_enum)
+    solid(p_enum)
+    p_enum.add_argument("--depth", type=int, default=12,
+                        help="max crossings searched (default 12)")
+    output(p_enum)
 
     p_sweep = sub.add_parser("sweep", help="tabulate N, c1, c2 over an alpha range")
-    common(p_sweep)
+    solid(p_sweep)
+    output(p_sweep)
     p_sweep.add_argument("--alpha-stop", required=True,
                          help="inclusive end of the alpha range")
     p_sweep.add_argument("--alpha-step", required=True,
                          help="grid step (radians or '<k>pi')")
 
     p_exp = sub.add_parser("export", help="render a result document to SVG")
-    common(p_exp, need_solid=False)
+    output(p_exp)
     p_exp.add_argument("--in", dest="in_path", required=True,
                        help="result JSON produced by solve/enumerate")
     p_exp.add_argument("--class-index", type=int, default=0)
@@ -420,22 +397,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
-    if not all(math.isfinite(t) and t > 0 for t in (args.tol_closure, args.tol_vertex)):
+    tols = (args.tol_closure, args.tol_vertex)
+    if not all(math.isfinite(t) and t > 0 for t in tols):
         print("tolerances must be positive and finite", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
         if args.command == "export":
-            return cmd_export(args.in_path, args.class_index, args.tol_closure,
-                              args.tol_vertex, args.out)
-
-        if args.solid not in _KINDS:
-            print(f"unknown solid {args.solid!r}", file=sys.stderr)
-            return EXIT_CONFIG
+            return cmd_export(args.in_path, args.class_index, *tols, args.out)
         kind = _KINDS[args.solid]
         alpha = parse_alpha(args.alpha)
-        ptype = _parse_type(args.type) if getattr(args, "type", None) else None
-        if args.depth < 3:
+        ptype = _parse_type(args.type) if args.command == "solve" and args.type else None
+        if args.command == "enumerate" and args.depth < 3:
             print("--depth must be at least 3", file=sys.stderr)
             return EXIT_CONFIG
         lo, hi = solids.ADMISSIBLE[kind]
@@ -446,24 +419,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
             return EXIT_CONFIG
-        cfg = RunConfig(
-            solid=kind,
-            alpha=alpha,
-            ptype=ptype,
-            max_crossings=args.depth,
-            tol_closure=args.tol_closure,
-            tol_vertex=args.tol_vertex,
-            out=args.out,
-        )
         if args.command == "solve":
-            return cmd_solve(cfg)
+            return cmd_solve(kind, alpha, ptype, *tols, args.out)
         if args.command == "enumerate":
-            return cmd_enumerate(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, parse_alpha(args.alpha_stop),
-                             parse_alpha(args.alpha_step))
-        print(f"unknown command {args.command!r}", file=sys.stderr)
-        return EXIT_CONFIG
+            return cmd_enumerate(kind, alpha, args.depth, *tols, args.out)
+        return cmd_sweep(kind, alpha, parse_alpha(args.alpha_stop),
+                         parse_alpha(args.alpha_step), *tols, args.out)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -177,8 +177,14 @@ def candidate_types(alpha: float) -> List[Tuple[int, int]]:
     return cands
 
 
-def count_tetra(alpha: float, max_crossings: Optional[int] = None) -> CountReport:
-    """Resolve every non-excluded type by its targeted crossing sequence.
+def count_tetra(
+    alpha: float,
+    max_crossings: Optional[int] = None,
+    tol_closure: float = 1e-9,
+    tol_vertex: float = 1e-9,
+) -> CountReport:
+    """Resolve every non-excluded type by its targeted crossing sequence,
+    with the solver tolerances of `finder.solve_tetra_type`.
 
     A type (p, q) crosses 4(p+q) edges; candidates needing more than
     `max_crossings` (when given) are reported as depth-capped and not counted.
@@ -193,7 +199,7 @@ def count_tetra(alpha: float, max_crossings: Optional[int] = None) -> CountRepor
         if max_crossings is not None and depth > max_crossings:
             verdicts.append(TypeVerdict(p, q, "depth-capped", False))
             continue
-        path = finder.solve_tetra_type(spec, p, q)
+        path = finder.solve_tetra_type(spec, p, q, tol_closure, tol_vertex)
         found = path is not None
         guaranteed = sufficient_exists(p, q, alpha)
         verdicts.append(

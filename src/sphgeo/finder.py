@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .sphtrig import (
     IDENTITY,
@@ -178,23 +178,6 @@ def _narrow(
     if all(dot(u, c) > 0.0 for c in cons):
         return poly, u
     return None
-
-
-def feasible_pole_exists(arcs: Iterable[Tuple[Vec3, Vec3]]) -> bool:
-    """Whether a unit pole u satisfies u.a > 0 > u.b for every arc (a, b).
-
-    Decided by clipping the chart square about the first `a` (see
-    `_pole_box`) by every constraint; True only with a witness pole that
-    meets all of them strictly, so the answer is exact up to rounding and
-    poles with margin below FEAS_MARGIN are ignored.
-    """
-    cons: List[Vec3] = []
-    for a, b in arcs:
-        cons.append(a)
-        cons.append(neg(b))
-    if not cons:
-        return True
-    return _narrow((_pole_box(normalize(cons[0])), None), cons, len(cons)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +372,6 @@ def _dev_is_simple(
     return True
 
 
-def is_simple(spec: SolidSpec, path: GeodesicPath) -> bool:
-    """Whether the path's in-face segments are pairwise disjoint on the surface
-    (consecutive segments touch only at their shared edge crossing)."""
-    dev = develop(spec, path.seq)
-    hits = equator_crossings(path.pole, dev.arcs)
-    if hits is None:
-        return False
-    return _dev_is_simple(spec, dev, hits)
-
-
 # ---------------------------------------------------------------------------
 # canonical forms under cyclic shift x reversal x symmetry
 
@@ -411,12 +384,6 @@ def canonical_word(spec: SolidSpec, word: Tuple[int, ...]) -> Tuple[int, ...]:
         if best is None or cand < best:
             best = cand
     return best  # type: ignore[return-value]
-
-
-def canonicalize(spec: SolidSpec, seq: CrossingSequence) -> CrossingSequence:
-    """Lexicographic minimum of the sequence over cyclic shifts, reversal and
-    the full symmetry group; idempotent."""
-    return CrossingSequence.from_edges(spec, canonical_word(spec, seq.edge_word()))
 
 
 def orbit_size(spec: SolidSpec, seq: CrossingSequence) -> int:
@@ -631,23 +598,24 @@ def enumerate_classes(
 
     cross(spec.face_edge_local[(start_face, 0)], None, 0.0, True)
 
-    classes: List[GeodesicClass] = []
-    for word in sorted(found):
-        seq = CrossingSequence.from_edges(spec, word)
-        path = solve_sequence(spec, seq, tol_closure, tol_vertex)
-        if path is None:
-            raise RuntimeError(
-                "canonical image of a solved sequence failed to re-solve"
-            )
-        classes.append(
-            GeodesicClass(
-                seq=seq,
-                path=path,
-                orbit_size=orbit_size(spec, seq),
-                tag=class_tag(spec, path),
-            )
-        )
-    return classes
+    return [solve_class(spec, word, tol_closure, tol_vertex) for word in sorted(found)]
+
+
+def solve_class(
+    spec: SolidSpec,
+    word: Tuple[int, ...],
+    tol_closure: float = 1e-9,
+    tol_vertex: float = 1e-9,
+) -> GeodesicClass:
+    """The class of `word`, the canonical word (see `canonical_word`) of a
+    sequence that solved: its path is solved on `word` itself."""
+    seq = CrossingSequence.from_edges(spec, word)
+    path = solve_sequence(spec, seq, tol_closure, tol_vertex)
+    if path is None:
+        raise RuntimeError("canonical image of a solved sequence failed to re-solve")
+    return GeodesicClass(
+        seq=seq, path=path, orbit_size=orbit_size(spec, seq), tag=class_tag(spec, path)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ every directed edge (a, b) appears in exactly one face, and its reverse
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -143,10 +144,13 @@ class SolidSpec:
         return shared[0] if len(shared) == 1 else None
 
 
+@functools.lru_cache(maxsize=1)
 def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
     """Construct a solid at the given facet angle.
 
     Raises DomainError when alpha is outside the open admissible interval.
+    The latest spec is kept, so a caller that asks for the solid just built
+    (`count_tetra` after `enumerate`, `export` after either) shares it.
     """
     lo, hi = ADMISSIBLE[kind]
     if not lo < alpha < hi:

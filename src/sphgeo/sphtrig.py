@@ -102,11 +102,6 @@ def angle_between(a: Vec3, b: Vec3) -> float:
     return math.atan2(norm(cross(a, b)), dot(a, b))
 
 
-def arc_midpoint(a: Vec3, b: Vec3) -> Vec3:
-    """Midpoint of the minor arc between two non-antipodal unit vectors."""
-    return normalize(add(a, b))
-
-
 def slerp(a: Vec3, b: Vec3, t: float) -> Vec3:
     """Point at arc-length fraction t along the minor arc from a to b."""
     ang = angle_between(a, b)
@@ -228,21 +223,6 @@ def mat_transpose(m: Mat3) -> Mat3:
     )
 
 
-def mat_det(m: Mat3) -> float:
-    return dot(m[0], cross(m[1], m[2]))
-
-
-def orthonormality_residual(m: Mat3) -> float:
-    """Largest deviation of m^T m from the identity, plus |det - 1|."""
-    mt = mat_transpose(m)
-    g = mat_compose(mt, m)
-    res = 0.0
-    for i in range(3):
-        for j in range(3):
-            res = max(res, abs(g[i][j] - (1.0 if i == j else 0.0)))
-    return max(res, abs(mat_det(m) - 1.0))
-
-
 def rot_about(axis: Vec3, angle: float) -> Mat3:
     """Rodrigues rotation about a unit axis by `angle` (right-hand rule)."""
     if not is_unit(axis):
@@ -345,12 +325,6 @@ def pole_frame(pole: Vec3) -> Tuple[Vec3, Vec3]:
     return e1, cross(pole, e1)
 
 
-def azimuth_about(pole: Vec3, point: Vec3) -> float:
-    """Azimuth of `point` in the equator frame of `pole`, in (-pi, pi]."""
-    e1, e2 = pole_frame(pole)
-    return math.atan2(dot(point, e2), dot(point, e1))
-
-
 class ArcCrossing(NamedTuple):
     t: float        # arc-length fraction along the arc, in (0, 1)
     azimuth: float  # azimuth of the crossing point around the pole
@@ -368,8 +342,9 @@ def equator_crossings(
     Returns None as soon as one arc does not strictly cross the equator, i.e.
     when (pole.a)(pole.b) >= -1e-14.  `dots` holds those two products per arc
     when the caller has them already.  The pole frame is built once and each
-    arc's length once; the floats are those of `slerp` at the root fraction t
-    followed by `azimuth_about`.
+    arc's length once; the point's floats are those of `slerp` at the root
+    fraction t, and its azimuth, in (-pi, pi], is atan2 of its components
+    along the frame (e2, e1).
     """
     if dots is None:
         dots = [(dot(pole, a), dot(pole, b)) for a, b in arcs]

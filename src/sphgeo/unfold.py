@@ -103,19 +103,6 @@ class Development:
         return self.placements[-1]
 
 
-def step_rotation(spec: SolidSpec, placement: Mat3, crossing: DirectedCrossing) -> Mat3:
-    """Placement of the neighbouring face copy after one edge crossing."""
-    j = spec.face_edge_local.get((crossing.from_face, crossing.edge))
-    if j is None:
-        raise DomainError(
-            f"edge {crossing.edge} is not an edge of face {crossing.from_face}"
-        )
-    gi = spec.gluing[(crossing.from_face, j)][0]
-    if gi != crossing.to_face:
-        raise DomainError("crossing does not match the gluing map")
-    return mat_compose(placement, spec.steps[(crossing.from_face, j)])
-
-
 def develop(spec: SolidSpec, seq: CrossingSequence) -> Development:
     """Lay out the face copies traversed by `seq`, starting from the identity."""
     seq.validate(spec)
@@ -138,8 +125,3 @@ def develop(spec: SolidSpec, seq: CrossingSequence) -> Development:
         placements=tuple(placements),
         arcs=tuple(arcs),
     )
-
-
-def holonomy(spec: SolidSpec, seq: CrossingSequence) -> Mat3:
-    """Closing rotation of the development of `seq`."""
-    return develop(spec, seq).closing

@@ -12,10 +12,10 @@ import time
 from sphgeo import cli, counts, finder, solids, sphtrig
 from sphgeo.finder import enumerate_classes, solve_sequence, solve_tetra_type
 from sphgeo.solids import SolidKind, build_solid, symmetry_group
-from sphgeo.sphtrig import PI, angle_between, arc_midpoint, axis_angle
-from sphgeo.unfold import CrossingSequence, holonomy
+from sphgeo.sphtrig import PI, angle_between, axis_angle
+from sphgeo.unfold import CrossingSequence
 
-from util import random_sequence, reference_classes
+from util import arc_midpoint, holonomy, random_sequence, reference_classes
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -1,12 +1,18 @@
+import contextlib
+import functools
+import io
 import json
 import math
+import os
 import re
 from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sphgeo import cli, solids
+from sphgeo import cli, counts, solids
 from sphgeo.cli import main, parse_alpha
 from sphgeo.finder import enumerate_classes
 from sphgeo.solids import SolidKind, build_solid
@@ -91,6 +97,34 @@ def test_tolerances_propagate(tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc["classes"]) == 1
     assert len(doc["classes"][0]["canonical_sequence"]) == 6
+
+
+def test_tolerances_reach_bounds(tmp_path):
+    # the bounds block resolves its types with the command's tolerances, so
+    # the types it finds are the classes enumerate finds
+    out = tmp_path / "coarse.json"
+    assert main(["enumerate", "--solid", "tetra", "--alpha", "0.36pi", "--depth", "16",
+                 "--tol-vertex", "0.1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    tags = {c["kind_tag"] for c in doc["classes"]}
+    found = {v["type"] for v in doc["bounds"]["verdicts"] if v["found"]}
+    assert tags == found == {"0,1", "1,1", "1,2"}
+    assert doc["bounds"]["N"] == 3
+
+
+def test_tolerances_reach_sweep(tmp_path):
+    argv = ["sweep", "--solid", "tetra", "--alpha", "0.4pi", "--alpha-stop", "0.42pi",
+            "--alpha-step", "0.01pi"]
+    coarse = ["--tol-vertex", "0.2", "--tol-closure", "0.5"]
+    assert main(argv + ["--out", str(tmp_path / "fine.csv")]) == 0
+    assert main(argv + coarse + ["--out", str(tmp_path / "coarse.csv")]) == 0
+    fine = (tmp_path / "fine.csv").read_text().splitlines()[1:]
+    rows = (tmp_path / "coarse.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(fine) == 3
+    for row, fine_row in zip(rows, fine):
+        fields = row.split(",")
+        rep = counts.count_tetra(float(fields[0]), tol_closure=0.5, tol_vertex=0.2)
+        assert int(fields[1]) == rep.n < int(fine_row.split(",")[1])
 
 
 def test_enumerate_deterministic_bytes(tmp_path):
@@ -296,7 +330,7 @@ def test_render_svg_matches_reference(kind, alphas):
         classes = enumerate_classes(spec, 12)
         assert classes
         for cls in classes:
-            doc = cli.class_to_doc(spec, cls)
+            doc = cli.class_to_doc(cls)
             assert cli.render_svg(spec, doc) == reference_render_svg(spec, doc)
             tags.add(cls.tag)
     if kind is SolidKind.TETRAHEDRON:
@@ -320,29 +354,32 @@ def test_parser_reused_after_error(tmp_path):
     assert cli._make_parser() is cli._make_parser()
 
 
-def test_export_reuses_enumerated_spec(tmp_path, monkeypatch):
+def test_export_reuses_enumerated_spec(tmp_path):
     # enumerate then export of the same solid and angle builds one spec, and
     # the memo keeps only the latest one
-    built = []
-    build = solids.build_solid
-
-    def counted(kind, alpha):
-        built.append((kind, alpha))
-        return build(kind, alpha)
-
-    monkeypatch.setattr(solids, "build_solid", counted)
-    cli._build_spec.cache_clear()
+    solids.build_solid.cache_clear()
     doc = tmp_path / "octa.json"
     assert main(["enumerate", "--solid", "octa", "--alpha", "0.4pi",
                  "--out", str(doc)]) == 0
     for i in (0, 1):
         assert main(["export", "--in", str(doc), "--class-index", str(i),
                      "--out", str(tmp_path / f"{i}.svg")]) == 0
-    assert len(built) == 1
+    assert solids.build_solid.cache_info().misses == 1
     assert main(["enumerate", "--solid", "cube", "--alpha", "0.6pi",
                  "--out", str(tmp_path / "cube.json")]) == 0
-    assert len(built) == 2
-    assert cli._build_spec.cache_info().currsize == 1
+    assert solids.build_solid.cache_info().misses == 2
+    assert solids.build_solid.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--solid", "tetra", "--alpha", "0.45pi", "--depth", "8"],
+    ["solve", "--solid", "tetra", "--alpha", "0.45pi", "--type", "1,1"],
+], ids=["enumerate", "solve"])
+def test_tetra_bounds_reuse_spec(capsys, argv):
+    # the bounds block resolves its types on the spec the command built
+    solids.build_solid.cache_clear()
+    assert main(argv) == 0
+    assert solids.build_solid.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -351,10 +388,99 @@ def test_export_reuses_enumerated_spec(tmp_path, monkeypatch):
      "--alpha-step", "0.01pi", "--format", "csv"],
     ["export", "--in", "unread.json", "--format", "svg"],
     ["export", "--in", "unread.json", "--depth", "12"],
-], ids=["enumerate-format", "sweep-format", "export-format", "export-depth"])
+    ["solve", "--solid", "tetra", "--alpha", "0.6pi", "--type", "0,1", "--depth", "12"],
+    ["sweep", "--solid", "tetra", "--alpha", "0.55pi", "--alpha-stop", "0.56pi",
+     "--alpha-step", "0.01pi", "--depth", "12"],
+], ids=["enumerate-format", "sweep-format", "export-format", "export-depth",
+        "solve-depth", "sweep-depth"])
 def test_removed_flags_rejected(capsys, argv):
     assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_export_deeply_nested_document(tmp_path, capsys):
+    # nesting past the decoder's recursion limit is an unreadable document
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["export", "--in", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read result document") and err.count("\n") == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated(solid, alpha):
+    """The document `enumerate --depth 8` writes for one solid and angle."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["enumerate", "--solid", solid, "--alpha", alpha,
+                     "--depth", "8"]) == 0
+    return buf.getvalue()
+
+
+_NEST = "@nest@"  # placeholder value, replaced by deep nesting in the text
+
+
+@st.composite
+def _mutated_document(draw):
+    """A real enumerate document with one fault in what `export` reads of it
+    (the top-level fields and class 0), as JSON text."""
+    solid, alpha = draw(st.sampled_from(
+        [("tetra", "0.45pi"), ("octa", "0.4pi"), ("cube", "0.6pi")]))
+    text = _enumerated(solid, alpha)
+    doc = json.loads(text)
+    cls = doc["classes"][0]
+    seq, crossings = cls["canonical_sequence"], cls["crossings"]
+    k = draw(st.integers(0, len(seq) - 1))
+    fields = [(doc, "schema_version"), (doc, "solid"), (doc, "alpha"),
+              (doc, "classes"), (doc["classes"], 0), (cls, "closure_residual"),
+              (cls, "canonical_sequence"), (cls, "crossings"),
+              (seq, k), (crossings, k)]
+    fields += [(crossings[k], f) for f in ("edge", "t", "incidence_angle")]
+    numbers = [(doc, "alpha"), (cls, "closure_residual"), (seq, k),
+               (crossings[k], "edge"), (crossings[k], "t"),
+               (crossings[k], "incidence_angle")]
+    edge_ids = [(seq, k), (crossings[k], "edge")]
+    kind = draw(st.sampled_from(
+        ["delete", "swap", "non-finite", "edge-id", "truncate", "nest", "cut"]))
+    if kind == "delete":  # of a field; a deleted class would bring in the next
+        owner, key = draw(st.sampled_from([f for f in fields if isinstance(f[1], str)]))
+        del owner[key]
+    elif kind == "swap":
+        owner, key = draw(st.sampled_from(fields))
+        owner[key] = draw(st.sampled_from([None, "x", [], {}, [None], {"x": 1}]))
+    elif kind == "non-finite":
+        owner, key = draw(st.sampled_from(numbers))
+        owner[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "edge-id":
+        owner, key = draw(st.sampled_from(edge_ids))
+        # no solid has more than 12 edges (ids 0..11)
+        owner[key] = draw(st.one_of(st.integers(-10**6, -1), st.integers(12, 10**6)))
+    elif kind == "truncate":
+        del crossings[k:]
+    elif kind == "nest":
+        owner, key = draw(st.sampled_from(fields))
+        owner[key] = _NEST
+    text = json.dumps(doc)
+    if kind == "nest":
+        depth = draw(st.integers(1, 5000))
+        text = text.replace(f'"{_NEST}"', "[" * depth + "]" * depth)
+    elif kind == "cut":
+        text = text[:draw(st.integers(0, len(text) - 2))]
+    return text
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(text=_mutated_document())
+def test_export_fuzzed_document(tmp_path_factory, text):
+    # a faulty document exits 2 (unreadable) or 4 (invalid) with one line
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["export", "--in", str(path), "--out", os.devnull])
+    assert rc in (2, 4), err.getvalue()
+    assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
 
 
 def test_export_empty_document(tmp_path):

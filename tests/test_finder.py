@@ -9,12 +9,9 @@ from sphgeo import counts, finder, sphtrig
 from sphgeo.finder import (
     ClassificationError,
     GeodesicPath,
-    canonicalize,
     class_tag,
     classify_tetra_type,
     enumerate_classes,
-    feasible_pole_exists,
-    is_simple,
     orbit_size,
     solve_sequence,
     solve_tetra_type,
@@ -25,6 +22,9 @@ from sphgeo.sphtrig import PI, dot, neg, normalize
 from sphgeo.unfold import CrossingSequence, develop
 
 from util import (
+    canonicalize,
+    feasible_pole_exists,
+    is_simple,
     pairwise_is_simple,
     random_sequence,
     random_unit,

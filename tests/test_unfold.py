@@ -13,12 +13,11 @@ from sphgeo.sphtrig import (
     mat_apply,
     mat_compose,
     mat_transpose,
-    orthonormality_residual,
     rot_about,
 )
-from sphgeo.unfold import CrossingSequence, DirectedCrossing, develop, holonomy, step_rotation
+from sphgeo.unfold import CrossingSequence, DirectedCrossing, develop
 
-from util import random_sequence
+from util import holonomy, orthonormality_residual, random_sequence, step_rotation
 
 MIDPOINTS = {
     SolidKind.TETRAHEDRON: 0.5 * PI,

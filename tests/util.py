@@ -4,12 +4,96 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from sphgeo import finder, sphtrig, unfold
 from sphgeo.solids import SolidSpec
 from sphgeo.sphtrig import PI, DomainError
-from sphgeo.unfold import CrossingSequence
+from sphgeo.unfold import CrossingSequence, DirectedCrossing
+
+
+# ---------------------------------------------------------------------------
+# small geometry helpers that only the tests use
+
+
+def arc_midpoint(a, b):
+    """Midpoint of the minor arc between two non-antipodal unit vectors."""
+    return sphtrig.normalize(sphtrig.add(a, b))
+
+
+def azimuth_about(pole, point) -> float:
+    """Azimuth of `point` in the equator frame of `pole`, in (-pi, pi]."""
+    e1, e2 = sphtrig.pole_frame(pole)
+    return math.atan2(sphtrig.dot(point, e2), sphtrig.dot(point, e1))
+
+
+def mat_det(m) -> float:
+    return sphtrig.dot(m[0], sphtrig.cross(m[1], m[2]))
+
+
+def orthonormality_residual(m) -> float:
+    """Largest deviation of m^T m from the identity, plus |det - 1|."""
+    g = sphtrig.mat_compose(sphtrig.mat_transpose(m), m)
+    res = 0.0
+    for i in range(3):
+        for j in range(3):
+            res = max(res, abs(g[i][j] - (1.0 if i == j else 0.0)))
+    return max(res, abs(mat_det(m) - 1.0))
+
+
+def step_rotation(spec: SolidSpec, placement, crossing: DirectedCrossing):
+    """Placement of the neighbouring face copy after one edge crossing."""
+    j = spec.face_edge_local.get((crossing.from_face, crossing.edge))
+    if j is None:
+        raise DomainError(
+            f"edge {crossing.edge} is not an edge of face {crossing.from_face}"
+        )
+    gi = spec.gluing[(crossing.from_face, j)][0]
+    if gi != crossing.to_face:
+        raise DomainError("crossing does not match the gluing map")
+    return sphtrig.mat_compose(placement, spec.steps[(crossing.from_face, j)])
+
+
+def holonomy(spec: SolidSpec, seq: CrossingSequence):
+    """Closing rotation of the development of `seq`."""
+    return unfold.develop(spec, seq).closing
+
+
+# ---------------------------------------------------------------------------
+# library conveniences with no caller in the package
+
+
+def feasible_pole_exists(arcs: Iterable) -> bool:
+    """Whether a unit pole u satisfies u.a > 0 > u.b for every arc (a, b).
+
+    Decided by clipping the chart square about the first `a` (see
+    `finder._pole_box`) by every constraint, as the search does one crossing
+    at a time; True only with a witness pole that meets all of them strictly.
+    """
+    cons = []
+    for a, b in arcs:
+        cons.append(a)
+        cons.append(sphtrig.neg(b))
+    if not cons:
+        return True
+    region = (finder._pole_box(sphtrig.normalize(cons[0])), None)
+    return finder._narrow(region, cons, len(cons)) is not None
+
+
+def is_simple(spec: SolidSpec, path) -> bool:
+    """Whether the path's in-face segments are pairwise disjoint on the surface
+    (consecutive segments touch only at their shared edge crossing)."""
+    dev = unfold.develop(spec, path.seq)
+    hits = sphtrig.equator_crossings(path.pole, dev.arcs)
+    if hits is None:
+        return False
+    return finder._dev_is_simple(spec, dev, hits)
+
+
+def canonicalize(spec: SolidSpec, seq: CrossingSequence) -> CrossingSequence:
+    """Lexicographic minimum of the sequence over cyclic shifts, reversal and
+    the full symmetry group; idempotent."""
+    return CrossingSequence.from_edges(spec, finder.canonical_word(spec, seq.edge_word()))
 
 
 def random_unit(rng: random.Random) -> Tuple[float, float, float]:
@@ -109,7 +193,7 @@ def trace_geodesic(spec: SolidSpec, path) -> Tuple[Tuple[int, ...], float, float
     edges = []
     for _ in range(m):
         w = sphtrig.normalize(sphtrig.cross(x, d))
-        az_x = sphtrig.azimuth_about(w, x)
+        az_x = azimuth_about(w, x)
         best = None
         for j2 in range(n):
             if j2 == entry:
@@ -235,7 +319,7 @@ _REF_SVG_SCALE = 120.0  # px per radian
 
 def _reference_project(pole, point) -> Tuple[float, float]:
     r = sphtrig.angle_between(pole, point)
-    az = sphtrig.azimuth_about(pole, point)
+    az = azimuth_about(pole, point)
     return r * math.cos(az), -r * math.sin(az)
 
 
@@ -327,7 +411,7 @@ def reference_pole_edge_crossing(pole, a, b):
         s_len += PI
     t = s_len / length
     point = sphtrig.slerp(a, b, t)
-    return sphtrig.ArcCrossing(t, sphtrig.azimuth_about(pole, point), point)
+    return sphtrig.ArcCrossing(t, azimuth_about(pole, point), point)
 
 
 def reference_path_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex):
