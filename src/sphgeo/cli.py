@@ -159,9 +159,10 @@ def render_svg(
     """Render the development of one class: face outlines plus the geodesic
     equator arc, projected so the geodesic shows as (part of) a circle.
 
-    The class is re-solved from its sequence with the given tolerances, and
-    its stored crossings must match the solution within `tol_closure`;
-    otherwise DomainError is raised and nothing is drawn.
+    The class is re-solved from its sequence with the given tolerances.
+    Its stored crossings and total length must match the solution within
+    `tol_closure`, and its kind tag must be the solution's; otherwise
+    DomainError is raised and nothing is drawn.
     """
     seq = unfold.CrossingSequence.from_edges(spec, cls_doc["canonical_sequence"])
     dev = unfold.develop(spec, seq)
@@ -169,6 +170,10 @@ def render_svg(
     if path is None:
         raise DomainError("document sequence does not solve at this angle")
     _check_crossings(cls_doc["crossings"], path, tol_closure)
+    if cls_doc["kind_tag"] != finder.class_tag(spec, path):
+        raise DomainError("stored kind_tag does not match the re-solved path")
+    if not abs(cls_doc["total_length"] - path.total_length) <= tol_closure:
+        raise DomainError("stored total_length does not match the re-solved path")
     pole = path.pole
     e1, e2 = sphtrig.pole_frame(pole)
     n = spec.face_size
@@ -333,7 +338,8 @@ def cmd_export(in_path: str, class_index: int, tol_closure: float,
             raise DomainError(f"negative closure residual {residual!r}")
         spec = solids.build_solid(_KINDS[doc["solid"]], float(doc["alpha"]))
         svg = render_svg(spec, cls_doc, tol_closure, tol_vertex)
-    except (KeyError, IndexError, TypeError, DomainError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, DomainError, ValueError,
+            OverflowError) as exc:
         # a field that is missing, of the wrong type or out of range
         print(f"invalid result document: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

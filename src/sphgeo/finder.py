@@ -24,11 +24,12 @@ edge's entry vertex; each crossing clips it by its two half-planes
 (Sutherland-Hodgman), and a branch survives while a witness pole meets every
 constraint strictly.  The symmetry group is transitive on (face, edge)
 incidences, so the walk starts from one directed crossing only, and the
-mirror that fixes that crossing halves what is left: a branch is skipped
-when the mirror image of its word is smaller and shares its prefix.  The
-walk lays out the development as it goes, so a closed word is solved on
-those placements without being developed again; a word that repeats a
-shorter one is skipped, since a geodesic traversed twice is not simple.
+mirror that fixes that crossing halves what is left: it maps each exit
+turn t to n - t, so while every turn so far is its own mirror only the
+turns t <= n - t are walked (see `enumerate_classes`).  The walk lays out
+the development as it goes, so a closed word is solved on those placements
+without being developed again; a word that repeats a shorter one is
+skipped, since a geodesic traversed twice is not simple.
 """
 
 from __future__ import annotations
@@ -485,21 +486,6 @@ def class_tag(spec: SolidSpec, path: GeodesicPath) -> str:
 # exhaustive enumeration
 
 
-def _start_mirror(spec: SolidSpec, start_face: int) -> Tuple[int, ...]:
-    """Edge permutation of the one symmetry other than the identity that
-    fixes edge 0 and `start_face`: the reflection across the perpendicular
-    bisector of edge 0."""
-    ident = tuple(range(spec.n_vertices))
-    mirrors = [
-        g for g in symmetry_group(spec)
-        if g.perm != ident and g.edge_perm[0] == 0
-        and g.face_perm[start_face] == start_face
-    ]
-    if len(mirrors) != 1:
-        raise RuntimeError("the stabilizer of the start crossing is not {id, mirror}")
-    return mirrors[0].edge_perm
-
-
 def enumerate_classes(
     spec: SolidSpec,
     max_crossings: int,
@@ -513,10 +499,25 @@ def enumerate_classes(
     crosses <= max_crossings edges is found.  The symmetry group is
     transitive on (face, edge) incidences, so every class has a word that
     starts by crossing edge 0 out of face A = edge_faces[0][0], and the
-    search walks only from there.  Those words are closed under the mirror
-    sigma that fixes that crossing; while the prefix is its own sigma-image
-    a child edge e with sigma(e) < e is skipped, which never cuts the least
-    such word of a class, as sigma of it is no smaller.  Closures are
+    search walks only from there.
+
+    Mirror pruning by turns.  Leaving a face entered over local edge
+    `entry` through local edge k is the exit turn t = (k - entry) mod n.
+    The symmetry sigma that fixes that first crossing and is not the
+    identity swaps the ends of edge 0, so it is a reflection: it reverses
+    the orientation of every face, sending local edge k of a face to local
+    edge (r - k - 1) mod n of its image for some r, and so an exit turn t
+    to n - t.  Thus sigma maps the walks from the start crossing onto
+    themselves, turn word (t1, t2, ...) to (n - t1, n - t2, ...), and a
+    prefix stays feasible and within the length cap exactly when its
+    sigma-image does.  (In floats the two can differ only where the pole
+    region has zero area, as on the repeats of a closed word.)  Take any
+    walk w and its image sigma(w).  They share every turn up to the first
+    t_i with t_i != n - t_i; at that turn exactly one of them has
+    t_i < n - t_i, and from there on the search prunes neither.  So the
+    search keeps, while every turn so far is its own mirror (2t = n, which
+    is only the straight turn on squares), only the turns t <= n - t, and
+    still reaches w or sigma(w), a word of the same class.  Closures are
     solved on the development the walk has already laid out.
     """
     if max_crossings < 3:
@@ -526,7 +527,6 @@ def enumerate_classes(
     n = spec.face_size
     chart = spec.chart
     start_face = spec.edge_faces[0][0]
-    sigma = _start_mirror(spec, start_face)
     found: Set[Tuple[int, ...]] = set()
     tried: Set[Tuple[int, ...]] = set()
     # the walk's own development, laid out as `develop` does it: crossing i
@@ -561,7 +561,7 @@ def enumerate_classes(
         still crosses every developed edge, close the walk if it is back in
         the start face and go on through the other edges of the face
         entered.  A None region starts the chart about this first crossing's
-        entry vertex; `tied` says the prefix is its own sigma-image."""
+        entry vertex; `tied` says every turn so far is its own mirror."""
         cur_face = faces[-1]
         placement = placements[-1]
         p = mat_apply(placement, chart[j])
@@ -572,7 +572,6 @@ def enumerate_classes(
         if region is not None:
             e = spec.face_edges[cur_face][j]
             face, entry = spec.gluing[(cur_face, j)]
-            tied = tied and sigma[e] == e
             edges.append(e)
             faces.append(face)
             arcs.append((p, q))
@@ -581,14 +580,12 @@ def enumerate_classes(
                 close_and_solve()
             if len(edges) < max_crossings:
                 for k in range(n):
-                    if k == entry:
-                        continue
-                    e2 = spec.face_edges[face][k]
-                    if tied and sigma[e2] < e2:
+                    t = (k - entry) % n
+                    if t == 0 or (tied and t > n - t):
                         continue
                     lb2 = lb + spec.chord_gap[(entry, k)]
                     if lb2 < TWO_PI - 1e-12:
-                        cross(k, region, lb2, tied)
+                        cross(k, region, lb2, tied and 2 * t == n)
             edges.pop()
             faces.pop()
             arcs.pop()

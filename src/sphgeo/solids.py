@@ -5,6 +5,11 @@ canonical chart centered at the north pole) glued along directed edges.  Faces
 are stored as cyclic vertex lists with a globally consistent orientation:
 every directed edge (a, b) appears in exactly one face, and its reverse
 (b, a) in exactly one other.
+
+The symmetry group is derived from that face table alone: the symmetries of
+a regular solid act simply transitively on its flags (face, local edge,
+orientation), so each flag names one symmetry, which the gluing spreads
+from face 0 to every face.
 """
 
 from __future__ import annotations
@@ -68,32 +73,6 @@ _VERTEX_NAMES: Dict[SolidKind, Tuple[str, ...]] = {
     SolidKind.OCTAHEDRON: ("A1", "A2", "A3", "A4", "A5", "A6"),
     SolidKind.CUBE: ("A1", "A2", "A3", "A4", "A1'", "A2'", "A3'", "A4'"),
 }
-
-# generators of the full (rotations + reflections) symmetry group, as vertex
-# permutations p with p[i] = image of vertex i
-_SYM_GENERATORS: Dict[SolidKind, Tuple[Tuple[int, ...], ...]] = {
-    SolidKind.TETRAHEDRON: (
-        (1, 0, 2, 3),      # edge transposition (a reflection)
-        (1, 2, 3, 0),      # 4-cycle
-    ),
-    SolidKind.OCTAHEDRON: (
-        (1, 2, 3, 0, 4, 5),  # quarter turn about the apex axis
-        (0, 4, 2, 5, 3, 1),  # quarter turn about the A1-A3 axis
-        (0, 1, 2, 3, 5, 4),  # equatorial mirror
-    ),
-    SolidKind.CUBE: (
-        (1, 2, 3, 0, 5, 6, 7, 4),  # quarter turn about the front-back axis
-        (3, 2, 6, 7, 0, 1, 5, 4),  # quarter turn about a horizontal axis
-        (4, 5, 6, 7, 0, 1, 2, 3),  # front-back mirror
-    ),
-}
-
-_GROUP_ORDER = {
-    SolidKind.TETRAHEDRON: 24,
-    SolidKind.OCTAHEDRON: 48,
-    SolidKind.CUBE: 48,
-}
-
 
 @dataclass(frozen=True)
 class SymmetryOp:
@@ -267,79 +246,59 @@ def cyclic_min(word: Tuple[int, ...]) -> Tuple[int, ...]:
     return best  # type: ignore[return-value]
 
 
-def _is_automorphism(kind: SolidKind, perm: Tuple[int, ...]) -> bool:
-    faces = _FACES[kind]
-    keys = {cyclic_min(f) for f in faces}
-    return all(cyclic_min(tuple(perm[v] for v in f)) in keys for f in faces)
-
-
-def _closure(kind: SolidKind) -> Tuple[Tuple[int, ...], ...]:
-    gens = _SYM_GENERATORS[kind]
-    nv = len(gens[0])
-    ident = tuple(range(nv))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(g[p[i]] for i in range(nv))
-                if q not in seen:
-                    if not _is_automorphism(kind, q):
-                        raise AssertionError("generator closure left the face set")
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    if len(seen) != _GROUP_ORDER[kind]:
-        raise AssertionError(
-            f"symmetry closure has order {len(seen)}, expected {_GROUP_ORDER[kind]}"
-        )
-    return tuple(sorted(seen))
-
-
-def _orientation_preserving(spec: SolidSpec, perm: Tuple[int, ...]) -> bool:
-    face = spec.faces[0]
-    image = tuple(perm[v] for v in face)
-    key = cyclic_min(image)
-    for f in spec.faces:
-        if cyclic_min(f) == key:
-            # does `image` occur as a rotation of f (preserving) or of its
-            # reversal (reversing)?
-            n = len(f)
-            for r in range(n):
-                if image == f[r:] + f[:r]:
-                    return True
-            return False
-    raise AssertionError("image face not found")
-
-
 # the ops act on vertex, edge and face ids only, which depend on the kind
 # alone, so every angle of one kind shares them
 _OPS_CACHE: Dict[SolidKind, Tuple[SymmetryOp, ...]] = {}
 
 
 def symmetry_group(spec: SolidSpec) -> Tuple[SymmetryOp, ...]:
-    """Full isometry group as combinatorial automorphisms (incl. reflections)."""
+    """Full isometry group as combinatorial automorphisms (incl. reflections).
+
+    The group of a regular solid acts simply transitively on its flags
+    (face, local edge, orientation), so there is one op per flag, sorted by
+    vertex permutation.
+    """
     cached = _OPS_CACHE.get(spec.kind)
-    if cached is not None:
-        return cached
-    ops = []
-    keys = {cyclic_min(f): i for i, f in enumerate(spec.faces)}
-    for perm in _closure(spec.kind):
-        edge_perm = tuple(
-            spec.edge_id(perm[a], perm[b]) for (a, b) in spec.edges
-        )
-        face_perm = []
-        for f in spec.faces:
-            face_perm.append(keys[cyclic_min(tuple(perm[v] for v in f))])
-        ops.append(
-            SymmetryOp(
-                perm=perm,
-                is_rotation=_orientation_preserving(spec, perm),
-                edge_perm=edge_perm,
-                face_perm=tuple(face_perm),
-            )
-        )
-    result = tuple(ops)
-    _OPS_CACHE[spec.kind] = result
-    return result
+    if cached is None:
+        n = spec.face_size
+        cached = tuple(sorted(
+            (_flag_op(spec, f, j, s)
+             for f in range(len(spec.faces)) for j in range(n) for s in (1, -1)),
+            key=lambda op: op.perm,
+        ))
+        _OPS_CACHE[spec.kind] = cached
+    return cached
+
+
+def _flag_op(spec: SolidSpec, f: int, j: int, s: int) -> SymmetryOp:
+    """The symmetry sending local edge 0 of face 0 to local edge j of face f,
+    keeping (s = 1) or reversing (s = -1) the orientation of the faces.
+
+    Face g goes to face h with its local vertex k at local vertex
+    (r + s*k) % n of h, so its local edge k goes to local edge (r + k) % n
+    or (r - k - 1) % n.  The map spreads across the gluing: the neighbour
+    over edge k goes to the neighbour of h over that edge's image.
+    """
+    n = spec.face_size
+    image = {0: (f, j if s == 1 else (j + 1) % n)}  # face g -> (h, r)
+    perm = [-1] * spec.n_vertices
+    stack = [0]
+    while stack:
+        g = stack.pop()
+        h, r = image[g]
+        for k in range(n):
+            v, w = spec.faces[g][k], spec.faces[h][(r + s * k) % n]
+            if perm[v] not in (-1, w):
+                raise AssertionError(f"flag ({f}, {j}, {s}) sends vertex {v} twice")
+            perm[v] = w
+            g2, k2 = spec.gluing[(g, k)]
+            if g2 not in image:
+                h2, m2 = spec.gluing[(h, (r + k) % n if s == 1 else (r - k - 1) % n)]
+                image[g2] = (h2, (m2 - k2) % n if s == 1 else (m2 + k2 + 1) % n)
+                stack.append(g2)
+    return SymmetryOp(
+        perm=tuple(perm),
+        is_rotation=s == 1,
+        edge_perm=tuple(spec.edge_id(perm[a], perm[b]) for (a, b) in spec.edges),
+        face_perm=tuple(image[g][0] for g in range(len(spec.faces))),
+    )

@@ -276,15 +276,29 @@ def _tampered_t(doc):
     return doc
 
 
+def _tampered_tag(doc):
+    doc["classes"][0]["kind_tag"] = "type9"
+    return doc
+
+
+def _tampered_length(doc):
+    doc["classes"][0]["total_length"] = -5.0
+    return doc
+
+
 @pytest.mark.parametrize("mutate", [
     lambda doc: [doc],
     _drop_residual,
     lambda doc: dict(doc, classes=5),
     lambda doc: dict(doc, alpha=None),
+    lambda doc: dict(doc, alpha=10**400),
     _bad_edge_id,
     _tampered_t,
+    _tampered_tag,
+    _tampered_length,
 ], ids=["top-level-list", "no-closure-residual", "classes-not-list",
-        "alpha-null", "edge-out-of-range", "tampered-t"])
+        "alpha-null", "alpha-overflows-float", "edge-out-of-range", "tampered-t",
+        "tampered-tag", "tampered-length"])
 def test_export_malformed_document(tmp_path, capsys, mutate):
     res = tmp_path / "octa.json"
     main(["enumerate", "--solid", "octa", "--alpha", "0.4pi", "--out", str(res)])
@@ -434,14 +448,16 @@ def _mutated_document(draw):
     fields = [(doc, "schema_version"), (doc, "solid"), (doc, "alpha"),
               (doc, "classes"), (doc["classes"], 0), (cls, "closure_residual"),
               (cls, "canonical_sequence"), (cls, "crossings"),
+              (cls, "kind_tag"), (cls, "total_length"),
               (seq, k), (crossings, k)]
     fields += [(crossings[k], f) for f in ("edge", "t", "incidence_angle")]
-    numbers = [(doc, "alpha"), (cls, "closure_residual"), (seq, k),
-               (crossings[k], "edge"), (crossings[k], "t"),
+    numbers = [(doc, "alpha"), (cls, "closure_residual"), (cls, "total_length"),
+               (seq, k), (crossings[k], "edge"), (crossings[k], "t"),
                (crossings[k], "incidence_angle")]
     edge_ids = [(seq, k), (crossings[k], "edge")]
     kind = draw(st.sampled_from(
-        ["delete", "swap", "non-finite", "edge-id", "truncate", "nest", "cut"]))
+        ["delete", "swap", "non-finite", "huge-int", "edge-id", "truncate", "nest",
+         "cut"]))
     if kind == "delete":  # of a field; a deleted class would bring in the next
         owner, key = draw(st.sampled_from([f for f in fields if isinstance(f[1], str)]))
         del owner[key]
@@ -451,6 +467,9 @@ def _mutated_document(draw):
     elif kind == "non-finite":
         owner, key = draw(st.sampled_from(numbers))
         owner[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "huge-int":  # too large to convert to a float
+        owner, key = draw(st.sampled_from(numbers))
+        owner[key] = 10**400
     elif kind == "edge-id":
         owner, key = draw(st.sampled_from(edge_ids))
         # no solid has more than 12 edges (ids 0..11)

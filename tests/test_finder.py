@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,8 @@ OCTA_TYPE2 = ("A1A2", "A2A6", "A2A3", "A3A5", "A3A4", "A4A6", "A4A1", "A1A5")
 CUBE_TYPE1 = ("A1A1'", "A2A2'", "A3A3'", "A4A4'")
 CUBE_TYPE2 = ("A1'A2'", "A2'A2", "A2A3", "A3A4", "A4A4'", "A4'A1'")
 CUBE_TYPE3 = ("A2A3", "A2A2'", "A1A1'", "A1'A4'", "A3'A4'", "A3A4")
+
+ENUMERATE_CLASSES_TXT = Path(__file__).parent / "data" / "enumerate_classes.txt"
 
 
 def word_of(spec, names):
@@ -794,6 +797,24 @@ def test_pruning_equivalence_depth8(kind, alphas):
         spec = build_solid(kind, alpha)
         pruned = enumerate_classes(spec, 8)
         assert [(c.seq.edge_word(), c.tag) for c in pruned] == reference_classes(spec, 8)
+
+
+def test_enumerate_matches_golden_file():
+    # data/enumerate_classes.txt pins every class found at depth 16 on 3
+    # solids x 4 angles: word, tag, orbit and length floats; it was written
+    # before mirror pruning moved to turns, and a rewrite of the search must
+    # reproduce it
+    rows = [line for line in ENUMERATE_CLASSES_TXT.read_text().splitlines()
+            if not line.startswith("#")]
+    got = []
+    for solid, alpha, depth in dict.fromkeys(tuple(r.split()[:3]) for r in rows):
+        spec = build_solid(SolidKind(solid), float(alpha))
+        for c in enumerate_classes(spec, int(depth)):
+            got.append(" ".join([
+                solid, alpha, depth, ",".join(map(str, c.seq.edge_word())), c.tag,
+                str(c.orbit_size), repr(c.path.total_length),
+            ]))
+    assert got == rows
 
 
 def test_enumerate_stable_beyond_required_depth():

@@ -169,8 +169,9 @@ def test_group_closed_under_composition(kind):
 @pytest.mark.parametrize("kind", list(SolidKind))
 def test_group_transitive_on_incidences(kind):
     # the exhaustive search starts only by crossing edge 0 out of face
-    # edge_faces[0][0]; that needs every (face, edge) incidence in its orbit,
-    # and its pruning needs the stabilizer to be {id, mirror}
+    # edge_faces[0][0]; that needs every (face, edge) incidence in its orbit.
+    # The one other symmetry fixing that crossing is the mirror that the
+    # search's pruning by turns rests on (see test_mirror_reverses_turns)
     spec = build_solid(kind, MIDPOINTS[kind])
     ops = symmetry_group(spec)
     start = (spec.edge_faces[0][0], 0)
@@ -185,6 +186,28 @@ def test_group_transitive_on_incidences(kind):
     # the reflection across the perpendicular bisector of edge 0
     a, b = spec.edges[0]
     assert (sigma.perm[a], sigma.perm[b]) == (b, a)
+
+
+@pytest.mark.parametrize("kind", list(SolidKind))
+def test_mirror_reverses_turns(kind):
+    # the mirror fixing the search's start crossing sends the exit turn t of
+    # every face, entered over any local edge, to the turn n - t
+    spec = build_solid(kind, MIDPOINTS[kind])
+    n = spec.face_size
+    start_face = spec.edge_faces[0][0]
+    ident = tuple(range(spec.n_vertices))
+    (sigma,) = [g for g in symmetry_group(spec) if g.perm != ident
+                and g.edge_perm[0] == 0 and g.face_perm[start_face] == start_face]
+
+    def image(f, j):
+        e = sigma.edge_perm[spec.face_edges[f][j]]
+        return spec.face_edge_local[(sigma.face_perm[f], e)]
+
+    for f in range(len(spec.faces)):
+        for i in range(n):
+            i2 = image(f, i)
+            for t in range(n):
+                assert image(f, (i + t) % n) == (i2 - t) % n
 
 
 @pytest.mark.parametrize("kind", list(SolidKind))
