@@ -104,12 +104,18 @@ def dump_json(doc: Dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
 
 
-def _write_out(text: str, out: Optional[str]) -> None:
+def _write_out(text: str, out: Optional[str]) -> int:
+    """Write `text` to the path `out` (stdout when None); the exit code."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"cannot write output {out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +253,7 @@ def cmd_solve(kind: SolidKind, alpha: float, ptype: Optional[Tuple[int, int]],
     word = finder.canonical_word(spec, path.seq.edge_word())
     cls = finder.solve_class(spec, word, tol_closure, tol_vertex)
     report = counts.count_tetra(alpha, tol_closure=tol_closure, tol_vertex=tol_vertex)
-    _write_out(dump_json(result_document(spec, [cls], report)), out)
-    return EXIT_OK
+    return _write_out(dump_json(result_document(spec, [cls], report)), out)
 
 
 def cmd_enumerate(kind: SolidKind, alpha: float, max_crossings: int,
@@ -258,8 +263,7 @@ def cmd_enumerate(kind: SolidKind, alpha: float, max_crossings: int,
     bounds = None
     if kind is SolidKind.TETRAHEDRON:
         bounds = counts.count_tetra(alpha, max_crossings, tol_closure, tol_vertex)
-    _write_out(dump_json(result_document(spec, classes, bounds)), out)
-    return EXIT_OK
+    return _write_out(dump_json(result_document(spec, classes, bounds)), out)
 
 
 def cmd_sweep(kind: SolidKind, alpha: float, alpha_stop: float, alpha_step: float,
@@ -295,8 +299,7 @@ def cmd_sweep(kind: SolidKind, alpha: float, alpha_stop: float, alpha_step: floa
             f"{v.p}:{v.q}" for v in rep.verdicts if not v.found
         )
         rows.append(f"{a!r},{rep.n},{rep.c1!r},{rep.c2!r},{found},{missed}")
-    _write_out("\n".join(rows) + "\n", out)
-    return EXIT_OK
+    return _write_out("\n".join(rows) + "\n", out)
 
 
 def cmd_export(in_path: str, class_index: int, tol_closure: float,
@@ -343,8 +346,7 @@ def cmd_export(in_path: str, class_index: int, tol_closure: float,
         # a field that is missing, of the wrong type or out of range
         print(f"invalid result document: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    _write_out(svg, out)
-    return EXIT_OK
+    return _write_out(svg, out)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ they nest like parentheses decides simplicity in O(k log k) for k crossings.
 
 The search over sequences is a depth-first walk over faces, pruned by a
 pole-feasibility test (does any great circle cross all developed edges the
-right way?) and by a running lower bound on length against the 2*pi cap.
+right way?) and by a running lower bound on length against the 2*pi cap:
+the straight turn across a square adds one edge length, every other turn
+nothing (see `enumerate_classes`).
 The feasible poles form a convex polygon in the gnomonic chart about the first
 edge's entry vertex; each crossing clips it by its two half-planes
 (Sutherland-Hodgman), and a branch survives while a witness pole meets every
@@ -377,23 +379,22 @@ def _dev_is_simple(
 # canonical forms under cyclic shift x reversal x symmetry
 
 
+def _orbit(spec: SolidSpec, word: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
+    """The symmetry images of `word`, each up to shift and reversal."""
+    return {
+        cyclic_min(tuple(g.edge_perm[e] for e in word)) for g in symmetry_group(spec)
+    }
+
+
 def canonical_word(spec: SolidSpec, word: Tuple[int, ...]) -> Tuple[int, ...]:
-    best = None
-    for g in symmetry_group(spec):
-        ep = g.edge_perm
-        cand = cyclic_min(tuple(ep[e] for e in word))
-        if best is None or cand < best:
-            best = cand
-    return best  # type: ignore[return-value]
+    """The lexicographic minimum of `word`'s orbit."""
+    return min(_orbit(spec, word))
 
 
 def orbit_size(spec: SolidSpec, seq: CrossingSequence) -> int:
     """Number of distinct geodesics (sequences up to shift and reversal) in
     the symmetry orbit."""
-    word = seq.edge_word()
-    return len(
-        {cyclic_min(tuple(g.edge_perm[e] for e in word)) for g in symmetry_group(spec)}
-    )
+    return len(_orbit(spec, seq.edge_word()))
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +520,24 @@ def enumerate_classes(
     is only the straight turn on squares), only the turns t <= n - t, and
     still reaches w or sigma(w), a word of the same class.  Closures are
     solved on the development the walk has already laid out.
+
+    Length bound by turns.  The geodesic's segment in a face copy runs
+    from a point of the entry edge to a point of the exit edge, so it is
+    at least as long as the distance between the two edges.  Every face
+    copy is a rotated copy of one regular chart, whose rotation by 2*pi/n
+    about its centre carries local edge j to j + 1, so that distance
+    depends on the exit turn t alone.  Edges with a common vertex (every
+    turn on a triangle, t = 1 or 3 on a square) are at distance 0.  The
+    opposite sides of a square (the straight turn, 2t = n) are one edge
+    length apart.  Two disjoint arcs are nearest at the feet of their
+    common perpendicular, at a corner and its foot on the other arc, or at
+    two corners.  Here the common perpendicular is the midline, longer
+    than a side (a spherical Saccheri quadrilateral's summit is shorter
+    than its base); the corner angle alpha exceeds pi/2, so no corner's
+    foot lands inside the far side; and a diagonal, opposite an obtuse
+    corner, is longer than a side.  So the walk adds one edge length per
+    straight turn and nothing otherwise, and cuts a branch once the sum
+    reaches the 2*pi cap.
     """
     if max_crossings < 3:
         raise DomainError("max_crossings must be at least 3")
@@ -583,9 +602,10 @@ def enumerate_classes(
                     t = (k - entry) % n
                     if t == 0 or (tied and t > n - t):
                         continue
-                    lb2 = lb + spec.chord_gap[(entry, k)]
+                    straight = 2 * t == n
+                    lb2 = lb + spec.edge_length if straight else lb
                     if lb2 < TWO_PI - 1e-12:
-                        cross(k, region, lb2, tied and 2 * t == n)
+                        cross(k, region, lb2, tied and straight)
             edges.pop()
             faces.pop()
             arcs.pop()

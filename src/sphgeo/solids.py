@@ -104,7 +104,6 @@ class SolidSpec:
     circumradius: float
     edge_length: float
     steps: Dict[Tuple[int, int], Mat3]               # (face, local edge) -> transfer
-    chord_gap: Dict[Tuple[int, int], float]          # min distance between chart edges
     vertex_degree: Tuple[int, ...]
 
     def edge_id(self, a: int, b: int) -> int:
@@ -188,15 +187,6 @@ def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
             chart[(j2 + 1) % n], chart[j2], chart[j], chart[(j + 1) % n]
         )
 
-    chord_gap: Dict[Tuple[int, int], float] = {}
-    for j1 in range(n):
-        for j2 in range(n):
-            if j1 == j2:
-                continue
-            chord_gap[(j1, j2)] = sphtrig.arc_arc_distance(
-                chart[j1], chart[(j1 + 1) % n], chart[j2], chart[(j2 + 1) % n]
-            )
-
     degree = [0] * n_vertices
     for f in faces:
         for v in f:
@@ -219,7 +209,6 @@ def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
         circumradius=rho,
         edge_length=edge_length,
         steps=steps,
-        chord_gap=chord_gap,
         vertex_degree=tuple(degree),
     )
 

@@ -20,8 +20,6 @@ PI = math.pi
 # Clamp window for arccos arguments produced by algebraic identities; larger
 # excursions mean inconsistent data and raise DomainError instead.
 ALG_TOL = 1e-12
-# Tolerance for iterated geometric constructions (chains of rotations).
-GEO_TOL = 1e-9
 
 IDENTITY: Mat3 = (
     (1.0, 0.0, 0.0),
@@ -420,26 +418,3 @@ def arcs_intersect(a1: Vec3, b1: Vec3, a2: Vec3, b2: Vec3, tol: float = 1e-10) -
             return True
     return False
 
-
-def point_arc_distance(p: Vec3, a: Vec3, b: Vec3) -> float:
-    """Geodesic distance from unit vector p to the minor arc (a, b)."""
-    n = normalize(cross(a, b))
-    dn = dot(p, n)
-    foot = (p[0] - dn * n[0], p[1] - dn * n[1], p[2] - dn * n[2])
-    if norm(foot) > 1e-14:
-        f = normalize(foot)
-        if point_on_arc(f, a, b, 1e-9):
-            return angle_between(p, f)
-    return min(angle_between(p, a), angle_between(p, b))
-
-
-def arc_arc_distance(a1: Vec3, b1: Vec3, a2: Vec3, b2: Vec3) -> float:
-    """Geodesic distance between two minor arcs (0 when they intersect)."""
-    if arcs_intersect(a1, b1, a2, b2):
-        return 0.0
-    return min(
-        point_arc_distance(a1, a2, b2),
-        point_arc_distance(b1, a2, b2),
-        point_arc_distance(a2, a1, b1),
-        point_arc_distance(b2, a1, b1),
-    )

@@ -421,6 +421,28 @@ def test_export_deeply_nested_document(tmp_path, capsys):
     assert err.startswith("cannot read result document") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "enumerate", "sweep", "export"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out(tmp_path, capsys, command, target):
+    # an --out that cannot be opened is a configuration error, named in one
+    # line, like an unreadable --in
+    out = tmp_path / "missing" / "x.out" if target == "missing-directory" else tmp_path
+    doc = tmp_path / "octa.json"
+    doc.write_text(_enumerated("octa", "0.4pi"))
+    argv = {
+        "solve": ["solve", "--solid", "tetra", "--alpha", "0.6pi", "--type", "0,1"],
+        "enumerate": ["enumerate", "--solid", "octa", "--alpha", "0.4pi",
+                      "--depth", "8"],
+        "sweep": ["sweep", "--solid", "tetra", "--alpha", "0.4pi",
+                  "--alpha-stop", "0.41pi", "--alpha-step", "0.01pi"],
+        "export": ["export", "--in", str(doc)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write output {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @functools.lru_cache(maxsize=None)
 def _enumerated(solid, alpha):
     """The document `enumerate --depth 8` writes for one solid and angle."""

@@ -18,7 +18,7 @@ from sphgeo.finder import (
     solve_tetra_type,
     tetra_type_sequence,
 )
-from sphgeo.solids import SolidKind, build_solid, symmetry_group
+from sphgeo.solids import ADMISSIBLE, SolidKind, build_solid, symmetry_group
 from sphgeo.sphtrig import PI, dot, neg, normalize
 from sphgeo.unfold import CrossingSequence, develop
 
@@ -815,6 +815,57 @@ def test_enumerate_matches_golden_file():
                 str(c.orbit_size), repr(c.path.total_length),
             ]))
     assert got == rows
+
+
+@pytest.mark.parametrize("kind,alpha,nodes", [
+    (SolidKind.TETRAHEDRON, 0.45 * PI, 1250),
+    (SolidKind.OCTAHEDRON, 0.42 * PI, 1322),
+    (SolidKind.CUBE, 0.52 * PI, 5218),
+    (SolidKind.CUBE, 0.6 * PI, 2865),
+])
+def test_search_node_counts(kind, alpha, nodes, monkeypatch):
+    # the DFS makes one _narrow call per node; the counts at depth 20 pin
+    # how much the feasibility, mirror and length-bound pruning cut (cube
+    # 0.6pi visits 5133 nodes with no length bound, and finds the same
+    # classes).  They rest on the same float determinism as
+    # data/enumerate_classes.txt: a change to the pruning updates them.
+    calls = []
+    narrow = finder._narrow
+
+    def counting(*args):
+        calls.append(None)
+        return narrow(*args)
+
+    monkeypatch.setattr(finder, "_narrow", counting)
+    enumerate_classes(build_solid(kind, alpha), 20)
+    assert len(calls) == nodes
+
+
+@pytest.mark.parametrize("kind", list(SolidKind))
+def test_turn_gap_matches_sampled_distance(kind):
+    # the search's length bound adds, for the exit turn t, the distance
+    # between chart edges j and (j + t) % n: one edge length for the
+    # straight turn on a square (2t == n) and 0 for every other turn.  The
+    # oracle is the least distance between 33 points on each edge, ends
+    # included.
+    lo, hi = ADMISSIBLE[kind]
+    for k in range(12):
+        spec = build_solid(kind, lo + (hi - lo) * (k + 0.5) / 12)
+        n = spec.face_size
+        chart = spec.chart
+        samples = [
+            [sphtrig.slerp(chart[j], chart[(j + 1) % n], i / 32) for i in range(33)]
+            for j in range(n)
+        ]
+        for j1 in range(n):
+            for j2 in range(n):
+                if j1 == j2:
+                    continue
+                t = (j2 - j1) % n
+                gap = spec.edge_length if 2 * t == n else 0.0
+                oracle = min(sphtrig.angle_between(p, q)
+                             for p in samples[j1] for q in samples[j2])
+                assert abs(oracle - gap) <= 1e-12, (spec.alpha, j1, j2)
 
 
 def test_enumerate_stable_beyond_required_depth():
