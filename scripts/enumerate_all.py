@@ -30,7 +30,7 @@ def main() -> None:
             classes = enumerate_classes(spec, args.depth)
             dt = time.time() - t0
             summary = ", ".join(
-                f"{c.tag}[{len(c.seq.crossings)}x, orbit {c.orbit_size}, "
+                f"{c.tag}[{len(c.path.seq)}x, orbit {c.orbit_size}, "
                 f"len {c.path.total_length:.4f}]"
                 for c in classes
             )

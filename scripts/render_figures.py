@@ -30,7 +30,7 @@ def main() -> None:
             name = f"{kind.value}_{cls.tag.replace(',', '_')}.svg"
             path = out / name
             path.write_text(render_svg(spec, class_to_doc(cls)))
-            print(f"wrote {path} ({len(cls.seq.crossings)} crossings, "
+            print(f"wrote {path} ({len(cls.path.seq)} crossings, "
                   f"orbit {cls.orbit_size})")
 
 

@@ -21,7 +21,7 @@ from .sphtrig import (
     tetra_edge,
 )
 from .solids import ADMISSIBLE, SolidKind, SolidSpec, build_solid, cone_angle, symmetry_group
-from .unfold import CrossingSequence, Development, DirectedCrossing, develop
+from .unfold import CrossingSequence, Development, develop
 from .finder import (
     GeodesicClass,
     GeodesicPath,

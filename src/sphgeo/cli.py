@@ -11,9 +11,11 @@ realizable, 4 result-document validation failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -60,7 +62,7 @@ def _parse_type(text: str) -> Tuple[int, int]:
 
 def class_to_doc(cls: finder.GeodesicClass) -> Dict:
     return {
-        "canonical_sequence": list(cls.seq.edge_word()),
+        "canonical_sequence": list(cls.path.seq.edge_word()),
         "kind_tag": cls.tag,
         "total_length": cls.path.total_length,
         "closure_residual": cls.path.closure_residual,
@@ -408,6 +410,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     tols = (args.tol_closure, args.tol_vertex)
     if not all(math.isfinite(t) and t > 0 for t in tols):
         print("tolerances must be positive and finite", file=sys.stderr)
+        return EXIT_CONFIG
+    # an --out that is empty, a directory or in a missing one fails before any
+    # work; the check creates nothing, so a command that fails later leaves no file
+    out, out_dir = args.out, os.path.dirname(args.out or "") or "."
+    if out is not None and (not out or os.path.isdir(out) or not os.path.isdir(out_dir)):
+        code = errno.EISDIR if os.path.isdir(out) else errno.ENOENT
+        print(f"cannot write output {out}: {os.strerror(code)}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:

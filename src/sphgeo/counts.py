@@ -153,14 +153,21 @@ class TypeVerdict:
 
 @dataclass(frozen=True)
 class CountReport:
-    alpha: float
-    realizable: Tuple[Tuple[int, int], ...]
-    n: int
     c1: float
     c2: float
     psi1: int
     psi2: int
     verdicts: Tuple[TypeVerdict, ...]
+
+    @property
+    def realizable(self) -> Tuple[Tuple[int, int], ...]:
+        """The types found, in candidate order."""
+        return tuple((v.p, v.q) for v in self.verdicts if v.found)
+
+    @property
+    def n(self) -> int:
+        """The number of realizable types."""
+        return len(self.realizable)
 
 
 def candidate_types(alpha: float) -> List[Tuple[int, int]]:
@@ -193,24 +200,18 @@ def count_tetra(
         raise DomainError(f"alpha={alpha!r} outside (pi/3, 2pi/3)")
     spec = solids.build_solid(SolidKind.TETRAHEDRON, alpha)
     verdicts: List[TypeVerdict] = []
-    realizable: List[Tuple[int, int]] = []
     for p, q in candidate_types(alpha):
         depth = 4 * (p + q)
         if max_crossings is not None and depth > max_crossings:
             verdicts.append(TypeVerdict(p, q, "depth-capped", False))
             continue
         path = finder.solve_tetra_type(spec, p, q, tol_closure, tol_vertex)
-        found = path is not None
         guaranteed = sufficient_exists(p, q, alpha)
-        verdicts.append(
-            TypeVerdict(p, q, "sufficient-guaranteed" if guaranteed else "solver-resolved", found)
-        )
-        if found:
-            realizable.append((p, q))
+        verdicts.append(TypeVerdict(
+            p, q, "sufficient-guaranteed" if guaranteed else "solver-resolved",
+            path is not None,
+        ))
     return CountReport(
-        alpha=alpha,
-        realizable=tuple(realizable),
-        n=len(realizable),
         c1=c1_alpha(alpha),
         c2=c2_alpha(alpha),
         psi1=psi_count(f_alpha(alpha), "s"),

@@ -30,7 +30,8 @@ mirror that fixes that crossing halves what is left: it maps each exit
 turn t to n - t, so while every turn so far is its own mirror only the
 turns t <= n - t are walked (see `enumerate_classes`).  The walk lays out
 the development as it goes, so a closed word is solved on those placements
-without being developed again; a word that repeats a shorter one is
+without being developed again (`test_search_lays_out_closures_as_develop`
+checks that they are `develop`'s); a word that repeats a shorter one is
 skipped, since a geodesic traversed twice is not simple.
 """
 
@@ -59,7 +60,7 @@ from .sphtrig import (
     pole_frame,
 )
 from .solids import SolidKind, SolidSpec, cyclic_min, symmetry_group
-from .unfold import CrossingSequence, Development, DirectedCrossing, develop
+from .unfold import CrossingSequence, Development, develop
 
 TWO_PI = 2.0 * PI
 
@@ -102,8 +103,7 @@ class GeodesicPath:
 class GeodesicClass:
     """Canonical representative of one geodesic up to solid symmetry."""
 
-    seq: CrossingSequence          # lexicographic minimum over the full orbit
-    path: GeodesicPath             # solved on the canonical sequence
+    path: GeodesicPath   # solved on the lexicographic minimum over the full orbit
     orbit_size: int
     tag: str
 
@@ -273,16 +273,16 @@ def _path_for_pole(
 
     n = spec.face_size
     crossings = []
-    for i, c in enumerate(dev.seq.crossings):
-        j = spec.face_edge_local[(c.from_face, c.edge)]
-        v1 = spec.faces[c.from_face][j]
-        v2 = spec.faces[c.from_face][(j + 1) % n]
+    for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
+        j = spec.face_edge_local[(f, e)]
+        v1 = spec.faces[f][j]
+        v2 = spec.faces[f][(j + 1) % n]
         point = pts[i]
         direction = normalize(cross(pole, point))     # geodesic tangent
         # the edge as the exited copy develops it is arcs[i]; the entered
         # copy develops it again from its own placement
         inc_exit = _edge_angle(direction, point, *dev.arcs[i])
-        j2 = spec.gluing[(c.from_face, j)][1]
+        j2 = spec.gluing[(f, j)][1]
         placement = dev.placements[i + 1]
         inc_enter = _edge_angle(direction, point,
                                 mat_apply(placement, spec.chart[j2]),
@@ -295,7 +295,7 @@ def _path_for_pole(
             t, inc = hits[i].t, inc_exit
         else:
             t, inc = 1.0 - hits[i].t, PI - inc_exit
-        crossings.append(Crossing(c.edge, t, inc))
+        crossings.append(Crossing(e, t, inc))
 
     if not _dev_is_simple(spec, dev, hits):
         return None
@@ -344,17 +344,17 @@ def _dev_is_simple(
     touch.  A crossing at fraction t of face-local edge j sits at boundary
     position (j, t) in the face it exits and (j2, 1 - t) in the face it
     enters, where the glued edge j2 runs the other way.  Segment i runs from
-    crossing i to crossing i + 1 in face dev.faces[i + 1].  Endpoints on
+    crossing i to crossing i + 1 in the face crossing i enters.  Endpoints on
     different edges never touch: every t keeps tol_vertex clear of a vertex.
     """
     m = len(hits)
     ends: Dict[int, List[Tuple[int, float, int]]] = {}
-    for i, c in enumerate(dev.seq.crossings):
+    for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
         t = hits[i].t
-        j = spec.face_edge_local[(c.from_face, c.edge)]
-        j2 = spec.gluing[(c.from_face, j)][1]
-        ends.setdefault(c.from_face, []).append((j, t, (i - 1) % m))
-        ends.setdefault(c.to_face, []).append((j2, 1.0 - t, i))
+        j = spec.face_edge_local[(f, e)]
+        g, j2 = spec.gluing[(f, j)]
+        ends.setdefault(f, []).append((j, t, (i - 1) % m))
+        ends.setdefault(g, []).append((j2, 1.0 - t, i))
     # endpoints closer than 1e-10 of arc on one edge count as contact
     tol = 1e-10 / spec.edge_length
     for face_ends in ends.values():
@@ -568,10 +568,8 @@ def enumerate_classes(
         if key in tried:
             return
         tried.add(key)
-        seq = CrossingSequence(tuple(
-            DirectedCrossing(faces[i], word[i], faces[i + 1]) for i in range(m)
-        ))
-        dev = Development(seq, tuple(faces), tuple(placements), tuple(arcs))
+        dev = Development(CrossingSequence(tuple(faces[:-1]), word),
+                          tuple(placements), tuple(arcs))
         if _solve_development(spec, dev, tol_closure, tol_vertex) is not None:
             found.add(canonical_word(spec, word))
 
@@ -629,9 +627,11 @@ def solve_class(
     seq = CrossingSequence.from_edges(spec, word)
     path = solve_sequence(spec, seq, tol_closure, tol_vertex)
     if path is None:
-        raise RuntimeError("canonical image of a solved sequence failed to re-solve")
+        # the search solved an image of `word` on its own floats: only rounding differs
+        raise DomainError(f"tol_closure={tol_closure!r} is too tight for the canonical "
+                          "image of a solved sequence to re-solve")
     return GeodesicClass(
-        seq=seq, path=path, orbit_size=orbit_size(spec, seq), tag=class_tag(spec, path)
+        path=path, orbit_size=orbit_size(spec, seq), tag=class_tag(spec, path)
     )
 
 

@@ -101,10 +101,8 @@ class SolidSpec:
     face_edges: Tuple[Tuple[int, ...], ...]          # per face, edge ids in local order
     gluing: Dict[Tuple[int, int], Tuple[int, int]]   # (face, local edge) -> same for the neighbour
     chart: Tuple[Vec3, ...]                          # canonical face polygon
-    circumradius: float
     edge_length: float
     steps: Dict[Tuple[int, int], Mat3]               # (face, local edge) -> transfer
-    vertex_degree: Tuple[int, ...]
 
     def edge_id(self, a: int, b: int) -> int:
         return self.edge_index[(a, b) if a < b else (b, a)]
@@ -187,11 +185,6 @@ def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
             chart[(j2 + 1) % n], chart[j2], chart[j], chart[(j + 1) % n]
         )
 
-    degree = [0] * n_vertices
-    for f in faces:
-        for v in f:
-            degree[v] += 1
-
     return SolidSpec(
         kind=kind,
         alpha=alpha,
@@ -206,10 +199,8 @@ def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
         face_edges=tuple(face_edges),
         gluing=gluing,
         chart=chart,
-        circumradius=rho,
         edge_length=edge_length,
         steps=steps,
-        vertex_degree=tuple(degree),
     )
 
 
@@ -217,7 +208,7 @@ def cone_angle(spec: SolidSpec, vertex: int) -> float:
     """Total facet angle glued at a vertex; < 2*pi on the admissible range."""
     if not 0 <= vertex < spec.n_vertices:
         raise DomainError(f"vertex {vertex!r} out of range")
-    return spec.vertex_degree[vertex] * spec.alpha
+    return sum(vertex in f for f in spec.faces) * spec.alpha
 
 
 # ---------------------------------------------------------------------------

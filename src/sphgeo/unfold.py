@@ -1,6 +1,7 @@
 """Development of face sequences onto the unit sphere.
 
-A crossing sequence names the directed edges a candidate geodesic traverses.
+A crossing sequence is the faces a candidate geodesic passes through and the
+edges it crosses between them.
 Developing the sequence lays consecutive face copies onto the sphere so the
 candidate becomes a single great-circle arc; the composition of all the
 per-edge transfer rotations around the cycle is the closing rotation
@@ -9,7 +10,9 @@ per-edge transfer rotations around the cycle is the closing rotation
 Per-directed-edge transfer rotations are precomputed once per solid (in
 ``SolidSpec.steps``).  ``develop`` lays a sequence out from scratch; the
 exhaustive search in ``finder`` builds the same ``Development`` incrementally,
-one placement per crossing, with the same products in the same order.
+one placement per crossing, with the same products in the same order
+(``test_search_lays_out_closures_as_develop`` checks that every closure it
+solves equals ``develop``'s layout of its edge word).
 """
 
 from __future__ import annotations
@@ -22,24 +25,19 @@ from .solids import SolidSpec
 
 
 @dataclass(frozen=True)
-class DirectedCrossing:
-    from_face: int
-    edge: int
-    to_face: int
-
-
-@dataclass(frozen=True)
 class CrossingSequence:
     """Cyclic list of directed edge crossings; the combinatorial identity of
-    a closed geodesic candidate."""
+    a closed geodesic candidate.  Crossing i leaves face ``faces[i]`` over
+    edge ``edges[i]`` into face ``faces[(i + 1) % m]``."""
 
-    crossings: Tuple[DirectedCrossing, ...]
+    faces: Tuple[int, ...]
+    edges: Tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.crossings)
+        return len(self.edges)
 
     def edge_word(self) -> Tuple[int, ...]:
-        return tuple(c.edge for c in self.crossings)
+        return self.edges
 
     @staticmethod
     def from_edges(spec: SolidSpec, edges: Sequence[int]) -> "CrossingSequence":
@@ -62,24 +60,20 @@ class CrossingSequence:
                     f"edges {e1} and {e2} do not bound a common face"
                 )
             mids.append(f)
-        crossings = tuple(
-            DirectedCrossing(mids[i - 1], edges[i], mids[i]) for i in range(m)
-        )
-        return CrossingSequence(crossings)
+        return CrossingSequence(tuple(mids[-1:] + mids[:-1]), tuple(edges))
 
     def validate(self, spec: SolidSpec) -> None:
-        m = len(self.crossings)
-        if m < 3:
-            raise DomainError("a crossing sequence needs at least 3 crossings")
-        for i, c in enumerate(self.crossings):
-            if (c.from_face, c.edge) not in spec.face_edge_local:
-                raise DomainError(f"edge {c.edge} is not on face {c.from_face}")
-            if (c.to_face, c.edge) not in spec.face_edge_local:
-                raise DomainError(f"edge {c.edge} is not on face {c.to_face}")
-            nxt = self.crossings[(i + 1) % m]
-            if c.to_face != nxt.from_face:
-                raise DomainError("consecutive crossings do not share a face")
-            if c.edge == nxt.edge:
+        m = len(self.edges)
+        if m < 3 or len(self.faces) != m:
+            raise DomainError("a crossing sequence needs at least 3 crossings "
+                              "and one face for each")
+        for i, e in enumerate(self.edges):
+            f, g = self.faces[i], self.faces[(i + 1) % m]
+            if (f, e) not in spec.face_edge_local:
+                raise DomainError(f"edge {e} is not on face {f}")
+            if (g, e) not in spec.face_edge_local:
+                raise DomainError(f"edge {e} is not on face {g}")
+            if e == self.edges[(i + 1) % m]:
                 raise DomainError("consecutive crossings reuse one edge")
 
 
@@ -87,14 +81,14 @@ class CrossingSequence:
 class Development:
     """Face placements and developed edge arcs of one crossing sequence.
 
-    ``placements[i]`` carries face ``faces[i]``; ``arcs[i]`` is the developed
-    copy of crossing i's edge, directed as the boundary of the face copy
-    being exited (the entered copy traverses it backwards).  ``closing`` is
-    the holonomy: placements[-1] relative to the identity start.
+    ``placements[i]`` carries face ``seq.faces[i % m]`` for m crossings;
+    ``arcs[i]`` is the developed copy of crossing i's edge, directed as the
+    boundary of the face copy being exited (the entered copy traverses it
+    backwards).  ``closing`` is the holonomy: placements[-1] relative to the
+    identity start.
     """
 
     seq: CrossingSequence
-    faces: Tuple[int, ...]
     placements: Tuple[Mat3, ...]
     arcs: Tuple[Tuple[Vec3, Vec3], ...]
 
@@ -108,20 +102,13 @@ def develop(spec: SolidSpec, seq: CrossingSequence) -> Development:
     seq.validate(spec)
     n = spec.face_size
     placements: List[Mat3] = [IDENTITY]
-    faces: List[int] = [seq.crossings[0].from_face]
     arcs: List[Tuple[Vec3, Vec3]] = []
     r = IDENTITY
-    for c in seq.crossings:
-        j = spec.face_edge_local[(c.from_face, c.edge)]
+    for f, e in zip(seq.faces, seq.edges):
+        j = spec.face_edge_local[(f, e)]
         p = mat_apply(r, spec.chart[j])
         q = mat_apply(r, spec.chart[(j + 1) % n])
         arcs.append((p, q))
-        r = mat_compose(r, spec.steps[(c.from_face, j)])
+        r = mat_compose(r, spec.steps[(f, j)])
         placements.append(r)
-        faces.append(c.to_face)
-    return Development(
-        seq=seq,
-        faces=tuple(faces),
-        placements=tuple(placements),
-        arcs=tuple(arcs),
-    )
+    return Development(seq=seq, placements=tuple(placements), arcs=tuple(arcs))

@@ -51,14 +51,14 @@ def test_criterion_2_octahedron_two_classes():
         t0 = time.time()
         classes = enumerate_classes(spec, 12)
         dt = time.time() - t0
-        counts_ = sorted(len(c.seq.crossings) for c in classes)
+        counts_ = sorted(len(c.path.seq.edges) for c in classes)
         ok &= len(classes) == 2 and counts_ == [6, 8] and dt < 60.0
         square = {spec.edge_by_names(a, b) for a, b in
                   (("A1", "A2"), ("A2", "A3"), ("A3", "A4"), ("A4", "A1"))}
         for c in classes:
             ok &= c.path.closure_residual < 1e-9
             ok &= c.path.total_length < 2 * PI
-            if len(c.seq.crossings) == 8:
+            if len(c.path.seq.edges) == 8:
                 # right-angle crossings on the four non-square edges,
                 # midpoints on the four square edges
                 for x in c.path.crossings:
@@ -79,7 +79,7 @@ def test_criterion_3_cube_three_classes():
         t0 = time.time()
         classes = enumerate_classes(spec, 12)
         dt = time.time() - t0
-        crossings = sorted(len(c.seq.crossings) for c in classes)
+        crossings = sorted(len(c.path.seq.edges) for c in classes)
         orbits = sorted(c.orbit_size for c in classes)
         ok &= (
             len(classes) == 3
@@ -252,7 +252,7 @@ def test_criterion_9_property_suites():
             base = seqs[i % len(seqs)]
             path = base_paths[i % len(seqs)]
             op = ops[rng.randrange(len(ops))]
-            m = len(base.crossings)
+            m = len(base.edges)
             shift = rng.randrange(m)
             word = base.edge_word()
             shifted = word[shift:] + word[:shift]
@@ -295,7 +295,7 @@ def test_criterion_9_property_suites():
             alpha = lo + (hi - lo) * rng.uniform(0.15, 0.85)
             spec = build_solid(kind, alpha)
             a = enumerate_classes(spec, 8)
-            same = [(c.seq.edge_word(), c.tag) for c in a] == reference_classes(spec, 8)
+            same = [(c.path.seq.edge_word(), c.tag) for c in a] == reference_classes(spec, 8)
             ok &= same
             if not same:
                 details.append(f"prune mismatch {kind.value} alpha={alpha}")

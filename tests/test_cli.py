@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphgeo import cli, counts, solids
+from sphgeo import cli, counts, finder, solids
 from sphgeo.cli import main, parse_alpha
 from sphgeo.finder import enumerate_classes
 from sphgeo.solids import SolidKind, build_solid
@@ -422,13 +422,21 @@ def test_export_deeply_nested_document(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "enumerate", "sweep", "export"])
-@pytest.mark.parametrize("target", ["missing-directory", "directory"])
-def test_unwritable_out(tmp_path, capsys, command, target):
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "empty"])
+def test_unwritable_out(tmp_path, capsys, monkeypatch, command, target):
     # an --out that cannot be opened is a configuration error, named in one
-    # line, like an unreadable --in
-    out = tmp_path / "missing" / "x.out" if target == "missing-directory" else tmp_path
+    # line, like an unreadable --in, and found before any work is done
+    out = {"missing-directory": tmp_path / "missing" / "x.out", "directory": tmp_path,
+           "empty": ""}[target]
     doc = tmp_path / "octa.json"
     doc.write_text(_enumerated("octa", "0.4pi"))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before --out was checked")
+
+    for module, name in ((finder, "solve_tetra_type"), (finder, "enumerate_classes"),
+                         (counts, "count_tetra"), (cli, "render_svg")):
+        monkeypatch.setattr(module, name, no_work)
     argv = {
         "solve": ["solve", "--solid", "tetra", "--alpha", "0.6pi", "--type", "0,1"],
         "enumerate": ["enumerate", "--solid", "octa", "--alpha", "0.4pi",
@@ -441,6 +449,39 @@ def test_unwritable_out(tmp_path, capsys, command, target):
     err = capsys.readouterr().err
     assert err.startswith(f"cannot write output {out}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--solid", "tetra", "--alpha", "0.6pi", "--type", "1,1"],
+    ["solve", "--solid", "tetra", "--alpha", "0.4pi", "--type", "1,9"],
+    ["export", "--in", "<bad>"],
+], ids=["not-realizable", "excluded", "invalid-document"])
+def test_failed_command_leaves_out_alone(tmp_path, capsys, argv):
+    # a command that fails after the --out check (exit 3 or 4) neither
+    # creates the file nor truncates one that is there
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema_version": "0"}))
+    argv = [str(bad) if a == "<bad>" else a for a in argv]
+    fresh, kept = tmp_path / "fresh.out", tmp_path / "kept.out"
+    kept.write_text("previous\n")
+    for out in (fresh, kept):
+        assert main(argv + ["--out", str(out)]) in (3, 4)
+    assert not fresh.exists()
+    assert kept.read_text() == "previous\n"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--solid", "octa", "--alpha", "1.2653637076958888", "--depth", "12"],
+    ["solve", "--solid", "tetra", "--alpha", "1.7671458676442584", "--type", "0,1"],
+], ids=["enumerate", "solve"])
+def test_tight_closure_tolerance_exits_2(capsys, argv):
+    # the search solves a word at 1e-15 on its own floats, but its canonical
+    # image does not re-solve: a tolerance too tight, named in one line
+    assert main(argv + ["--tol-closure", "1e-15"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tol_closure" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @functools.lru_cache(maxsize=None)

@@ -416,7 +416,7 @@ def test_chord_nesting_agrees_with_pairwise(kind, alphas, simplicity_verdicts):
         spec = build_solid(kind, alpha)
         for cls in enumerate_classes(spec, 16):
             # a class traversed twice closes but retraces itself
-            doubled = CrossingSequence.from_edges(spec, cls.seq.edge_word() * 2)
+            doubled = CrossingSequence.from_edges(spec, cls.path.seq.edge_word() * 2)
             solve_sequence(spec, doubled)
     assert True in simplicity_verdicts and False in simplicity_verdicts
 
@@ -522,7 +522,7 @@ def test_solve_equivariance(kind, alpha, names):
     path = solve_sequence(spec, seq)
     rng = random.Random(83)
     ops = symmetry_group(spec)
-    m = len(seq.crossings)
+    m = len(seq.edges)
     for _ in range(40):
         op = ops[rng.randrange(len(ops))]
         shift = rng.randrange(m)
@@ -550,7 +550,7 @@ def test_solve_reversal_same_geodesic():
         spec, CrossingSequence.from_edges(spec, seq.edge_word()[::-1])
     )
     assert rev is not None
-    m = len(seq.crossings)
+    m = len(seq.edges)
     assert rev.total_length == pytest.approx(path.total_length, abs=1e-9)
     for i in range(m):
         c_orig = path.crossings[(m - 1 - i) % m]
@@ -602,12 +602,12 @@ def test_tetra_type_sequence_structure():
     spec = build_solid(SolidKind.TETRAHEDRON, 0.4 * PI)
     for p, q in ((0, 1), (1, 1), (1, 2), (3, 4), (2, 5)):
         seq = tetra_type_sequence(spec, p, q)
-        assert len(seq.crossings) == 4 * (p + q)
+        assert len(seq.edges) == 4 * (p + q)
         seq.validate(spec)
         # pair counts (p, q, p+q), each edge of a pair crossed equally
         per_edge = [0] * 6
-        for c in seq.crossings:
-            per_edge[c.edge] += 1
+        for e in seq.edges:
+            per_edge[e] += 1
         pairs = sorted(
             (per_edge[spec.edge_index[a]], per_edge[spec.edge_index[b]])
             for a, b in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
@@ -657,7 +657,7 @@ def test_vertex_loop_geometry():
 def test_enumerate_octa():
     spec = build_solid(SolidKind.OCTAHEDRON, 0.4 * PI)
     classes = enumerate_classes(spec, 12)
-    assert sorted(len(c.seq.crossings) for c in classes) == [6, 8]
+    assert sorted(len(c.path.seq.edges) for c in classes) == [6, 8]
     assert sorted(c.tag for c in classes) == ["type1", "type2"]
     assert sorted(c.orbit_size for c in classes) == [4, 6]
 
@@ -665,7 +665,7 @@ def test_enumerate_octa():
 def test_enumerate_cube():
     spec = build_solid(SolidKind.CUBE, 0.6 * PI)
     classes = enumerate_classes(spec, 12)
-    assert sorted(len(c.seq.crossings) for c in classes) == [4, 6, 6]
+    assert sorted(len(c.path.seq.edges) for c in classes) == [4, 6, 6]
     assert sorted(c.orbit_size for c in classes) == [3, 4, 12]
 
 
@@ -682,8 +682,8 @@ def test_enumerate_deterministic():
     spec = build_solid(SolidKind.OCTAHEDRON, 0.45 * PI)
     a = enumerate_classes(spec, 10)
     b = enumerate_classes(spec, 10)
-    assert [c.seq.edge_word() for c in a] == [c.seq.edge_word() for c in b]
-    words = [c.seq.edge_word() for c in a]
+    assert [c.path.seq.edge_word() for c in a] == [c.path.seq.edge_word() for c in b]
+    words = [c.path.seq.edge_word() for c in a]
     assert words == sorted(words)
 
 
@@ -710,9 +710,33 @@ def test_proper_powers_never_simple(kind, alphas, monkeypatch):
         for w in closures:
             assert all(w[d:] + w[:d] != w for d in range(1, len(w)))
         for cls in classes:
-            doubled = cls.seq.edge_word() * 2
+            doubled = cls.path.seq.edge_word() * 2
             assert solve_sequence(spec, CrossingSequence.from_edges(spec, doubled)) is None
         closures.clear()
+
+
+def test_search_lays_out_closures_as_develop(monkeypatch):
+    # the search builds each closure's development crossing by crossing and
+    # solves it without developing again, so its faces, placements and arcs
+    # must be develop's, float for float
+    devs = []
+    solve = finder._solve_development
+
+    def recorded(spec, dev, tol_closure, tol_vertex):
+        devs.append(dev)
+        return solve(spec, dev, tol_closure, tol_vertex)
+
+    monkeypatch.setattr(finder, "_solve_development", recorded)
+    for kind in SolidKind:
+        lo, hi = ADMISSIBLE[kind]
+        for k in (1, 2, 3):
+            spec = build_solid(kind, lo + (hi - lo) * k / 4)
+            classes = enumerate_classes(spec, 16)
+            assert len(devs) > len(classes)
+            for dev in devs:
+                seq = CrossingSequence.from_edges(spec, dev.seq.edge_word())
+                assert dev == develop(spec, seq), dev.seq.edge_word()
+            devs.clear()
 
 
 def test_side_test_precedes_crossings(monkeypatch):
@@ -720,7 +744,7 @@ def test_side_test_precedes_crossings(monkeypatch):
     # crossing point is computed
     spec = build_solid(SolidKind.OCTAHEDRON, 0.42 * PI)
     cls = enumerate_classes(spec, 8)[0]
-    dev = develop(spec, cls.seq)
+    dev = develop(spec, cls.path.seq)
     pole, theta = cls.path.pole, cls.path.total_length
     computed = []
     crossings = finder.equator_crossings
@@ -745,7 +769,7 @@ def test_incidence_sides_developed_independently():
     # a copy that is off by 1e-6 rad makes the two incidence angles disagree
     spec = build_solid(SolidKind.CUBE, 0.59 * PI)
     cls = enumerate_classes(spec, 8)[0]
-    dev = develop(spec, cls.seq)
+    dev = develop(spec, cls.path.seq)
     pole, theta = cls.path.pole, cls.path.total_length
     assert finder._path_for_pole(spec, dev, pole, theta, 1e-9, 1e-9) is not None
     for k in range(1, len(dev.arcs)):
@@ -796,7 +820,7 @@ def test_pruning_equivalence_depth8(kind, alphas):
     for alpha in alphas:
         spec = build_solid(kind, alpha)
         pruned = enumerate_classes(spec, 8)
-        assert [(c.seq.edge_word(), c.tag) for c in pruned] == reference_classes(spec, 8)
+        assert [(c.path.seq.edge_word(), c.tag) for c in pruned] == reference_classes(spec, 8)
 
 
 def test_enumerate_matches_golden_file():
@@ -811,7 +835,7 @@ def test_enumerate_matches_golden_file():
         spec = build_solid(SolidKind(solid), float(alpha))
         for c in enumerate_classes(spec, int(depth)):
             got.append(" ".join([
-                solid, alpha, depth, ",".join(map(str, c.seq.edge_word())), c.tag,
+                solid, alpha, depth, ",".join(map(str, c.path.seq.edge_word())), c.tag,
                 str(c.orbit_size), repr(c.path.total_length),
             ]))
     assert got == rows
@@ -871,9 +895,9 @@ def test_turn_gap_matches_sampled_distance(kind):
 def test_enumerate_stable_beyond_required_depth():
     # no further classes hide just past the 12-crossing horizon
     spec = build_solid(SolidKind.OCTAHEDRON, 0.42 * PI)
-    assert sorted(len(c.seq.crossings) for c in enumerate_classes(spec, 16)) == [6, 8]
+    assert sorted(len(c.path.seq.edges) for c in enumerate_classes(spec, 16)) == [6, 8]
     spec = build_solid(SolidKind.CUBE, 0.58 * PI)
-    assert sorted(len(c.seq.crossings) for c in enumerate_classes(spec, 14)) == [4, 6, 6]
+    assert sorted(len(c.path.seq.edges) for c in enumerate_classes(spec, 14)) == [4, 6, 6]
 
 
 def test_enumerate_rejects_shallow_depth():
@@ -887,3 +911,12 @@ def test_enumerate_rejects_depth_beyond_recursion_bound():
     spec = build_solid(SolidKind.CUBE, 0.52 * PI)
     with pytest.raises(sphtrig.DomainError):
         enumerate_classes(spec, finder.MAX_SEARCH_DEPTH + 1)
+
+
+def test_tight_closure_tolerance_is_a_domain_error():
+    # at 1e-15 the search solves a word on its own development, but the
+    # canonical image of that word, developed afresh, misses the tolerance
+    # by rounding: a configuration error, not an internal one
+    spec = build_solid(SolidKind.OCTAHEDRON, 1.2653637076958888)
+    with pytest.raises(sphtrig.DomainError, match="tol_closure"):
+        enumerate_classes(spec, 12, tol_closure=1e-15)

@@ -102,7 +102,7 @@ def test_chart_metric_invariants(kind):
             a, b = spec.chart[k], spec.chart[(k + 1) % n]
             assert abs(sphtrig.angle_between(a, b) - side) < 1e-12
             # circumradius consistency: vertex-to-center distance
-            assert abs(a[2] - math.cos(spec.circumradius)) < 1e-12
+            assert abs(a[2] - math.cos(sphtrig.circumradius(n, alpha))) < 1e-12
             # interior angle from the side cosine rule applied to the
             # vertex-neighbour triangle
             c = spec.chart[(k + 2) % n]

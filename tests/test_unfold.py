@@ -15,7 +15,7 @@ from sphgeo.sphtrig import (
     mat_transpose,
     rot_about,
 )
-from sphgeo.unfold import CrossingSequence, DirectedCrossing, develop
+from sphgeo.unfold import CrossingSequence, develop
 
 from util import holonomy, orthonormality_residual, random_sequence, step_rotation
 
@@ -58,7 +58,8 @@ def test_validate_checks_face_chain():
     seq = CrossingSequence.from_edges(spec, [0, 1, 2])
     seq.validate(spec)
     broken = CrossingSequence(
-        (seq.crossings[0], seq.crossings[2], seq.crossings[1])
+        (seq.faces[0], seq.faces[2], seq.faces[1]),
+        (seq.edges[0], seq.edges[2], seq.edges[1]),
     )
     with pytest.raises(DomainError):
         broken.validate(spec)
@@ -73,8 +74,8 @@ def test_step_across_and_back_is_identity(kind):
     spec = build_solid(kind, MIDPOINTS[kind])
     for (f, j), (g, j2) in spec.gluing.items():
         e = spec.face_edges[f][j]
-        there = step_rotation(spec, IDENTITY, DirectedCrossing(f, e, g))
-        back = step_rotation(spec, there, DirectedCrossing(g, e, f))
+        there = step_rotation(spec, IDENTITY, f, e, g)
+        back = step_rotation(spec, there, g, e, f)
         assert _is_identity(back)
 
 
@@ -88,9 +89,9 @@ def test_developed_edge_copies_coincide(kind):
     for _ in range(50):
         seq = random_sequence(spec, rng)
         dev = develop(spec, seq)
-        for i, c in enumerate(seq.crossings):
-            j = spec.face_edge_local[(c.from_face, c.edge)]
-            gi, j2 = spec.gluing[(c.from_face, j)]
+        for i, (f, e) in enumerate(zip(seq.faces, seq.edges)):
+            j = spec.face_edge_local[(f, e)]
+            gi, j2 = spec.gluing[(f, j)]
             p = mat_apply(dev.placements[i], spec.chart[j])
             q = mat_apply(dev.placements[i], spec.chart[(j + 1) % n])
             p2 = mat_apply(dev.placements[i + 1], spec.chart[j2])
@@ -102,7 +103,7 @@ def test_developed_edge_copies_coincide(kind):
 def test_step_rotation_rejects_mismatched_crossing():
     spec = build_solid(SolidKind.TETRAHEDRON, 0.5 * PI)
     with pytest.raises(DomainError):
-        step_rotation(spec, IDENTITY, DirectedCrossing(0, 5, 1))
+        step_rotation(spec, IDENTITY, 0, 5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +221,8 @@ def test_symmetry_conjugates_holonomy(kind):
         )
         # the image sequence starts on the image face; conjugate by the
         # chart-level rotation relating the two start placements
-        assert image.crossings[0].from_face == op.face_perm[seq.crossings[0].from_face]
-        w = _ambient_rotation(spec, op, seq.crossings[0].from_face)
+        assert image.faces[0] == op.face_perm[seq.faces[0]]
+        w = _ambient_rotation(spec, op, seq.faces[0])
         lhs = holonomy(spec, image)
         rhs = mat_compose(w, mat_compose(holonomy(spec, seq), mat_transpose(w)))
         assert max(
@@ -270,7 +271,7 @@ def test_cube_type1_axis_is_symmetry_axis():
     axis, ang, near = axis_angle(r)
     assert not near
     rho = {0: 1, 1: 2, 2: 3, 3: 0, 4: 5, 5: 6, 6: 7, 7: 4}
-    f0, f1 = dev.faces[0], dev.faces[1]
+    f0, f1 = dev.seq.faces[0], dev.seq.faces[1]
 
     def pos(copy, face, v):
         idx = spec.faces[face].index(v)

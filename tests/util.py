@@ -9,7 +9,7 @@ from typing import Iterable, List, Optional, Tuple
 from sphgeo import finder, sphtrig, unfold
 from sphgeo.solids import SolidSpec
 from sphgeo.sphtrig import PI, DomainError
-from sphgeo.unfold import CrossingSequence, DirectedCrossing
+from sphgeo.unfold import CrossingSequence
 
 
 # ---------------------------------------------------------------------------
@@ -41,17 +41,17 @@ def orthonormality_residual(m) -> float:
     return max(res, abs(mat_det(m) - 1.0))
 
 
-def step_rotation(spec: SolidSpec, placement, crossing: DirectedCrossing):
+def step_rotation(spec: SolidSpec, placement, from_face: int, edge: int, to_face: int):
     """Placement of the neighbouring face copy after one edge crossing."""
-    j = spec.face_edge_local.get((crossing.from_face, crossing.edge))
+    j = spec.face_edge_local.get((from_face, edge))
     if j is None:
         raise DomainError(
-            f"edge {crossing.edge} is not an edge of face {crossing.from_face}"
+            f"edge {edge} is not an edge of face {from_face}"
         )
-    gi = spec.gluing[(crossing.from_face, j)][0]
-    if gi != crossing.to_face:
+    gi = spec.gluing[(from_face, j)][0]
+    if gi != to_face:
         raise DomainError("crossing does not match the gluing map")
-    return sphtrig.mat_compose(placement, spec.steps[(crossing.from_face, j)])
+    return sphtrig.mat_compose(placement, spec.steps[(from_face, j)])
 
 
 def holonomy(spec: SolidSpec, seq: CrossingSequence):
@@ -156,7 +156,7 @@ def sampled_segments(
         a = sphtrig.mat_apply(inv, pts[i])
         b = sphtrig.mat_apply(inv, pts[i + 1] if i < m - 1 else closing)
         samples = [sphtrig.slerp(a, b, k / n_samples) for k in range(n_samples + 1)]
-        out.append((dev.faces[i + 1], samples))
+        out.append((dev.seq.faces[(i + 1) % m], samples))
     return out
 
 
@@ -171,9 +171,8 @@ def trace_geodesic(spec: SolidSpec, path) -> Tuple[Tuple[int, ...], float, float
     """
     n = spec.face_size
     m = len(path.crossings)
-    first = path.seq.crossings[0]
-    face = first.to_face
-    j = spec.face_edge_local[(face, first.edge)]
+    face = path.seq.faces[1]
+    j = spec.face_edge_local[(face, path.seq.edges[0])]
     a, b = spec.chart[j], spec.chart[(j + 1) % n]
     va = spec.faces[face][j]
     vb = spec.faces[face][(j + 1) % n]
@@ -261,7 +260,7 @@ def pairwise_is_simple(spec: SolidSpec, dev: unfold.Development, hits) -> bool:
         inv = sphtrig.mat_transpose(dev.placements[i + 1])
         a = sphtrig.mat_apply(inv, pts[i])
         b = sphtrig.mat_apply(inv, pts[i + 1] if i < m - 1 else closing)
-        by_face.setdefault(dev.faces[i + 1], []).append((a, b))
+        by_face.setdefault(dev.seq.faces[(i + 1) % m], []).append((a, b))
     for segs in by_face.values():
         # segments in one physical face belong to distinct visits, so any
         # contact at all is a self-intersection
@@ -461,12 +460,12 @@ def reference_path_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex):
 
     n = spec.face_size
     crossings = []
-    for i, c in enumerate(dev.seq.crossings):
-        j = spec.face_edge_local[(c.from_face, c.edge)]
-        v1 = spec.faces[c.from_face][j]
-        v2 = spec.faces[c.from_face][(j + 1) % n]
+    for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
+        j = spec.face_edge_local[(f, e)]
+        v1 = spec.faces[f][j]
+        v2 = spec.faces[f][(j + 1) % n]
         inc_exit = _reference_incidence(spec, dev.placements[i], j, pts[i], pole)
-        j2 = spec.gluing[(c.from_face, j)][1]
+        j2 = spec.gluing[(f, j)][1]
         inc_enter = _reference_incidence(spec, dev.placements[i + 1], j2, pts[i], pole)
         # the two face copies develop the edge independently; the angles they
         # see must agree (edge orientations oppose, hence the pi flip)
@@ -476,7 +475,7 @@ def reference_path_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex):
             t, inc = hits[i].t, inc_exit
         else:
             t, inc = 1.0 - hits[i].t, PI - inc_exit
-        crossings.append(finder.Crossing(c.edge, t, inc))
+        crossings.append(finder.Crossing(e, t, inc))
 
     if not finder._dev_is_simple(spec, dev, hits):
         return None
