@@ -252,8 +252,7 @@ def cmd_solve(kind: SolidKind, alpha: float, ptype: Optional[Tuple[int, int]],
         print(f"type ({p},{q}) is not realizable at alpha={alpha!r}",
               file=sys.stderr)
         return EXIT_NOT_REALIZABLE
-    word = finder.canonical_word(spec, path.seq.edge_word())
-    cls = finder.solve_class(spec, word, tol_closure, tol_vertex)
+    cls = finder.solve_class(spec, path.seq.edge_word(), tol_closure, tol_vertex)
     report = counts.count_tetra(alpha, tol_closure=tol_closure, tol_vertex=tol_vertex)
     return _write_out(dump_json(result_document(spec, [cls], report)), out)
 

@@ -25,10 +25,15 @@ The feasible poles form a convex polygon in the gnomonic chart about the first
 edge's entry vertex; each crossing clips it by its two half-planes
 (Sutherland-Hodgman), and a branch survives while a witness pole meets every
 constraint strictly.  The symmetry group is transitive on (face, edge)
-incidences, so the walk starts from one directed crossing only, and the
-mirror that fixes that crossing halves what is left: it maps each exit
-turn t to n - t, so while every turn so far is its own mirror only the
-turns t <= n - t are walked (see `enumerate_classes`).  The walk lays out
+incidences, so the walk starts from one directed crossing only.  A walk
+from there is fixed by its exit turns, and the walks that trace one class
+read the rotations, reversals and mirrors (t -> n - t) of one cyclic turn
+word, so the search walks only the least of them: it cuts a prefix as soon
+as some such image is smaller at a turn the prefix fixes, and solves a
+closed word only if it is the least image (see `enumerate_classes`).  This
+is orderly generation by canonical augmentation (McKay, J. Algorithms 26,
+1998) with the incremental prefix test of bracelet generators (Sawada,
+SIAM J. Comput. 31, 2001).  The walk lays out
 the development as it goes, so a closed word is solved on those placements
 without being developed again (`test_search_lays_out_closures_as_develop`
 checks that they are `develop`'s); a word that repeats a shorter one is
@@ -487,6 +492,55 @@ def class_tag(spec: SolidSpec, path: GeodesicPath) -> str:
 # exhaustive enumeration
 
 
+def _extend_least(
+    turns: Sequence[int], tied: Sequence[Tuple[int, bool]], n: int
+) -> Optional[List[Tuple[int, bool]]]:
+    """The search's prefix test (see `enumerate_classes`) for a new turn.
+
+    `turns` is the prefix t_0..t_k.  `tied` lists the forward images
+    (s, mirrored) whose turns so far equal the prefix's first ones:
+    t_s..t_{k-1} (each read as n - t if mirrored) equal t_0..t_{k-1-s}.
+    Returns the forward images still tied after t_k, or None as soon as
+    some image is strictly smaller than the prefix at a position the prefix
+    fixes.  t_k starts two forward images and two backward reads,
+    n - t_k, n - t_{k-1}, ... and t_k, t_{k-1}, ...; a backward read learns
+    no later turn before closure, so it is read here, up to its first
+    difference.
+    """
+    k = len(turns) - 1
+    t = turns[k]
+    out = []
+    for s, mirrored in tied:
+        a = n - t if mirrored else t
+        b = turns[k - s]
+        if a < b:
+            return None
+        if a == b:
+            out.append((s, mirrored))
+    # t_k starts a forward image and its mirror (the plain image from t_0
+    # is the prefix itself); the backward reads below begin with the same
+    # first comparisons, t_k and n - t_k against t_0
+    if k and t == turns[0]:
+        out.append((k, False))
+    if n - t == turns[0]:
+        out.append((k, True))
+    for mirrored in (False, True):
+        for j in range(k + 1):
+            a = turns[k - j] if mirrored else n - turns[k - j]
+            b = turns[j]
+            if a != b:
+                if a < b:
+                    return None
+                break
+    return out
+
+
+def _is_least_turn_word(word: Tuple[int, ...], n: int) -> bool:
+    """Whether the cyclic turn word `word` is the least of its rotations,
+    reversals and mirrors (each turn t read as n - t)."""
+    return word == min(cyclic_min(word), cyclic_min(tuple(n - t for t in word)))
+
+
 def enumerate_classes(
     spec: SolidSpec,
     max_crossings: int,
@@ -502,24 +556,39 @@ def enumerate_classes(
     starts by crossing edge 0 out of face A = edge_faces[0][0], and the
     search walks only from there.
 
-    Mirror pruning by turns.  Leaving a face entered over local edge
-    `entry` through local edge k is the exit turn t = (k - entry) mod n.
-    The symmetry sigma that fixes that first crossing and is not the
-    identity swaps the ends of edge 0, so it is a reflection: it reverses
-    the orientation of every face, sending local edge k of a face to local
-    edge (r - k - 1) mod n of its image for some r, and so an exit turn t
-    to n - t.  Thus sigma maps the walks from the start crossing onto
-    themselves, turn word (t1, t2, ...) to (n - t1, n - t2, ...), and a
-    prefix stays feasible and within the length cap exactly when its
-    sigma-image does.  (In floats the two can differ only where the pole
-    region has zero area, as on the repeats of a closed word.)  Take any
-    walk w and its image sigma(w).  They share every turn up to the first
-    t_i with t_i != n - t_i; at that turn exactly one of them has
-    t_i < n - t_i, and from there on the search prunes neither.  So the
-    search keeps, while every turn so far is its own mirror (2t = n, which
-    is only the straight turn on squares), only the turns t <= n - t, and
-    still reaches w or sigma(w), a word of the same class.  Closures are
-    solved on the development the walk has already laid out.
+    Least turn words.  Leaving a face entered over local edge `entry`
+    through local edge k is the exit turn t = (k - entry) mod n, and a walk
+    from the start crossing is fixed by its turns.  A closed walk of m
+    crossings has the cyclic turn word T = (t_0, ..., t_{m-1}), where t_i
+    is the turn in the face that crossing i enters and t_{m-1} the closing
+    turn back onto the start crossing.  Its geodesic passes every crossing
+    i in both directions, and the group holds, for each, exactly two
+    symmetries onto the start crossing: one keeps the orientation of every
+    face and so every turn, the other reverses it and sends local edge k to
+    (r - k - 1) mod n for some r, so each turn t to n - t.  Walked forward
+    from crossing i, the images read the rotation t_i, t_{i+1}, ... or its
+    mirror n - t_i, n - t_{i+1}, ...; walked backward, entering the face
+    that crossing i leaves, they read n - t_{i-1}, n - t_{i-2}, ... or its
+    mirror t_{i-1}, t_{i-2}, ....  So the walks from the start crossing
+    that trace one class are exactly the walks of these 4m images of T, and
+    the search walks only the least of them: a class has one least word,
+    hence one walk and one closure.  Feasibility and the length cap are
+    invariant under the images: each prefix of an image's walk traces a
+    piece of the same geodesic, carried by a symmetry and perhaps reversed,
+    so some pole crosses all its edges the right way and its segments sum
+    below 2*pi.  (In floats a prefix and its image can differ only where
+    the pole region has zero area, as on the repeats of a closed word.)
+    The prefix test (`_extend_least`) cuts t_0..t_k as soon as some image
+    is strictly smaller at a position t_0..t_k fixes, which every
+    completion of the prefix shares; no image is smaller than the least
+    one, so it is never cut.  A closed word is solved only if it is the least of its
+    4m images, on the development the walk has already laid out.  This is
+    isomorph-free generation by canonical augmentation (B. D. McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998), with
+    the incremental prefix test of bracelet generators (J. Sawada,
+    "Generating bracelets in constant amortized time", SIAM J. Comput. 31,
+    2001): each forward comparison still tied is extended by one turn, and
+    each backward read stops at its first difference.
 
     Length bound by turns.  The geodesic's segment in a face copy runs
     from a point of the entry edge to a point of the exit edge, so it is
@@ -546,39 +615,41 @@ def enumerate_classes(
     n = spec.face_size
     chart = spec.chart
     start_face = spec.edge_faces[0][0]
-    found: Set[Tuple[int, ...]] = set()
-    tried: Set[Tuple[int, ...]] = set()
+    start_j = spec.face_edge_local[(start_face, 0)]
+    found: List[Tuple[int, ...]] = []
     # the walk's own development, laid out as `develop` does it: crossing i
     # leaves the copy of faces[i] placed by placements[i] through the
-    # developed edge arcs[i]; cons holds the two pole constraints of each arc
+    # developed edge arcs[i]; cons holds the two pole constraints of each
+    # arc, and turns[i] is the turn in faces[i + 1]
     edges: List[int] = []
     faces: List[int] = [start_face]
     placements: List[Mat3] = [IDENTITY]
     arcs: List[Tuple[Vec3, Vec3]] = []
     cons: List[Vec3] = []
+    turns: List[int] = []
 
-    def close_and_solve() -> None:
+    def close_and_solve(closing: int) -> None:
         word = tuple(edges)
         m = len(word)
         # a proper power retraces a shorter closed geodesic: never simple
         for d in range(1, m // 2 + 1):
             if m % d == 0 and word[d:] + word[:d] == word:
                 return
-        key = cyclic_min(word)
-        if key in tried:
+        if not _is_least_turn_word(tuple(turns) + (closing,), n):
             return
-        tried.add(key)
         dev = Development(CrossingSequence(tuple(faces[:-1]), word),
                           tuple(placements), tuple(arcs))
         if _solve_development(spec, dev, tol_closure, tol_vertex) is not None:
-            found.add(canonical_word(spec, word))
+            found.append(word)
 
-    def cross(j: int, region: Optional[PoleRegion], lb: float, tied: bool) -> None:
+    def cross(j: int, region: Optional[PoleRegion], lb: float,
+              tied: Sequence[Tuple[int, bool]]) -> None:
         """Cross local edge j of the current face copy.  While some pole
         still crosses every developed edge, close the walk if it is back in
         the start face and go on through the other edges of the face
         entered.  A None region starts the chart about this first crossing's
-        entry vertex; `tied` says every turn so far is its own mirror."""
+        entry vertex; `tied` holds the forward images of `turns` that
+        `_extend_least` has not yet decided."""
         cur_face = faces[-1]
         placement = placements[-1]
         p = mat_apply(placement, chart[j])
@@ -587,23 +658,26 @@ def enumerate_classes(
         cons.append(neg(p))
         region = _narrow(region or (_pole_box(q), None), cons, 2)
         if region is not None:
-            e = spec.face_edges[cur_face][j]
             face, entry = spec.gluing[(cur_face, j)]
-            edges.append(e)
+            edges.append(spec.face_edges[cur_face][j])
             faces.append(face)
             arcs.append((p, q))
             placements.append(mat_compose(placement, spec.steps[(cur_face, j)]))
-            if len(edges) >= 3 and face == start_face and e != 0:
-                close_and_solve()
+            closing = (start_j - entry) % n
+            if len(edges) >= 3 and face == start_face and closing:
+                close_and_solve(closing)
             if len(edges) < max_crossings:
                 for k in range(n):
                     t = (k - entry) % n
-                    if t == 0 or (tied and t > n - t):
+                    if t == 0:
                         continue
-                    straight = 2 * t == n
-                    lb2 = lb + spec.edge_length if straight else lb
+                    lb2 = lb + spec.edge_length if 2 * t == n else lb
                     if lb2 < TWO_PI - 1e-12:
-                        cross(k, region, lb2, tied and straight)
+                        turns.append(t)
+                        still = _extend_least(turns, tied, n)
+                        if still is not None:
+                            cross(k, region, lb2, still)
+                        turns.pop()
             edges.pop()
             faces.pop()
             arcs.pop()
@@ -611,9 +685,11 @@ def enumerate_classes(
         cons.pop()
         cons.pop()
 
-    cross(spec.face_edge_local[(start_face, 0)], None, 0.0, True)
+    cross(start_j, None, 0.0, ())
 
-    return [solve_class(spec, word, tol_closure, tol_vertex) for word in sorted(found)]
+    classes = [solve_class(spec, word, tol_closure, tol_vertex) for word in found]
+    classes.sort(key=lambda c: c.path.seq.edges)
+    return classes
 
 
 def solve_class(
@@ -622,17 +698,17 @@ def solve_class(
     tol_closure: float = 1e-9,
     tol_vertex: float = 1e-9,
 ) -> GeodesicClass:
-    """The class of `word`, the canonical word (see `canonical_word`) of a
-    sequence that solved: its path is solved on `word` itself."""
-    seq = CrossingSequence.from_edges(spec, word)
+    """The class of `word`, any edge word of a sequence that solved: its
+    path is solved on the class's canonical word (see `canonical_word`)."""
+    orbit = _orbit(spec, word)
+    seq = CrossingSequence.from_edges(spec, min(orbit))
     path = solve_sequence(spec, seq, tol_closure, tol_vertex)
     if path is None:
-        # the search solved an image of `word` on its own floats: only rounding differs
+        # the search solved `word` on its own floats; its canonical image
+        # differs from it by rounding only
         raise DomainError(f"tol_closure={tol_closure!r} is too tight for the canonical "
                           "image of a solved sequence to re-solve")
-    return GeodesicClass(
-        path=path, orbit_size=orbit_size(spec, seq), tag=class_tag(spec, path)
-    )
+    return GeodesicClass(path=path, orbit_size=len(orbit), tag=class_tag(spec, path))
 
 
 # ---------------------------------------------------------------------------

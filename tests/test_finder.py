@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphgeo import counts, finder, sphtrig
 from sphgeo.finder import (
@@ -26,13 +28,16 @@ from util import (
     canonicalize,
     feasible_pole_exists,
     is_simple,
+    least_turn_image,
     pairwise_is_simple,
+    prefix_has_smaller_image,
     random_sequence,
     random_unit,
     reference_classes,
     reference_path_for_pole,
     sampled_is_simple,
     trace_geodesic,
+    turn_images,
 )
 
 OCTA_TYPE1 = ("A1A2", "A2A5", "A5A3", "A3A4", "A4A6", "A6A1")
@@ -42,6 +47,7 @@ CUBE_TYPE2 = ("A1'A2'", "A2'A2", "A2A3", "A3A4", "A4A4'", "A4'A1'")
 CUBE_TYPE3 = ("A2A3", "A2A2'", "A1A1'", "A1'A4'", "A3'A4'", "A3A4")
 
 ENUMERATE_CLASSES_TXT = Path(__file__).parent / "data" / "enumerate_classes.txt"
+ENUMERATE_DEEP_CLASSES_TXT = Path(__file__).parent / "data" / "enumerate_deep_classes.txt"
 
 
 def word_of(spec, names):
@@ -823,13 +829,10 @@ def test_pruning_equivalence_depth8(kind, alphas):
         assert [(c.path.seq.edge_word(), c.tag) for c in pruned] == reference_classes(spec, 8)
 
 
-def test_enumerate_matches_golden_file():
-    # data/enumerate_classes.txt pins every class found at depth 16 on 3
-    # solids x 4 angles: word, tag, orbit and length floats; it was written
-    # before mirror pruning moved to turns, and a rewrite of the search must
-    # reproduce it
-    rows = [line for line in ENUMERATE_CLASSES_TXT.read_text().splitlines()
-            if not line.startswith("#")]
+def _golden_rows(path):
+    """The rows of a golden file, and the same rows as enumerate_classes
+    computes them now."""
+    rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
     got = []
     for solid, alpha, depth in dict.fromkeys(tuple(r.split()[:3]) for r in rows):
         spec = build_solid(SolidKind(solid), float(alpha))
@@ -838,20 +841,38 @@ def test_enumerate_matches_golden_file():
                 solid, alpha, depth, ",".join(map(str, c.path.seq.edge_word())), c.tag,
                 str(c.orbit_size), repr(c.path.total_length),
             ]))
+    return rows, got
+
+
+def test_enumerate_matches_golden_file():
+    # data/enumerate_classes.txt pins every class found at depth 16 on 3
+    # solids x 4 angles: word, tag, orbit and length floats; it was written
+    # before mirror pruning moved to turns, and a rewrite of the search must
+    # reproduce it
+    rows, got = _golden_rows(ENUMERATE_CLASSES_TXT)
+    assert got == rows
+
+
+def test_enumerate_matches_deep_golden_file():
+    # data/enumerate_deep_classes.txt pins the classes at depth 40 (tetra
+    # 0.34pi and 0.45pi, octa 0.42pi, cube 0.52pi and 0.6pi), where the long
+    # tetra words of types up to (4, 5) give the search's least-turn-word
+    # cut the most to prune; it was written by the search that pruned only
+    # the mirror of the first turns
+    rows, got = _golden_rows(ENUMERATE_DEEP_CLASSES_TXT)
     assert got == rows
 
 
 @pytest.mark.parametrize("kind,alpha,nodes", [
-    (SolidKind.TETRAHEDRON, 0.45 * PI, 1250),
-    (SolidKind.OCTAHEDRON, 0.42 * PI, 1322),
-    (SolidKind.CUBE, 0.52 * PI, 5218),
-    (SolidKind.CUBE, 0.6 * PI, 2865),
+    (SolidKind.TETRAHEDRON, 0.45 * PI, 154),
+    (SolidKind.OCTAHEDRON, 0.42 * PI, 153),
+    (SolidKind.CUBE, 0.52 * PI, 508),
+    (SolidKind.CUBE, 0.6 * PI, 228),
 ])
 def test_search_node_counts(kind, alpha, nodes, monkeypatch):
     # the DFS makes one _narrow call per node; the counts at depth 20 pin
-    # how much the feasibility, mirror and length-bound pruning cut (cube
-    # 0.6pi visits 5133 nodes with no length bound, and finds the same
-    # classes).  They rest on the same float determinism as
+    # how much the feasibility, least-turn-word and length-bound pruning
+    # cut.  They rest on the same float determinism as
     # data/enumerate_classes.txt: a change to the pruning updates them.
     calls = []
     narrow = finder._narrow
@@ -863,6 +884,34 @@ def test_search_node_counts(kind, alpha, nodes, monkeypatch):
     monkeypatch.setattr(finder, "_narrow", counting)
     enumerate_classes(build_solid(kind, alpha), 20)
     assert len(calls) == nodes
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from((3, 4)).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), min_size=1, max_size=24))))
+def test_search_walks_least_turn_word_only(case):
+    # the search feeds each turn of a walk to finder._extend_least and
+    # checks the closed turn word with finder._is_least_turn_word; the
+    # oracles in util.py read every image of the word by brute force
+    n, word = case
+    least = least_turn_image(word, n)
+    for image in set(turn_images(word, n)):
+        tied = ()
+        cut_at = None
+        for k in range(len(image)):
+            tied = finder._extend_least(image[:k + 1], tied, n)
+            if tied is None:
+                cut_at = k
+                break
+        # the incremental test cuts exactly where the first prefix has a
+        # strictly smaller image at a position it fixes
+        assert cut_at == next((k for k in range(len(image))
+                               if prefix_has_smaller_image(image[:k + 1], n)), None)
+        if image == least:
+            assert cut_at is None  # every prefix of the least image passes
+        # the closure check accepts exactly the least image, so every other
+        # image is cut at a prefix or at closure
+        assert finder._is_least_turn_word(image, n) == (image == least)
 
 
 @pytest.mark.parametrize("kind", list(SolidKind))

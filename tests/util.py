@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from sphgeo import finder, sphtrig, unfold
 from sphgeo.solids import SolidSpec
@@ -269,6 +269,33 @@ def pairwise_is_simple(spec: SolidSpec, dev: unfold.Development, hits) -> bool:
                 if sphtrig.arcs_intersect(*segs[i], *segs[k]):
                     return False
     return True
+
+
+def turn_images(word: Sequence[int], n: int) -> List[Tuple[int, ...]]:
+    """Every rotation of a cyclic turn word T, of its mirror n - T, and of
+    both read backwards: the turn words of one class's walks from the
+    search's start crossing."""
+    w = tuple(word)
+    mirror = tuple(n - t for t in w)
+    return [v[r:] + v[:r] for v in (w, mirror, w[::-1], mirror[::-1]) for r in range(len(v))]
+
+
+def least_turn_image(word: Sequence[int], n: int) -> Tuple[int, ...]:
+    """Slow oracle for the one turn word `finder.enumerate_classes` walks
+    per class: the least of `turn_images`."""
+    return min(turn_images(word, n))
+
+
+def prefix_has_smaller_image(prefix: Sequence[int], n: int) -> bool:
+    """Slow oracle for the search's prefix cut: whether a read of `prefix`
+    alone, forward from some turn or backward from some turn, plain or
+    with every t read as n - t, is strictly smaller than the prefix's own
+    first turns at the first place they differ."""
+    p = tuple(prefix)
+    mirror = tuple(n - t for t in p)
+    reads = [v[s:] for v in (p, mirror) for s in range(len(p))]
+    reads += [v[r::-1] for v in (p, mirror) for r in range(len(p))]
+    return any(read < p[:len(read)] for read in reads)
 
 
 def reference_classes(spec: SolidSpec, depth: int) -> List[Tuple[Tuple[int, ...], str]]:
