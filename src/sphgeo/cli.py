@@ -318,7 +318,7 @@ def cmd_export(in_path: str, class_index: int, tol_closure: float,
     if doc.get("schema_version") != SCHEMA_VERSION:
         print("unsupported schema_version", file=sys.stderr)
         return EXIT_VALIDATION
-    classes = doc.get("classes") or []
+    classes = doc.get("classes")
     if not isinstance(classes, list):
         print("invalid result document: classes is not a list", file=sys.stderr)
         return EXIT_VALIDATION
@@ -424,17 +424,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         kind = _KINDS[args.solid]
         alpha = parse_alpha(args.alpha)
         ptype = _parse_type(args.type) if args.command == "solve" and args.type else None
-        if args.command == "enumerate" and args.depth < 3:
-            print("--depth must be at least 3", file=sys.stderr)
-            return EXIT_CONFIG
-        lo, hi = solids.ADMISSIBLE[kind]
-        if not lo < alpha < hi:
-            print(
-                f"alpha={alpha!r} outside the admissible interval "
-                f"({lo!r}, {hi!r}) for {args.solid}",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
         if args.command == "solve":
             return cmd_solve(kind, alpha, ptype, *tols, args.out)
         if args.command == "enumerate":

@@ -196,8 +196,6 @@ def count_tetra(
     A type (p, q) crosses 4(p+q) edges; candidates needing more than
     `max_crossings` (when given) are reported as depth-capped and not counted.
     """
-    if not PI / 3 < alpha < 2 * PI / 3:
-        raise DomainError(f"alpha={alpha!r} outside (pi/3, 2pi/3)")
     spec = solids.build_solid(SolidKind.TETRAHEDRON, alpha)
     verdicts: List[TypeVerdict] = []
     for p, q in candidate_types(alpha):

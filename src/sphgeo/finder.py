@@ -667,10 +667,8 @@ def enumerate_classes(
             if len(edges) >= 3 and face == start_face and closing:
                 close_and_solve(closing)
             if len(edges) < max_crossings:
-                for k in range(n):
-                    t = (k - entry) % n
-                    if t == 0:
-                        continue
+                for t in range(1, n):
+                    k = (entry + t) % n
                     lb2 = lb + spec.edge_length if 2 * t == n else lb
                     if lb2 < TWO_PI - 1e-12:
                         turns.append(t)
@@ -715,56 +713,38 @@ def solve_class(
 # targeted tetrahedron sequences by type
 
 
-_LATTICE_START = (0.2376843521963, 0.3579246175811)
-
-
 def tetra_type_sequence(spec: SolidSpec, p: int, q: int) -> CrossingSequence:
     """The crossing sequence of the type-(p, q) tetrahedron geodesic.
 
-    Traces a straight segment with direction 2p*a + 2q*b across the unit
-    triangular lattice whose vertices are 4-coloured by coordinate parity;
-    the colours of each crossed lattice edge name the solid edge.  The
-    segment closes after exactly 4(p+q) crossings.
+    The walk starts from the search's start crossing, edge 0 out of face
+    edge_faces[0][0], and is fixed by its exit turns (see
+    `enumerate_classes`).  Its turn word is the doubled lower Christoffel
+    word of slope p/q (J. Berstel, A. Lauve, C. Reutenauer, F. Saliola,
+    "Combinatorics on Words: Christoffel Words and Repetitions in Words",
+    AMS 2008): letter i, for i < 2(p + q), is upper iff
+    floor((i + 1) p / (p + q)) > floor(i p / (p + q)), and each lower letter
+    turns 2 then 1, each upper letter 1 then 2.  The walk closes on the
+    start crossing after exactly 4(p + q) crossings
+    (`test_tetra_type_sequence_structure` checks it, with the pair counts
+    and the class, against a straight line traced across the developing
+    triangular lattice, for every type with q <= 30).
     """
     if spec.kind is not SolidKind.TETRAHEDRON:
         raise DomainError("typed sequences apply to the tetrahedron")
     if not (0 <= p <= q) or q < 1 or math.gcd(p, q) != 1:
         raise DomainError(f"({p}, {q}) is not a valid coprime type")
-    x0, y0 = _LATTICE_START
-    wa, wb = 2 * p, 2 * q
-    events: List[Tuple[float, str, int]] = []
-    for mm in range(math.floor(x0) + 1, math.floor(x0 + wa) + 1):
-        events.append(((mm - x0) / wa, "a", mm))
-    for nn in range(math.floor(y0) + 1, math.floor(y0 + wb) + 1):
-        events.append(((nn - y0) / wb, "b", nn))
-    s0 = x0 + y0
-    for kk in range(math.floor(s0) + 1, math.floor(s0 + wa + wb) + 1):
-        events.append(((kk - s0) / (wa + wb), "d", kk))
-    events.sort()
-    if len(events) != 4 * (p + q):
-        raise AssertionError("lattice trace produced the wrong crossing count")
-    for (t1, _, _), (t2, _, _) in zip(events, events[1:]):
-        if t2 - t1 < 1e-9:
-            raise AssertionError("lattice trace start point is not generic")
-
-    def colour(mm: int, nn: int) -> int:
-        return (mm % 2) + 2 * (nn % 2)
-
-    word = []
-    for t, fam, val in events:
-        at = x0 + wa * t
-        bt = y0 + wb * t
-        if fam == "a":
-            n0 = math.floor(bt)
-            ca, cb = colour(val, n0), colour(val, n0 + 1)
-        elif fam == "b":
-            m0 = math.floor(at)
-            ca, cb = colour(m0, val), colour(m0 + 1, val)
-        else:
-            m0 = math.floor(at)
-            ca, cb = colour(m0, val - m0), colour(m0 + 1, val - m0 - 1)
-        word.append(spec.edge_id(ca, cb))
-    return CrossingSequence.from_edges(spec, word)
+    face = spec.edge_faces[0][0]
+    k = spec.face_edge_local[(face, 0)]
+    faces: List[int] = []
+    edges: List[int] = []
+    for i in range(2 * (p + q)):
+        upper = (i + 1) * p // (p + q) > i * p // (p + q)
+        for t in (1, 2) if upper else (2, 1):
+            faces.append(face)
+            edges.append(spec.face_edges[face][k])
+            face, entry = spec.gluing[(face, k)]
+            k = (entry + t) % 3
+    return CrossingSequence(tuple(faces), tuple(edges))
 
 
 def solve_tetra_type(

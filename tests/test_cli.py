@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
@@ -25,6 +26,9 @@ PI = math.pi
 SWEEP_FLAT_ARGS = ["sweep", "--solid", "tetra", "--alpha", "0.334pi",
                    "--alpha-stop", "0.340pi", "--alpha-step", "0.0005pi"]
 SWEEP_FLAT_CSV = Path(__file__).parent / "data" / "sweep_flat.csv"
+# `solve --solid tetra` per angle and type: exit code and SHA-256 of stdout,
+# as written when each type's sequence was traced across a coloured lattice
+SOLVE_TETRA_GOLDEN = Path(__file__).parent / "data" / "solve_tetra.txt"
 
 
 def test_parse_alpha():
@@ -163,6 +167,21 @@ def test_sweep_rows(tmp_path):
         assert 0.55 * PI - 1e-9 < alpha < 0.65 * PI + 1e-9
 
 
+def _solve_golden_rows():
+    lines = SOLVE_TETRA_GOLDEN.read_text().splitlines()
+    rows = [line.split() for line in lines if not line.startswith("#")]
+    return [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in rows]
+
+
+@pytest.mark.parametrize("alpha,ptype,code,digest", _solve_golden_rows())
+def test_solve_matches_golden_file(alpha, ptype, code, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["solve", "--solid", "tetra", "--alpha", alpha, "--type", ptype])
+    assert rc == int(code)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
 def test_sweep_deterministic_bytes(tmp_path):
     argv = ["sweep", "--solid", "tetra", "--alpha", "0.40pi",
             "--alpha-stop", "0.44pi", "--alpha-step", "0.02pi"]
@@ -217,6 +236,25 @@ def test_sweep_grid_at_cap(tmp_path, monkeypatch):
     assert main(argv + ["--alpha-stop", "0.59pi"]) == 2
     assert main(argv + ["--alpha-stop", "0.58pi"]) == 0
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 4
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "--solid", "octa", "--alpha", "0.4pi", "--depth", "2"],
+     "error: max_crossings must be at least 3\n"),
+    (["enumerate", "--solid", "octa", "--alpha", "0.55pi"],
+     "error: alpha=1.7278759594743864 outside the admissible interval "),
+    (["solve", "--solid", "tetra", "--alpha", "0.7pi", "--type", "0,1"],
+     "error: alpha=2.199114857512855 outside the admissible interval "),
+    (["sweep", "--solid", "tetra", "--alpha", "0.3pi",
+      "--alpha-stop", "0.4pi", "--alpha-step", "0.05pi"],
+     "error: alpha=0.9424777960769379 outside the admissible interval "),
+], ids=["enumerate-depth-2", "enumerate-alpha", "solve-alpha", "sweep-start-alpha"])
+def test_domain_error_one_line(capsys, argv, message):
+    # the solid and the search check their own inputs; main prints one line
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1
 
 
 def test_enumerate_depth_bounded(capsys):
@@ -290,6 +328,12 @@ def _tampered_length(doc):
     lambda doc: [doc],
     _drop_residual,
     lambda doc: dict(doc, classes=5),
+    lambda doc: {k: v for k, v in doc.items() if k != "classes"},
+    lambda doc: dict(doc, classes=None),
+    lambda doc: dict(doc, classes={}),
+    lambda doc: dict(doc, classes=0),
+    lambda doc: dict(doc, classes=False),
+    lambda doc: dict(doc, classes=""),
     lambda doc: dict(doc, alpha=None),
     lambda doc: dict(doc, alpha=10**400),
     _bad_edge_id,
@@ -297,6 +341,8 @@ def _tampered_length(doc):
     _tampered_tag,
     _tampered_length,
 ], ids=["top-level-list", "no-closure-residual", "classes-not-list",
+        "classes-missing", "classes-null", "classes-empty-object", "classes-zero",
+        "classes-false", "classes-empty-string",
         "alpha-null", "alpha-overflows-float", "edge-out-of-range", "tampered-t",
         "tampered-tag", "tampered-length"])
 def test_export_malformed_document(tmp_path, capsys, mutate):

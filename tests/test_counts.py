@@ -203,3 +203,10 @@ def test_depth_cap_reported():
     capped = [v for v in rep.verdicts if v.verdict == "depth-capped"]
     assert capped  # (1,2) needs 12 crossings
     assert all(4 * (v.p + v.q) > 8 for v in capped)
+
+
+@pytest.mark.parametrize("alpha", [PI / 3, 2 * PI / 3, 0.7 * PI, math.nan])
+def test_count_tetra_rejects_inadmissible_alpha(alpha):
+    # the tetrahedron is built first, and it refuses the angle
+    with pytest.raises(DomainError, match="admissible interval"):
+        count_tetra(alpha)

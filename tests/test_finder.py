@@ -35,6 +35,7 @@ from util import (
     random_unit,
     reference_classes,
     reference_path_for_pole,
+    reference_tetra_type_sequence,
     sampled_is_simple,
     trace_geodesic,
     turn_images,
@@ -606,7 +607,10 @@ def test_classify_rejects_vertex_loop_pattern():
 
 def test_tetra_type_sequence_structure():
     spec = build_solid(SolidKind.TETRAHEDRON, 0.4 * PI)
-    for p, q in ((0, 1), (1, 1), (1, 2), (3, 4), (2, 5)):
+    start_face = spec.edge_faces[0][0]
+    types = [(p, q) for q in range(1, 31) for p in range(q + 1) if math.gcd(p, q) == 1]
+    assert len(types) == 279
+    for p, q in types:
         seq = tetra_type_sequence(spec, p, q)
         assert len(seq.edges) == 4 * (p + q)
         seq.validate(spec)
@@ -620,6 +624,15 @@ def test_tetra_type_sequence_structure():
         )
         assert [a for a, b in pairs] == [b for a, b in pairs]
         assert [a for a, _ in pairs] == sorted((p, q, p + q))
+        # the walk starts on the search's start crossing and closes on it:
+        # its last crossing enters the start face, which the first leaves
+        # over edge 0
+        assert (seq.faces[0], seq.edges[0]) == (start_face, 0)
+        last = seq.faces[-1]
+        assert spec.gluing[(last, spec.face_edge_local[(last, seq.edges[-1])])][0] \
+            == start_face
+        assert finder.canonical_word(spec, seq.edges) == finder.canonical_word(
+            spec, reference_tetra_type_sequence(spec, p, q).edges), (p, q)
 
 
 # ---------------------------------------------------------------------------

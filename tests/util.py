@@ -336,6 +336,52 @@ def reference_classes(spec: SolidSpec, depth: int) -> List[Tuple[Tuple[int, ...]
     return out
 
 
+def reference_tetra_type_sequence(spec: SolidSpec, p: int, q: int) -> CrossingSequence:
+    """Slow oracle for `finder.tetra_type_sequence`: the type-(p, q)
+    sequence read off a float line across a coloured lattice.
+
+    Traces a straight segment with direction 2p*a + 2q*b across the unit
+    triangular lattice whose vertices are 4-coloured by coordinate parity;
+    the colours of each crossed lattice edge name the solid edge.  The
+    segment starts at a point no lattice line passes near and closes after
+    exactly 4(p+q) crossings.  Its start crossing is not the walk's, so the
+    two agree up to rotation and symmetry (compare `canonical_word`s).
+    """
+    x0, y0 = 0.2376843521963, 0.3579246175811
+    wa, wb = 2 * p, 2 * q
+    events: List[Tuple[float, str, int]] = []
+    for mm in range(math.floor(x0) + 1, math.floor(x0 + wa) + 1):
+        events.append(((mm - x0) / wa, "a", mm))
+    for nn in range(math.floor(y0) + 1, math.floor(y0 + wb) + 1):
+        events.append(((nn - y0) / wb, "b", nn))
+    s0 = x0 + y0
+    for kk in range(math.floor(s0) + 1, math.floor(s0 + wa + wb) + 1):
+        events.append(((kk - s0) / (wa + wb), "d", kk))
+    events.sort()
+    assert len(events) == 4 * (p + q), "lattice trace produced the wrong crossing count"
+    for (t1, _, _), (t2, _, _) in zip(events, events[1:]):
+        assert t2 - t1 >= 1e-9, "lattice trace start point is not generic"
+
+    def colour(mm: int, nn: int) -> int:
+        return (mm % 2) + 2 * (nn % 2)
+
+    word = []
+    for t, fam, val in events:
+        at = x0 + wa * t
+        bt = y0 + wb * t
+        if fam == "a":
+            n0 = math.floor(bt)
+            ca, cb = colour(val, n0), colour(val, n0 + 1)
+        elif fam == "b":
+            m0 = math.floor(at)
+            ca, cb = colour(m0, val), colour(m0 + 1, val)
+        else:
+            m0 = math.floor(at)
+            ca, cb = colour(m0, val - m0), colour(m0 + 1, val - m0 - 1)
+        word.append(spec.edge_id(ca, cb))
+    return CrossingSequence.from_edges(spec, word)
+
+
 # Reference SVG renderer: it develops the sequence twice and builds the pole
 # frame again for every projected point; `cli.render_svg` must write the same
 # bytes.
