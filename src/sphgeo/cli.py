@@ -308,7 +308,8 @@ def cmd_export(in_path: str, class_index: int, tol_closure: float,
     try:
         with open(in_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, bad UTF-8 or an integer past the digit limit;
         # RecursionError: nesting deeper than the decoder's recursion limit
         print(f"cannot read result document: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -409,6 +410,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     tols = (args.tol_closure, args.tol_vertex)
     if not all(math.isfinite(t) and t > 0 for t in tols):
         print("tolerances must be positive and finite", file=sys.stderr)
+        return EXIT_CONFIG
+    if not args.tol_vertex < 0.5:
+        print("--tol-vertex must be below 0.5: each crossing keeps that fraction "
+              "of its edge clear of both ends", file=sys.stderr)
         return EXIT_CONFIG
     # an --out that is empty, a directory or in a missing one fails before any
     # work; the check creates nothing, so a command that fails later leaves no file

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Literal, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import finder, solids
 from .sphtrig import PI, DomainError, tetra_edge
@@ -117,25 +117,17 @@ def totient_sum(x: int) -> Tuple[int, float]:
     return total, total / ((3.0 / _PI2) * x * x)
 
 
-def psi_count(threshold: float, predicate: Literal["s", "p_plus_q"] = "s") -> int:
-    """Count coprime pairs 0 < p <= q with s(p,q) < threshold, or with
-    p + q < threshold, by direct lattice enumeration."""
+def psi_count(threshold: float) -> int:
+    """Count coprime pairs 0 < p <= q with s(p,q) < threshold by direct
+    lattice enumeration."""
     if not math.isfinite(threshold):
         raise DomainError("threshold must be finite")
     count = 0
-    if predicate == "s":
-        qmax = int(math.isqrt(max(0, math.ceil(threshold))) + 1)
-        for q in range(1, qmax + 1):
-            for p in range(1, q + 1):
-                if s_form(p, q) < threshold and math.gcd(p, q) == 1:
-                    count += 1
-    elif predicate == "p_plus_q":
-        for q in range(1, max(0, math.ceil(threshold)) + 1):
-            for p in range(1, q + 1):
-                if p + q < threshold and math.gcd(p, q) == 1:
-                    count += 1
-    else:
-        raise DomainError(f"unknown predicate {predicate!r}")
+    qmax = int(math.isqrt(max(0, math.ceil(threshold))) + 1)
+    for q in range(1, qmax + 1):
+        for p in range(1, q + 1):
+            if s_form(p, q) < threshold and math.gcd(p, q) == 1:
+                count += 1
     return count
 
 
@@ -197,8 +189,9 @@ def count_tetra(
     `max_crossings` (when given) are reported as depth-capped and not counted.
     """
     spec = solids.build_solid(SolidKind.TETRAHEDRON, alpha)
+    cands = candidate_types(alpha)
     verdicts: List[TypeVerdict] = []
-    for p, q in candidate_types(alpha):
+    for p, q in cands:
         depth = 4 * (p + q)
         if max_crossings is not None and depth > max_crossings:
             verdicts.append(TypeVerdict(p, q, "depth-capped", False))
@@ -212,7 +205,8 @@ def count_tetra(
     return CountReport(
         c1=c1_alpha(alpha),
         c2=c2_alpha(alpha),
-        psi1=psi_count(f_alpha(alpha), "s"),
-        psi2=psi_count(g_alpha(alpha), "s"),
+        psi1=psi_count(f_alpha(alpha)),
+        # the candidates past (0, 1) are psi_count(g_alpha(alpha))'s pairs
+        psi2=len(cands) - 1,
         verdicts=tuple(verdicts),
     )

@@ -16,11 +16,12 @@ meet only if their endpoints interleave around the boundary or coincide, so
 sorting each face's chord endpoints by boundary position and checking that
 they nest like parentheses decides simplicity in O(k log k) for k crossings.
 
-The search over sequences is a depth-first walk over faces, pruned by a
-pole-feasibility test (does any great circle cross all developed edges the
-right way?) and by a running lower bound on length against the 2*pi cap:
-the straight turn across a square adds one edge length, every other turn
-nothing (see `enumerate_classes`).
+The search over sequences is a depth-first walk over faces, run as one loop
+over a stack of immutable walk nodes.  It is pruned by a pole-feasibility
+test (does any great circle cross all developed edges the right way?) and
+by a running lower bound on length against the 2*pi cap: the straight turn
+across a square adds one edge length, every other turn nothing (see
+`enumerate_classes`).
 The feasible poles form a convex polygon in the gnomonic chart about the first
 edge's entry vertex; each crossing clips it by its two half-planes
 (Sutherland-Hodgman), and a branch survives while a witness pole meets every
@@ -51,7 +52,6 @@ from .sphtrig import (
     PI,
     ArcCrossing,
     DomainError,
-    Mat3,
     Vec3,
     angle_between,
     axis_angle,
@@ -71,8 +71,8 @@ TWO_PI = 2.0 * PI
 
 FEAS_MARGIN = 1e-12  # poles closer than this to a chart's horizon are ignored
 
-# the search recurses once per crossing, so its depth stays well below
-# Python's default recursion limit of 1000
+# the repeats u^k of a closed word stay least and feasible, so they walk to
+# the crossing bound: capping it caps the search's run time
 MAX_SEARCH_DEPTH = 200
 
 
@@ -161,9 +161,10 @@ def _clip(poly: List[Vec3], c: Vec3) -> List[Vec3]:
 
 
 def _narrow(
-    region: PoleRegion, cons: Sequence[Vec3], new: int
+    region: PoleRegion, arcs: Sequence[Tuple[Vec3, Vec3]], new: int
 ) -> Optional[PoleRegion]:
-    """Clip a (polygon, witness) region by the last `new` constraints of `cons`.
+    """Clip a (polygon, witness) region by the last `new` arcs of `arcs`;
+    each developed edge arc (p, q) asks u.q > 0 > u.p of a pole u.
 
     Returns the clipped polygon with a witness pole that satisfies every
     constraint strictly, or None when there is none.  The previous witness
@@ -172,18 +173,20 @@ def _narrow(
     down to zero area has no strict witness and so counts as infeasible.
     """
     poly, witness = region
-    added = cons[len(cons) - new:]
-    for c in added:
-        poly = _clip(poly, c)
-        if len(poly) < 3:
-            return None
-    if witness is not None and all(dot(witness, c) > 0.0 for c in added):
+    added = arcs[len(arcs) - new:]
+    for p, q in added:
+        for c in (q, neg(p)):
+            poly = _clip(poly, c)
+            if len(poly) < 3:
+                return None
+    if witness is not None and all(dot(witness, q) > 0.0 > dot(witness, p)
+                                   for p, q in added):
         return poly, witness
     k = 1.0 / len(poly)
     u = normalize((sum(v[0] for v in poly) * k,
                    sum(v[1] for v in poly) * k,
                    sum(v[2] for v in poly) * k))
-    if all(dot(u, c) > 0.0 for c in cons):
+    if all(dot(u, q) > 0.0 > dot(u, p) for p, q in arcs):
         return poly, u
     return None
 
@@ -230,8 +233,6 @@ def _path_for_pole(
     tol_closure: float,
     tol_vertex: float,
 ) -> Optional[GeodesicPath]:
-    if theta < 1e-9:
-        return None
     # the equator must cross from the exited copy's side to the entered one;
     # most poles fail this somewhere, so test every arc before any crossing
     dots = []
@@ -617,73 +618,49 @@ def enumerate_classes(
     start_face = spec.edge_faces[0][0]
     start_j = spec.face_edge_local[(start_face, 0)]
     found: List[Tuple[int, ...]] = []
-    # the walk's own development, laid out as `develop` does it: crossing i
-    # leaves the copy of faces[i] placed by placements[i] through the
-    # developed edge arcs[i]; cons holds the two pole constraints of each
-    # arc, and turns[i] is the turn in faces[i + 1]
-    edges: List[int] = []
-    faces: List[int] = [start_face]
-    placements: List[Mat3] = [IDENTITY]
-    arcs: List[Tuple[Vec3, Vec3]] = []
-    cons: List[Vec3] = []
-    turns: List[int] = []
-
-    def close_and_solve(closing: int) -> None:
-        word = tuple(edges)
-        m = len(word)
-        # a proper power retraces a shorter closed geodesic: never simple
-        for d in range(1, m // 2 + 1):
-            if m % d == 0 and word[d:] + word[:d] == word:
-                return
-        if not _is_least_turn_word(tuple(turns) + (closing,), n):
-            return
-        dev = Development(CrossingSequence(tuple(faces[:-1]), word),
-                          tuple(placements), tuple(arcs))
-        if _solve_development(spec, dev, tol_closure, tol_vertex) is not None:
-            found.append(word)
-
-    def cross(j: int, region: Optional[PoleRegion], lb: float,
-              tied: Sequence[Tuple[int, bool]]) -> None:
-        """Cross local edge j of the current face copy.  While some pole
-        still crosses every developed edge, close the walk if it is back in
-        the start face and go on through the other edges of the face
-        entered.  A None region starts the chart about this first crossing's
-        entry vertex; `tied` holds the forward images of `turns` that
-        `_extend_least` has not yet decided."""
-        cur_face = faces[-1]
-        placement = placements[-1]
+    # A node is a walk about to cross local edge j of its last face copy.
+    # It holds the walk's own development, laid out as `develop` does it:
+    # crossing i leaves the copy of faces[i] placed by placements[i] through
+    # the developed edge arcs[i], and turns[i] is the turn in faces[i + 1].
+    # It also holds the pole region (None until the first crossing starts
+    # the chart about its entry vertex), the length bound and the forward
+    # images of `turns` that `_extend_least` has not yet decided.
+    stack = [((start_face,), (), (IDENTITY,), (), (), start_j, None, 0.0, ())]
+    while stack:
+        faces, edges, placements, arcs, turns, j, region, lb, tied = stack.pop()
+        cur_face, placement = faces[-1], placements[-1]
         p = mat_apply(placement, chart[j])
         q = mat_apply(placement, chart[(j + 1) % n])
-        cons.append(q)
-        cons.append(neg(p))
-        region = _narrow(region or (_pole_box(q), None), cons, 2)
-        if region is not None:
-            face, entry = spec.gluing[(cur_face, j)]
-            edges.append(spec.face_edges[cur_face][j])
-            faces.append(face)
-            arcs.append((p, q))
-            placements.append(mat_compose(placement, spec.steps[(cur_face, j)]))
-            closing = (start_j - entry) % n
-            if len(edges) >= 3 and face == start_face and closing:
-                close_and_solve(closing)
-            if len(edges) < max_crossings:
-                for t in range(1, n):
-                    k = (entry + t) % n
-                    lb2 = lb + spec.edge_length if 2 * t == n else lb
-                    if lb2 < TWO_PI - 1e-12:
-                        turns.append(t)
-                        still = _extend_least(turns, tied, n)
-                        if still is not None:
-                            cross(k, region, lb2, still)
-                        turns.pop()
-            edges.pop()
-            faces.pop()
-            arcs.pop()
-            placements.pop()
-        cons.pop()
-        cons.pop()
-
-    cross(start_j, None, 0.0, ())
+        arcs += ((p, q),)
+        region = _narrow(region or (_pole_box(q), None), arcs, 1)
+        if region is None:
+            continue
+        face, entry = spec.gluing[(cur_face, j)]
+        edges += (spec.face_edges[cur_face][j],)
+        faces += (face,)
+        placements += (mat_compose(placement, spec.steps[(cur_face, j)]),)
+        m = len(edges)
+        closing = (start_j - entry) % n
+        # a closed word is solved unless it is a proper power, which retraces
+        # a shorter closed geodesic and so is never simple, or not least
+        if (m >= 3 and face == start_face and closing
+                and not any(m % d == 0 and edges[d:] + edges[:d] == edges
+                            for d in range(1, m // 2 + 1))
+                and _is_least_turn_word(turns + (closing,), n)):
+            dev = Development(CrossingSequence(faces[:-1], edges), placements, arcs)
+            if _solve_development(spec, dev, tol_closure, tol_vertex) is not None:
+                found.append(edges)
+        if m == max_crossings:
+            continue
+        # pushed last turn first, so the walk visits turns in increasing order
+        for t in range(n - 1, 0, -1):
+            lb2 = lb + spec.edge_length if 2 * t == n else lb
+            if lb2 < TWO_PI - 1e-12:
+                grown = turns + (t,)
+                still = _extend_least(grown, tied, n)
+                if still is not None:
+                    stack.append((faces, edges, placements, arcs, grown,
+                                  (entry + t) % n, region, lb2, still))
 
     classes = [solve_class(spec, word, tol_closure, tol_vertex) for word in found]
     classes.sort(key=lambda c: c.path.seq.edges)

@@ -29,6 +29,10 @@ SWEEP_FLAT_CSV = Path(__file__).parent / "data" / "sweep_flat.csv"
 # `solve --solid tetra` per angle and type: exit code and SHA-256 of stdout,
 # as written when each type's sequence was traced across a coloured lattice
 SOLVE_TETRA_GOLDEN = Path(__file__).parent / "data" / "solve_tetra.txt"
+# `enumerate --depth 12` per solid and angle: exit code and SHA-256 of
+# stdout, as written by the recursive search; the tetra documents carry the
+# bounds block with psi1 and psi2
+ENUMERATE_DOCS_GOLDEN = Path(__file__).parent / "data" / "enumerate_docs.txt"
 
 
 def test_parse_alpha():
@@ -167,19 +171,30 @@ def test_sweep_rows(tmp_path):
         assert 0.55 * PI - 1e-9 < alpha < 0.65 * PI + 1e-9
 
 
-def _solve_golden_rows():
-    lines = SOLVE_TETRA_GOLDEN.read_text().splitlines()
+def _golden_rows(path):
+    lines = path.read_text().splitlines()
     rows = [line.split() for line in lines if not line.startswith("#")]
     return [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in rows]
 
 
-@pytest.mark.parametrize("alpha,ptype,code,digest", _solve_golden_rows())
-def test_solve_matches_golden_file(alpha, ptype, code, digest):
+def _run_digest(argv):
+    """main(argv)'s exit code and the SHA-256 of what it wrote to stdout."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        rc = main(["solve", "--solid", "tetra", "--alpha", alpha, "--type", ptype])
-    assert rc == int(code)
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+        rc = main(argv)
+    return str(rc), hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("alpha,ptype,code,digest", _golden_rows(SOLVE_TETRA_GOLDEN))
+def test_solve_matches_golden_file(alpha, ptype, code, digest):
+    argv = ["solve", "--solid", "tetra", "--alpha", alpha, "--type", ptype]
+    assert _run_digest(argv) == (code, digest)
+
+
+@pytest.mark.parametrize("solid,alpha,code,digest", _golden_rows(ENUMERATE_DOCS_GOLDEN))
+def test_enumerate_matches_golden_file(solid, alpha, code, digest):
+    argv = ["enumerate", "--solid", solid, "--alpha", alpha, "--depth", "12"]
+    assert _run_digest(argv) == (code, digest)
 
 
 def test_sweep_deterministic_bytes(tmp_path):
@@ -458,6 +473,19 @@ def test_removed_flags_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    b'{"schema_version": "1", "alpha": ' + b"7" * 5000 + b"}",
+    b'{"schema_version": "1", "solid": "\xff\xfe"}',
+], ids=["integer-past-digit-limit", "not-utf-8"])
+def test_export_undecodable_document(tmp_path, capsys, data):
+    # a document json.load cannot decode is unreadable, like malformed JSON
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main(["export", "--in", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read result document") and err.count("\n") == 1
+
+
 def test_export_deeply_nested_document(tmp_path, capsys):
     # nesting past the decoder's recursion limit is an unreadable document
     deep = tmp_path / "deep.json"
@@ -652,3 +680,21 @@ def test_bad_args():
 def test_non_finite_tolerance_rejected(capsys, command, flag, value):
     assert main(command + [flag, value]) == 2
     assert capsys.readouterr().err == "tolerances must be positive and finite\n"
+
+
+@pytest.mark.parametrize("value", ["0.5", "0.6"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--solid", "tetra", "--alpha", "0.4pi", "--type", "0,1"],
+    ["enumerate", "--solid", "octa", "--alpha", "0.4pi"],
+    ["sweep", "--solid", "tetra", "--alpha", "0.4pi", "--alpha-stop", "0.42pi",
+     "--alpha-step", "0.01pi"],
+    ["export", "--in", "unread.json"],
+], ids=["solve", "enumerate", "sweep", "export"])
+def test_vertex_tolerance_past_half_rejected(capsys, command, value):
+    # no t satisfies tol_vertex < t < 1 - tol_vertex, so every candidate
+    # would fail: a configuration error, not an empty result
+    assert main(command + ["--tol-vertex", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("--tol-vertex must be below 0.5")
+    assert captured.err.count("\n") == 1

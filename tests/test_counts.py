@@ -142,18 +142,17 @@ def test_phi_values():
 
 
 def test_psi_s_threshold():
-    assert psi_count(8, "s") == 2  # (1,1): s=3 and (1,2): s=7
-    assert psi_count(3, "s") == 0  # strict inequality
-    assert psi_count(3.0001, "s") == 1
+    assert psi_count(8) == 2  # (1,1): s=3 and (1,2): s=7
+    assert psi_count(3) == 0  # strict inequality
+    assert psi_count(3.0001) == 1
 
 
-def test_psi_p_plus_q_matches_totient_pairing():
-    # coprime pairs 0<p<=q with p+q<n: one pair (1,1) at m=2, then phi(m)/2
-    # pairs for each m in [3, n)
-    phi = phi_table(60)
-    for n in range(3, 51):
-        expected = 1 + sum(phi[m] // 2 for m in range(3, n))
-        assert psi_count(n, "p_plus_q") == expected
+def test_psi2_counts_candidates_past_first():
+    # count_tetra reads psi2 off its candidate list: the pairs past (0, 1)
+    # are exactly the lattice pairs psi_count finds below g(alpha)
+    for k in range(1, 200):
+        alpha = PI / 3 + (PI / 3) * k / 200
+        assert len(candidate_types(alpha)) - 1 == psi_count(g_alpha(alpha))
 
 
 def test_psi_bounds_bracket_candidates():

@@ -70,14 +70,12 @@ def feasible_pole_exists(arcs: Iterable) -> bool:
     `finder._pole_box`) by every constraint, as the search does one crossing
     at a time; True only with a witness pole that meets all of them strictly.
     """
-    cons = []
-    for a, b in arcs:
-        cons.append(a)
-        cons.append(sphtrig.neg(b))
-    if not cons:
+    # the search's arcs (p, q) ask u.q > 0 > u.p
+    dev_arcs = [(b, a) for a, b in arcs]
+    if not dev_arcs:
         return True
-    region = (finder._pole_box(sphtrig.normalize(cons[0])), None)
-    return finder._narrow(region, cons, len(cons)) is not None
+    region = (finder._pole_box(sphtrig.normalize(dev_arcs[0][1])), None)
+    return finder._narrow(region, dev_arcs, len(dev_arcs)) is not None
 
 
 def is_simple(spec: SolidSpec, path) -> bool:
