@@ -125,22 +125,31 @@ def _write_out(text: str, out: Optional[str]) -> int:
 
 
 _SVG_SCALE = 120.0  # px per radian
+_SVG_SAMPLES = 24  # points per face edge; the geodesic gets ten times as many
 
 
-def _project(pole: Vec3, e1: Vec3, e2: Vec3, point: Vec3) -> Tuple[float, float]:
-    # (e1, e2) is pole_frame(pole), built once per render; the azimuth is
-    # the one sphtrig.equator_crossings computes, with the same float operations
-    r = sphtrig.angle_between(pole, point)
-    az = math.atan2(sphtrig.dot(point, e2), sphtrig.dot(point, e1))
-    return r * math.cos(az), -r * math.sin(az)
+def _svg_path(points: Sequence[Vec3], pole: Vec3, frame: Tuple[Vec3, Vec3],
+              half: float) -> str:
+    """One `<path>` line through the azimuthal equidistant projection of
+    `points` about `pole`, whose equator frame (e1, e2) is `frame`.
 
-
-def _path_cmd(points_2d: List[Tuple[float, float]], half: float) -> str:
-    cmds = []
-    for i, (x, y) in enumerate(points_2d):
-        op = "M" if i == 0 else "L"
-        cmds.append(f"{op} {half + _SVG_SCALE * x:.6f} {half + _SVG_SCALE * y:.6f}")
-    return " ".join(cmds)
+    A point p lands at distance r = angle_between(pole, p) from the centre,
+    at the azimuth atan2(p.e2, p.e1) that sphtrig.equator_crossings uses;
+    both are written out with the float operations of those helpers, in
+    their order, so the bytes are theirs.
+    """
+    q0, q1, q2 = pole
+    (f0, f1, f2), (g0, g1, g2) = frame
+    sin, cos, atan2, sqrt = math.sin, math.cos, math.atan2, math.sqrt
+    xy: List[float] = []
+    for x, y, z in points:
+        c0, c1, c2 = q1 * z - q2 * y, q2 * x - q0 * z, q0 * y - q1 * x
+        r = atan2(sqrt(c0 * c0 + c1 * c1 + c2 * c2), q0 * x + q1 * y + q2 * z)
+        az = atan2(x * g0 + y * g1 + z * g2, x * f0 + y * f1 + z * f2)
+        xy.append(half + _SVG_SCALE * (r * cos(az)))
+        xy.append(half + _SVG_SCALE * (-r * sin(az)))
+    fmt = "M %.6f %.6f" + " L %.6f %.6f" * (len(points) - 1)
+    return f'  <path d="{fmt % tuple(xy)}"/>'
 
 
 def _check_crossings(stored: Sequence[Dict], path: finder.GeodesicPath,
@@ -150,6 +159,8 @@ def _check_crossings(stored: Sequence[Dict], path: finder.GeodesicPath,
     if len(stored) != len(path.crossings):
         raise DomainError("stored crossings do not match the re-solved path")
     for i, (doc_c, c) in enumerate(zip(stored, path.crossings)):
+        if type(doc_c["edge"]) is not int:
+            raise DomainError(f"stored crossing {i} has an edge that is not an integer")
         if not (
             doc_c["edge"] == c.edge
             and abs(doc_c["t"] - c.t) <= tol
@@ -168,11 +179,17 @@ def render_svg(
     equator arc, projected so the geodesic shows as (part of) a circle.
 
     The class is re-solved from its sequence with the given tolerances.
-    Its stored crossings and total length must match the solution within
-    `tol_closure`, and its kind tag must be the solution's; otherwise
-    DomainError is raised and nothing is drawn.
+    Its edge ids, in the sequence and the stored crossings, must be ints
+    (not bools). Its stored crossings and total length must match the
+    solution within `tol_closure`, and its kind tag must be the solution's;
+    otherwise DomainError is raised and nothing is drawn.
     """
-    seq = unfold.CrossingSequence.from_edges(spec, cls_doc["canonical_sequence"])
+    word = cls_doc["canonical_sequence"]
+    # an edge id is a JSON integer: true would index as edge 1, and true or
+    # 1.0 in a stored crossing would compare equal to it
+    if not all(type(e) is int for e in word):
+        raise DomainError("canonical_sequence holds an edge id that is not an integer")
+    seq = unfold.CrossingSequence.from_edges(spec, word)
     dev = unfold.develop(spec, seq)
     path = finder._solve_development(spec, dev, tol_closure, tol_vertex)
     if path is None:
@@ -183,32 +200,48 @@ def render_svg(
     if not abs(cls_doc["total_length"] - path.total_length) <= tol_closure:
         raise DomainError("stored total_length does not match the re-solved path")
     pole = path.pole
-    e1, e2 = sphtrig.pole_frame(pole)
+    frame = (f0, f1, f2), (g0, g1, g2) = sphtrig.pole_frame(pole)
+    sin, cos, atan2, sqrt = math.sin, math.cos, math.atan2, math.sqrt
     n = spec.face_size
     half = _SVG_SCALE * PI + 20.0
     size = 2.0 * half
-    samples = 24
+    fracs = [k / _SVG_SAMPLES for k in range(_SVG_SAMPLES)]
 
+    # each face outline samples sphtrig.slerp along each edge, written out
+    # with its float operations in their order; its guards never fire, as a
+    # face edge is longer than 0 and shorter than pi
     face_paths = []
-    for placement in dev.placements[:-1]:
-        pts: List[Tuple[float, float]] = []
+    for (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) in dev.placements[:-1]:
+        corners = [
+            (m00 * v0 + m01 * v1 + m02 * v2,
+             m10 * v0 + m11 * v1 + m12 * v2,
+             m20 * v0 + m21 * v1 + m22 * v2)
+            for v0, v1, v2 in spec.chart
+        ]
+        pts: List[Vec3] = []
         for j in range(n):
-            a = sphtrig.mat_apply(placement, spec.chart[j])
-            b = sphtrig.mat_apply(placement, spec.chart[(j + 1) % n])
-            for k in range(samples):
-                pts.append(_project(pole, e1, e2, sphtrig.slerp(a, b, k / samples)))
+            a0, a1, a2 = corners[j]
+            b0, b1, b2 = corners[(j + 1) % n]
+            c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+            ang = atan2(sqrt(c0 * c0 + c1 * c1 + c2 * c2), a0 * b0 + a1 * b1 + a2 * b2)
+            for t in fracs:
+                sa = sin((1.0 - t) * ang)
+                sb = sin(t * ang)
+                x, y, z = a0 * sa + b0 * sb, a1 * sa + b1 * sb, a2 * sa + b2 * sb
+                r = sqrt(x * x + y * y + z * z)
+                pts.append((x / r, y / r, z / r))
         pts.append(pts[0])
-        face_paths.append(f'  <path d="{_path_cmd(pts, half)}"/>')
+        face_paths.append(_svg_path(pts, pole, frame, half))
 
     az0 = sphtrig.equator_crossings(pole, dev.arcs[:1])[0].azimuth
     theta = path.total_length
+    steps = 10 * _SVG_SAMPLES
     geo_pts = []
-    for k in range(10 * samples + 1):
-        az = az0 + theta * k / (10 * samples)
-        x = math.cos(az)
-        y = math.sin(az)
-        p = (x * e1[0] + y * e2[0], x * e1[1] + y * e2[1], x * e1[2] + y * e2[2])
-        geo_pts.append(_project(pole, e1, e2, p))
+    for k in range(steps + 1):
+        az = az0 + theta * k / steps
+        x = cos(az)
+        y = sin(az)
+        geo_pts.append((x * f0 + y * g0, x * f1 + y * g1, x * f2 + y * g2))
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -219,7 +252,7 @@ def render_svg(
         *face_paths,
         "</g>",
         '<g id="geodesic" fill="none" stroke="#c03030" stroke-width="2">',
-        f'  <path d="{_path_cmd(geo_pts, half)}"/>',
+        _svg_path(geo_pts, pole, frame, half),
         "</g>",
         "</svg>",
         "",

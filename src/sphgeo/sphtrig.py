@@ -213,14 +213,6 @@ def mat_compose(a: Mat3, b: Mat3) -> Mat3:
     )
 
 
-def mat_transpose(m: Mat3) -> Mat3:
-    return (
-        (m[0][0], m[1][0], m[2][0]),
-        (m[0][1], m[1][1], m[2][1]),
-        (m[0][2], m[1][2], m[2][2]),
-    )
-
-
 def rot_about(axis: Vec3, angle: float) -> Mat3:
     """Rodrigues rotation about a unit axis by `angle` (right-hand rule)."""
     if not is_unit(axis):

@@ -33,6 +33,10 @@ SOLVE_TETRA_GOLDEN = Path(__file__).parent / "data" / "solve_tetra.txt"
 # stdout, as written by the recursive search; the tetra documents carry the
 # bounds block with psi1 and psi2
 ENUMERATE_DOCS_GOLDEN = Path(__file__).parent / "data" / "enumerate_docs.txt"
+# `export` of every class of an `enumerate` document (the documents above at
+# depth 12, plus tetra 0.34pi at depth 28): exit code and SHA-256 of stdout,
+# as written by the renderer that called slerp and the projection per point
+EXPORT_SVGS_GOLDEN = Path(__file__).parent / "data" / "export_svgs.txt"
 
 
 def test_parse_alpha():
@@ -197,6 +201,28 @@ def test_enumerate_matches_golden_file(solid, alpha, code, digest):
     assert _run_digest(argv) == (code, digest)
 
 
+def _export_golden_docs():
+    """One param per document: its solid, angle and depth, and the
+    (class, exit, digest) rows of its classes in order."""
+    docs = {}
+    for line in EXPORT_SVGS_GOLDEN.read_text().splitlines():
+        if not line.startswith("#"):
+            solid, alpha, depth, *row = line.split()
+            docs.setdefault((solid, alpha, depth), []).append(tuple(row))
+    return [pytest.param(*key, rows, id="-".join(key)) for key, rows in docs.items()]
+
+
+@pytest.mark.parametrize("solid,alpha,depth,rows", _export_golden_docs())
+def test_export_matches_golden_file(tmp_path, solid, alpha, depth, rows):
+    doc = tmp_path / "doc.json"
+    assert main(["enumerate", "--solid", solid, "--alpha", alpha, "--depth", depth,
+                 "--out", str(doc)]) == 0
+    n = len(json.loads(doc.read_text())["classes"])
+    got = [(str(i), *_run_digest(["export", "--in", str(doc), "--class-index", str(i)]))
+           for i in range(n)]
+    assert got == rows
+
+
 def test_sweep_deterministic_bytes(tmp_path):
     argv = ["sweep", "--solid", "tetra", "--alpha", "0.40pi",
             "--alpha-stop", "0.44pi", "--alpha-step", "0.02pi"]
@@ -324,6 +350,32 @@ def _bad_edge_id(doc):
     return doc
 
 
+def _bool_sequence_id(doc):
+    # true indexes and compares as edge 1
+    word = doc["classes"][0]["canonical_sequence"]
+    word[word.index(1)] = True
+    return doc
+
+
+def _float_sequence_id(doc):
+    word = doc["classes"][0]["canonical_sequence"]
+    word[1] = float(word[1])
+    return doc
+
+
+def _bool_crossing_edge(doc):
+    crossing = doc["classes"][0]["crossings"][0]
+    assert crossing["edge"] == 0
+    crossing["edge"] = False
+    return doc
+
+
+def _float_crossing_edge(doc):
+    crossing = doc["classes"][0]["crossings"][3]
+    crossing["edge"] = float(crossing["edge"])
+    return doc
+
+
 def _tampered_t(doc):
     doc["classes"][0]["crossings"][2]["t"] += 1e-6
     return doc
@@ -352,13 +404,19 @@ def _tampered_length(doc):
     lambda doc: dict(doc, alpha=None),
     lambda doc: dict(doc, alpha=10**400),
     _bad_edge_id,
+    _bool_sequence_id,
+    _float_sequence_id,
+    _bool_crossing_edge,
+    _float_crossing_edge,
     _tampered_t,
     _tampered_tag,
     _tampered_length,
 ], ids=["top-level-list", "no-closure-residual", "classes-not-list",
         "classes-missing", "classes-null", "classes-empty-object", "classes-zero",
         "classes-false", "classes-empty-string",
-        "alpha-null", "alpha-overflows-float", "edge-out-of-range", "tampered-t",
+        "alpha-null", "alpha-overflows-float", "edge-out-of-range",
+        "sequence-bool", "sequence-float", "crossing-edge-bool",
+        "crossing-edge-float", "tampered-t",
         "tampered-tag", "tampered-length"])
 def test_export_malformed_document(tmp_path, capsys, mutate):
     res = tmp_path / "octa.json"
@@ -397,19 +455,25 @@ def test_export_honours_tol_vertex(tmp_path, capsys):
     (SolidKind.CUBE, (0.52 * PI, 0.58 * PI, 0.64 * PI)),
 ])
 def test_render_svg_matches_reference(kind, alphas):
-    # one pole frame and one development per render draw the same bytes as
-    # the reference renderer, which rebuilds both
+    # the fused drawing loop writes the same bytes as the reference renderer,
+    # which calls slerp and the projection helpers point by point
+    runs = [(alpha, 12) for alpha in alphas]
+    if kind is SolidKind.TETRAHEDRON:
+        runs.append((0.34 * PI, 28))  # developments of up to 28 face copies
     tags = set()
-    for alpha in alphas:
+    longest = 0
+    for alpha, depth in runs:
         spec = build_solid(kind, alpha)
-        classes = enumerate_classes(spec, 12)
+        classes = enumerate_classes(spec, depth)
         assert classes
         for cls in classes:
             doc = cli.class_to_doc(cls)
             assert cli.render_svg(spec, doc) == reference_render_svg(spec, doc)
             tags.add(cls.tag)
+            longest = max(longest, len(doc["crossings"]))
     if kind is SolidKind.TETRAHEDRON:
         assert "vertex-loop" in tags
+        assert longest == 28
 
 
 def test_parser_reused_after_error(tmp_path):

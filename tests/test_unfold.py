@@ -12,12 +12,17 @@ from sphgeo.sphtrig import (
     axis_angle,
     mat_apply,
     mat_compose,
-    mat_transpose,
     rot_about,
 )
 from sphgeo.unfold import CrossingSequence, develop
 
-from util import holonomy, orthonormality_residual, random_sequence, step_rotation
+from util import (
+    holonomy,
+    mat_transpose,
+    orthonormality_residual,
+    random_sequence,
+    step_rotation,
+)
 
 MIDPOINTS = {
     SolidKind.TETRAHEDRON: 0.5 * PI,

@@ -27,13 +27,22 @@ def azimuth_about(pole, point) -> float:
     return math.atan2(sphtrig.dot(point, e2), sphtrig.dot(point, e1))
 
 
+def mat_transpose(m):
+    """The inverse of a rotation."""
+    return (
+        (m[0][0], m[1][0], m[2][0]),
+        (m[0][1], m[1][1], m[2][1]),
+        (m[0][2], m[1][2], m[2][2]),
+    )
+
+
 def mat_det(m) -> float:
     return sphtrig.dot(m[0], sphtrig.cross(m[1], m[2]))
 
 
 def orthonormality_residual(m) -> float:
     """Largest deviation of m^T m from the identity, plus |det - 1|."""
-    g = sphtrig.mat_compose(sphtrig.mat_transpose(m), m)
+    g = sphtrig.mat_compose(mat_transpose(m), m)
     res = 0.0
     for i in range(3):
         for j in range(3):
@@ -150,7 +159,7 @@ def sampled_segments(
     out = []
     m = len(pts)
     for i in range(m):
-        inv = sphtrig.mat_transpose(dev.placements[i + 1])
+        inv = mat_transpose(dev.placements[i + 1])
         a = sphtrig.mat_apply(inv, pts[i])
         b = sphtrig.mat_apply(inv, pts[i + 1] if i < m - 1 else closing)
         samples = [sphtrig.slerp(a, b, k / n_samples) for k in range(n_samples + 1)]
@@ -209,7 +218,7 @@ def trace_geodesic(spec: SolidSpec, path) -> Tuple[Tuple[int, ...], float, float
         edges.append(spec.face_edges[face][j2])
         d_y = sphtrig.cross(w, y)
         # move into the neighbour's chart frame
-        t_inv = sphtrig.mat_transpose(spec.steps[(face, j2)])
+        t_inv = mat_transpose(spec.steps[(face, j2)])
         x = sphtrig.mat_apply(t_inv, y)
         d = sphtrig.mat_apply(t_inv, d_y)
         face, entry = spec.gluing[(face, j2)]
@@ -255,7 +264,7 @@ def pairwise_is_simple(spec: SolidSpec, dev: unfold.Development, hits) -> bool:
     m = len(pts)
     by_face = {}
     for i in range(m):
-        inv = sphtrig.mat_transpose(dev.placements[i + 1])
+        inv = mat_transpose(dev.placements[i + 1])
         a = sphtrig.mat_apply(inv, pts[i])
         b = sphtrig.mat_apply(inv, pts[i + 1] if i < m - 1 else closing)
         by_face.setdefault(dev.seq.faces[(i + 1) % m], []).append((a, b))
@@ -380,9 +389,9 @@ def reference_tetra_type_sequence(spec: SolidSpec, p: int, q: int) -> CrossingSe
     return CrossingSequence.from_edges(spec, word)
 
 
-# Reference SVG renderer: it develops the sequence twice and builds the pole
-# frame again for every projected point; `cli.render_svg` must write the same
-# bytes.
+# Reference SVG renderer: it develops the sequence twice, and for every point
+# it calls slerp and builds the pole frame again; `cli.render_svg`, which
+# writes those float operations out inline, must write the same bytes.
 
 _REF_SVG_SCALE = 120.0  # px per radian
 
