@@ -14,7 +14,6 @@ from .sphtrig import (
     cos_side,
     cube_diagonal,
     cube_edge,
-    pole_edge_crossing,
     rot_about,
     side_from_mixed,
     square_midline,

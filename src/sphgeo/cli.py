@@ -32,12 +32,6 @@ EXIT_VALIDATION = 4
 
 SWEEP_MAX_POINTS = 10_000  # each point solves every tetrahedron type once
 
-_KINDS = {
-    "tetra": SolidKind.TETRAHEDRON,
-    "octa": SolidKind.OCTAHEDRON,
-    "cube": SolidKind.CUBE,
-}
-
 
 def parse_alpha(text: str) -> float:
     """Accept decimal radians or a '<k>pi' literal such as '0.45pi'."""
@@ -62,7 +56,7 @@ def _parse_type(text: str) -> Tuple[int, int]:
 
 def class_to_doc(cls: finder.GeodesicClass) -> Dict:
     return {
-        "canonical_sequence": list(cls.path.seq.edge_word()),
+        "canonical_sequence": list(cls.path.seq.edges),
         "kind_tag": cls.tag,
         "total_length": cls.path.total_length,
         "closure_residual": cls.path.closure_residual,
@@ -172,8 +166,8 @@ def _check_crossings(stored: Sequence[Dict], path: finder.GeodesicPath,
 def render_svg(
     spec: SolidSpec,
     cls_doc: Dict,
-    tol_closure: float = 1e-9,
-    tol_vertex: float = 1e-9,
+    tol_closure: float = finder.SOLVE_TOL,
+    tol_vertex: float = finder.SOLVE_TOL,
 ) -> str:
     """Render the development of one class: face outlines plus the geodesic
     equator arc, projected so the geodesic shows as (part of) a circle.
@@ -285,7 +279,7 @@ def cmd_solve(kind: SolidKind, alpha: float, ptype: Optional[Tuple[int, int]],
         print(f"type ({p},{q}) is not realizable at alpha={alpha!r}",
               file=sys.stderr)
         return EXIT_NOT_REALIZABLE
-    cls = finder.solve_class(spec, path.seq.edge_word(), tol_closure, tol_vertex)
+    cls = finder.solve_class(spec, path.seq.edges, tol_closure, tol_vertex)
     report = counts.count_tetra(alpha, tol_closure=tol_closure, tol_vertex=tol_vertex)
     return _write_out(dump_json(result_document(spec, [cls], report)), out)
 
@@ -336,6 +330,15 @@ def cmd_sweep(kind: SolidKind, alpha: float, alpha_stop: float, alpha_step: floa
     return _write_out("\n".join(rows) + "\n", out)
 
 
+def _json_number(doc: Dict, key: str) -> float:
+    """doc[key], which must be a JSON number: an int or a float, not a bool
+    (and not a string, which float() would parse)."""
+    value = doc[key]
+    if type(value) not in (int, float):
+        raise DomainError(f"{key} is not a JSON number")
+    return value
+
+
 def cmd_export(in_path: str, class_index: int, tol_closure: float,
                tol_vertex: float, out: Optional[str]) -> int:
     try:
@@ -364,7 +367,7 @@ def cmd_export(in_path: str, class_index: int, tol_closure: float,
         return EXIT_CONFIG
     cls_doc = classes[class_index]
     try:
-        residual = cls_doc["closure_residual"]
+        residual = _json_number(cls_doc, "closure_residual")
         if not residual <= tol_closure:
             print(
                 f"document closure residual {residual!r} exceeds "
@@ -374,7 +377,8 @@ def cmd_export(in_path: str, class_index: int, tol_closure: float,
             return EXIT_VALIDATION
         if residual < 0.0:
             raise DomainError(f"negative closure residual {residual!r}")
-        spec = solids.build_solid(_KINDS[doc["solid"]], float(doc["alpha"]))
+        kind = SolidKind(doc["solid"])
+        spec = solids.build_solid(kind, float(_json_number(doc, "alpha")))
         svg = render_svg(spec, cls_doc, tol_closure, tol_vertex)
     except (KeyError, IndexError, TypeError, DomainError, ValueError,
             OverflowError) as exc:
@@ -398,13 +402,14 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def solid(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--solid", required=True, choices=sorted(_KINDS))
+        p.add_argument("--solid", required=True,
+                       choices=sorted(k.value for k in SolidKind))
         p.add_argument("--alpha", required=True,
                        help="facet angle: radians or '<k>pi' (e.g. 0.45pi)")
 
     def output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol-closure", type=float, default=1e-9)
-        p.add_argument("--tol-vertex", type=float, default=1e-9)
+        p.add_argument("--tol-closure", type=float, default=finder.SOLVE_TOL)
+        p.add_argument("--tol-vertex", type=float, default=finder.SOLVE_TOL)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_solve = sub.add_parser("solve", help="solve one tetrahedron type (p,q)")
@@ -459,7 +464,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "export":
             return cmd_export(args.in_path, args.class_index, *tols, args.out)
-        kind = _KINDS[args.solid]
+        kind = SolidKind(args.solid)
         alpha = parse_alpha(args.alpha)
         ptype = _parse_type(args.type) if args.command == "solve" and args.type else None
         if args.command == "solve":

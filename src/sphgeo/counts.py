@@ -38,31 +38,34 @@ def s_form(p: int, q: int) -> int:
     return p * p + p * q + q * q
 
 
+def _half_sin2(alpha: float) -> float:
+    """sin(alpha / 2) ** 2 of an admissible alpha: the variable of f, g, c1
+    and c2."""
+    _check_alpha(alpha)
+    return math.sin(alpha / 2.0) ** 2
+
+
 def f_alpha(alpha: float) -> float:
     """Sufficiency threshold on s: types with s < f(alpha) must exist."""
-    _check_alpha(alpha)
-    s2 = math.sin(alpha / 2.0) ** 2
+    s2 = _half_sin2(alpha)
     return _PI2 * math.cos(alpha) ** 2 / (4.0 * s2 * (4.0 * s2 - 1.0))
 
 
 def g_alpha(alpha: float) -> float:
     """Necessity threshold on s: types with s >= g(alpha) cannot exist."""
-    _check_alpha(alpha)
-    s2 = math.sin(alpha / 2.0) ** 2
+    s2 = _half_sin2(alpha)
     return _PI2 * s2 / (4.0 * s2 - 1.0)
 
 
 def c1_alpha(alpha: float) -> float:
     """Lower envelope on the type count: c1 = (3 / 2 pi^2) f(alpha)."""
-    _check_alpha(alpha)
-    s2 = math.sin(alpha / 2.0) ** 2
+    s2 = _half_sin2(alpha)
     return 3.0 * math.cos(alpha) ** 2 / (8.0 * s2 * (4.0 * s2 - 1.0))
 
 
 def c2_alpha(alpha: float) -> float:
     """Upper envelope on the type count: c2 = (2 / pi^2) g(alpha) + 1."""
-    _check_alpha(alpha)
-    s2 = math.sin(alpha / 2.0) ** 2
+    s2 = _half_sin2(alpha)
     return 2.0 * s2 / (4.0 * s2 - 1.0) + 1.0
 
 
@@ -117,18 +120,19 @@ def totient_sum(x: int) -> Tuple[int, float]:
     return total, total / ((3.0 / _PI2) * x * x)
 
 
+def _coprime_pairs_below(threshold: float) -> List[Tuple[int, int]]:
+    """The coprime pairs 0 < p <= q with s(p, q) < threshold, by q, then p."""
+    qmax = math.isqrt(max(0, math.ceil(threshold))) + 1
+    return [(p, q) for q in range(1, qmax + 1) for p in range(1, q + 1)
+            if s_form(p, q) < threshold and math.gcd(p, q) == 1]
+
+
 def psi_count(threshold: float) -> int:
     """Count coprime pairs 0 < p <= q with s(p,q) < threshold by direct
     lattice enumeration."""
     if not math.isfinite(threshold):
         raise DomainError("threshold must be finite")
-    count = 0
-    qmax = int(math.isqrt(max(0, math.ceil(threshold))) + 1)
-    for q in range(1, qmax + 1):
-        for p in range(1, q + 1):
-            if s_form(p, q) < threshold and math.gcd(p, q) == 1:
-                count += 1
-    return count
+    return len(_coprime_pairs_below(threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +169,7 @@ class CountReport:
 def candidate_types(alpha: float) -> List[Tuple[int, int]]:
     """All types not excluded by necessity: (0,1) plus coprime 0<p<=q with
     s < g(alpha), ordered by (s, p)."""
-    g = g_alpha(alpha)
-    cands = [(0, 1)]
-    qmax = math.isqrt(math.ceil(g)) + 1
-    for q in range(1, qmax + 1):
-        for p in range(1, q + 1):
-            if math.gcd(p, q) == 1 and s_form(p, q) < g:
-                cands.append((p, q))
+    cands = [(0, 1)] + _coprime_pairs_below(g_alpha(alpha))
     cands.sort(key=lambda t: (s_form(*t), t[0]))
     return cands
 
@@ -179,8 +177,8 @@ def candidate_types(alpha: float) -> List[Tuple[int, int]]:
 def count_tetra(
     alpha: float,
     max_crossings: Optional[int] = None,
-    tol_closure: float = 1e-9,
-    tol_vertex: float = 1e-9,
+    tol_closure: float = finder.SOLVE_TOL,
+    tol_vertex: float = finder.SOLVE_TOL,
 ) -> CountReport:
     """Resolve every non-excluded type by its targeted crossing sequence,
     with the solver tolerances of `finder.solve_tetra_type`.

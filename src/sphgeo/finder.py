@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .sphtrig import (
+    CONTACT_TOL,
     IDENTITY,
     PI,
     ArcCrossing,
@@ -68,6 +69,9 @@ from .solids import SolidKind, SolidSpec, cyclic_min, symmetry_group
 from .unfold import CrossingSequence, Development, develop
 
 TWO_PI = 2.0 * PI
+
+# default tol_closure and tol_vertex of every solve, and of the CLI
+SOLVE_TOL = 1e-9
 
 FEAS_MARGIN = 1e-12  # poles closer than this to a chart's horizon are ignored
 
@@ -198,8 +202,8 @@ def _narrow(
 def solve_sequence(
     spec: SolidSpec,
     seq: CrossingSequence,
-    tol_closure: float = 1e-9,
-    tol_vertex: float = 1e-9,
+    tol_closure: float = SOLVE_TOL,
+    tol_vertex: float = SOLVE_TOL,
 ) -> Optional[GeodesicPath]:
     """The unique geodesic realizing `seq`, or None.
 
@@ -361,8 +365,8 @@ def _dev_is_simple(
         g, j2 = spec.gluing[(f, j)]
         ends.setdefault(f, []).append((j, t, (i - 1) % m))
         ends.setdefault(g, []).append((j2, 1.0 - t, i))
-    # endpoints closer than 1e-10 of arc on one edge count as contact
-    tol = 1e-10 / spec.edge_length
+    # endpoints closer than CONTACT_TOL of arc on one edge count as contact
+    tol = CONTACT_TOL / spec.edge_length
     for face_ends in ends.values():
         face_ends.sort()
         prev_j, prev_t = -1, 0.0
@@ -400,7 +404,7 @@ def canonical_word(spec: SolidSpec, word: Tuple[int, ...]) -> Tuple[int, ...]:
 def orbit_size(spec: SolidSpec, seq: CrossingSequence) -> int:
     """Number of distinct geodesics (sequences up to shift and reversal) in
     the symmetry orbit."""
-    return len(_orbit(spec, seq.edge_word()))
+    return len(_orbit(spec, seq.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +482,7 @@ def class_tag(spec: SolidSpec, path: GeodesicPath) -> str:
             # circular geodesic around one vertex: exists once the edge
             # length exceeds pi/2, crossing the three incident edges at
             # right angles; it carries no (p, q) type
-            word = path.seq.edge_word()
+            word = path.seq.edges
             shared = set(spec.edges[word[0]])
             for e in word[1:]:
                 shared &= set(spec.edges[e])
@@ -486,7 +490,7 @@ def class_tag(spec: SolidSpec, path: GeodesicPath) -> str:
                 return "vertex-loop"
             return "other"
         return f"{p},{q}"
-    return _component_tag(spec, path.seq.edge_word())
+    return _component_tag(spec, path.seq.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +546,18 @@ def _is_least_turn_word(word: Tuple[int, ...], n: int) -> bool:
     return word == min(cyclic_min(word), cyclic_min(tuple(n - t for t in word)))
 
 
+def _start_crossing(spec: SolidSpec) -> Tuple[int, int]:
+    """The search's start crossing: face edge_faces[0][0] and the local
+    index on it of edge 0, which the walk crosses first."""
+    face = spec.edge_faces[0][0]
+    return face, spec.face_edge_local[(face, 0)]
+
+
 def enumerate_classes(
     spec: SolidSpec,
     max_crossings: int,
-    tol_closure: float = 1e-9,
-    tol_vertex: float = 1e-9,
+    tol_closure: float = SOLVE_TOL,
+    tol_vertex: float = SOLVE_TOL,
 ) -> List[GeodesicClass]:
     """All simple closed geodesics with at most `max_crossings` crossings,
     one canonical representative per symmetry class, in canonical order.
@@ -609,14 +620,17 @@ def enumerate_classes(
     straight turn and nothing otherwise, and cuts a branch once the sum
     reaches the 2*pi cap.
     """
+    # a float bound would never equal the depth, and NaN passes both range
+    # checks, so either would let the walk run without end
+    if not isinstance(max_crossings, int):
+        raise DomainError(f"max_crossings={max_crossings!r} is not an integer")
     if max_crossings < 3:
         raise DomainError("max_crossings must be at least 3")
     if max_crossings > MAX_SEARCH_DEPTH:
         raise DomainError(f"max_crossings must be at most {MAX_SEARCH_DEPTH}")
     n = spec.face_size
     chart = spec.chart
-    start_face = spec.edge_faces[0][0]
-    start_j = spec.face_edge_local[(start_face, 0)]
+    start_face, start_j = _start_crossing(spec)
     found: List[Tuple[int, ...]] = []
     # A node is a walk about to cross local edge j of its last face copy.
     # It holds the walk's own development, laid out as `develop` does it:
@@ -670,8 +684,8 @@ def enumerate_classes(
 def solve_class(
     spec: SolidSpec,
     word: Tuple[int, ...],
-    tol_closure: float = 1e-9,
-    tol_vertex: float = 1e-9,
+    tol_closure: float = SOLVE_TOL,
+    tol_vertex: float = SOLVE_TOL,
 ) -> GeodesicClass:
     """The class of `word`, any edge word of a sequence that solved: its
     path is solved on the class's canonical word (see `canonical_word`)."""
@@ -710,8 +724,7 @@ def tetra_type_sequence(spec: SolidSpec, p: int, q: int) -> CrossingSequence:
         raise DomainError("typed sequences apply to the tetrahedron")
     if not (0 <= p <= q) or q < 1 or math.gcd(p, q) != 1:
         raise DomainError(f"({p}, {q}) is not a valid coprime type")
-    face = spec.edge_faces[0][0]
-    k = spec.face_edge_local[(face, 0)]
+    face, k = _start_crossing(spec)
     faces: List[int] = []
     edges: List[int] = []
     for i in range(2 * (p + q)):
@@ -728,8 +741,8 @@ def solve_tetra_type(
     spec: SolidSpec,
     p: int,
     q: int,
-    tol_closure: float = 1e-9,
-    tol_vertex: float = 1e-9,
+    tol_closure: float = SOLVE_TOL,
+    tol_vertex: float = SOLVE_TOL,
 ) -> Optional[GeodesicPath]:
     """Solve the targeted type-(p, q) sequence; None when no such geodesic
     exists at this facet angle."""

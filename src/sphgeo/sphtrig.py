@@ -21,6 +21,10 @@ PI = math.pi
 # excursions mean inconsistent data and raise DomainError instead.
 ALG_TOL = 1e-12
 
+# Contact window, in radians of arc: arcs or boundary points closer than this
+# touch.  arcs_intersect and the simplicity test finder._dev_is_simple share it.
+CONTACT_TOL = 1e-10
+
 IDENTITY: Mat3 = (
     (1.0, 0.0, 0.0),
     (0.0, 1.0, 0.0),
@@ -73,23 +77,23 @@ def scale(v: Vec3, s: float) -> Vec3:
     return (v[0] * s, v[1] * s, v[2] * s)
 
 
-def is_unit(v: Vec3, tol: float = ALG_TOL) -> bool:
-    return abs(dot(v, v) - 1.0) <= 2.0 * tol
+def is_unit(v: Vec3) -> bool:
+    return abs(dot(v, v) - 1.0) <= 2.0 * ALG_TOL
 
 
-def clamp_unit(x: float, tol: float = ALG_TOL) -> float:
+def clamp_unit(x: float) -> float:
     """Clamp a cosine-like value to [-1, 1].
 
-    Values beyond the window by more than `tol` are treated as inconsistent
-    input, never silently clamped.
+    Values beyond the window by more than ALG_TOL are treated as
+    inconsistent input, never silently clamped.
     """
     if x > 1.0:
-        if x - 1.0 > tol:
-            raise DomainError(f"arccos argument {x!r} exceeds 1 by more than {tol}")
+        if x - 1.0 > ALG_TOL:
+            raise DomainError(f"arccos argument {x!r} exceeds 1 by more than {ALG_TOL}")
         return 1.0
     if x < -1.0:
-        if -1.0 - x > tol:
-            raise DomainError(f"arccos argument {x!r} is below -1 by more than {tol}")
+        if -1.0 - x > ALG_TOL:
+            raise DomainError(f"arccos argument {x!r} is below -1 by more than {ALG_TOL}")
         return -1.0
     return x
 
@@ -380,18 +384,19 @@ def pole_edge_crossing(pole: Vec3, a: Vec3, b: Vec3) -> Optional[ArcCrossing]:
     return None if hits is None else hits[0]
 
 
-def point_on_arc(p: Vec3, a: Vec3, b: Vec3, tol: float = 1e-10) -> bool:
-    """Whether unit vector p lies on the minor arc (a, b), endpoints included."""
+def point_on_arc(p: Vec3, a: Vec3, b: Vec3) -> bool:
+    """Whether unit vector p lies on the minor arc (a, b), endpoints included,
+    within CONTACT_TOL."""
     n = cross(a, b)
     nn = norm(n)
     if nn < 1e-14:
         raise DomainError("degenerate arc")
-    if abs(dot(p, n) / nn) > tol:
+    if abs(dot(p, n) / nn) > CONTACT_TOL:
         return False
-    return angle_between(a, p) + angle_between(p, b) <= angle_between(a, b) + tol
+    return angle_between(a, p) + angle_between(p, b) <= angle_between(a, b) + CONTACT_TOL
 
 
-def arcs_intersect(a1: Vec3, b1: Vec3, a2: Vec3, b2: Vec3, tol: float = 1e-10) -> bool:
+def arcs_intersect(a1: Vec3, b1: Vec3, a2: Vec3, b2: Vec3) -> bool:
     """Whether two minor arcs share any point (endpoint contact counts)."""
     n1 = cross(a1, b1)
     n2 = cross(a2, b2)
@@ -399,14 +404,14 @@ def arcs_intersect(a1: Vec3, b1: Vec3, a2: Vec3, b2: Vec3, tol: float = 1e-10) -
     if norm(d) < 1e-12:
         # same (or opposite) great circle: 1-d overlap test
         return (
-            point_on_arc(a2, a1, b1, tol)
-            or point_on_arc(b2, a1, b1, tol)
-            or point_on_arc(a1, a2, b2, tol)
-            or point_on_arc(b1, a2, b2, tol)
+            point_on_arc(a2, a1, b1)
+            or point_on_arc(b2, a1, b1)
+            or point_on_arc(a1, a2, b2)
+            or point_on_arc(b1, a2, b2)
         )
     d = normalize(d)
     for cand in (d, neg(d)):
-        if point_on_arc(cand, a1, b1, tol) and point_on_arc(cand, a2, b2, tol):
+        if point_on_arc(cand, a1, b1) and point_on_arc(cand, a2, b2):
             return True
     return False
 

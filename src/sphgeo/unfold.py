@@ -36,9 +36,6 @@ class CrossingSequence:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def edge_word(self) -> Tuple[int, ...]:
-        return self.edges
-
     @staticmethod
     def from_edges(spec: SolidSpec, edges: Sequence[int]) -> "CrossingSequence":
         """Build the sequence from a cyclic edge-id list.

@@ -254,7 +254,7 @@ def test_criterion_9_property_suites():
             op = ops[rng.randrange(len(ops))]
             m = len(base.edges)
             shift = rng.randrange(m)
-            word = base.edge_word()
+            word = base.edges
             shifted = word[shift:] + word[:shift]
             image = tuple(op.edge_perm[e] for e in shifted)
             ipath = solve_sequence(spec, CrossingSequence.from_edges(spec, image))
@@ -271,7 +271,7 @@ def test_criterion_9_property_suites():
                 worst_t = max(worst_t, abs(ic.t - t_exp))
             # (b) holonomy conjugacy under cyclic shift on random words
             rseq = random_sequence(spec, rng, max_len=8)
-            rword = rseq.edge_word()
+            rword = rseq.edges
             s2 = rng.randrange(1, len(rword))
             h1 = axis_angle(holonomy(spec, rseq)).angle
             h2 = axis_angle(
@@ -295,7 +295,7 @@ def test_criterion_9_property_suites():
             alpha = lo + (hi - lo) * rng.uniform(0.15, 0.85)
             spec = build_solid(kind, alpha)
             a = enumerate_classes(spec, 8)
-            same = [(c.path.seq.edge_word(), c.tag) for c in a] == reference_classes(spec, 8)
+            same = [(c.path.seq.edges, c.tag) for c in a] == reference_classes(spec, 8)
             ok &= same
             if not same:
                 details.append(f"prune mismatch {kind.value} alpha={alpha}")

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -345,6 +346,11 @@ def _drop_residual(doc):
     return doc
 
 
+def _false_residual(doc):
+    doc["classes"][0]["closure_residual"] = False
+    return doc
+
+
 def _bad_edge_id(doc):
     doc["classes"][0]["canonical_sequence"][1] = 999
     return doc
@@ -403,6 +409,10 @@ def _tampered_length(doc):
     lambda doc: dict(doc, classes=""),
     lambda doc: dict(doc, alpha=None),
     lambda doc: dict(doc, alpha=10**400),
+    # float() parses both strings to the document's own alpha
+    lambda doc: dict(doc, alpha=repr(doc["alpha"])),
+    lambda doc: dict(doc, alpha=f" {doc['alpha']!r} "),
+    _false_residual,
     _bad_edge_id,
     _bool_sequence_id,
     _float_sequence_id,
@@ -414,7 +424,8 @@ def _tampered_length(doc):
 ], ids=["top-level-list", "no-closure-residual", "classes-not-list",
         "classes-missing", "classes-null", "classes-empty-object", "classes-zero",
         "classes-false", "classes-empty-string",
-        "alpha-null", "alpha-overflows-float", "edge-out-of-range",
+        "alpha-null", "alpha-overflows-float", "alpha-string",
+        "alpha-string-padded", "closure-residual-false", "edge-out-of-range",
         "sequence-bool", "sequence-float", "crossing-edge-bool",
         "crossing-edge-float", "tampered-t",
         "tampered-tag", "tampered-length"])
@@ -428,6 +439,36 @@ def test_export_malformed_document(tmp_path, capsys, mutate):
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("invalid result document") and err.count("\n") == 1
+
+
+def test_export_unknown_solid_names_solid_kind(tmp_path, capsys):
+    res = tmp_path / "octa.json"
+    main(["enumerate", "--solid", "octa", "--alpha", "0.4pi", "--out", str(res)])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(json.loads(res.read_text()), solid="dodeca")))
+    capsys.readouterr()
+    assert main(["export", "--in", str(bad)]) == 4
+    assert capsys.readouterr().err == (
+        "invalid result document: 'dodeca' is not a valid SolidKind\n")
+
+
+def test_default_tolerances_are_one_constant():
+    # every default tol_closure and tol_vertex, in the library and on the
+    # command line, is the one finder constant, not a copy of its value
+    for fn in (finder.solve_sequence, finder.enumerate_classes, finder.solve_class,
+               finder.solve_tetra_type, counts.count_tetra, cli.render_svg):
+        params = inspect.signature(fn).parameters
+        for name in ("tol_closure", "tol_vertex"):
+            assert params[name].default is finder.SOLVE_TOL, (fn.__name__, name)
+    ap = cli._make_parser()
+    for argv in (["solve", "--solid", "tetra", "--alpha", "0.6pi"],
+                 ["enumerate", "--solid", "octa", "--alpha", "0.4pi"],
+                 ["sweep", "--solid", "tetra", "--alpha", "0.6pi",
+                  "--alpha-stop", "0.61pi", "--alpha-step", "0.01pi"],
+                 ["export", "--in", "doc.json"]):
+        args = ap.parse_args(argv)
+        assert args.tol_closure is finder.SOLVE_TOL, argv[0]
+        assert args.tol_vertex is finder.SOLVE_TOL, argv[0]
 
 
 def test_export_honours_tol_vertex(tmp_path, capsys):

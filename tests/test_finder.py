@@ -310,7 +310,7 @@ def test_shooting_oracle_confirms_solutions():
         spec = build_solid(kind, alpha)
         path = solve_sequence(spec, seq_of(spec, names))
         assert path is not None
-        word = path.seq.edge_word()
+        word = path.seq.edges
         edges, pos_err, dir_err = trace_geodesic(spec, path)
         assert edges == word[1:] + word[:1]
         assert pos_err < 1e-9
@@ -320,7 +320,7 @@ def test_shooting_oracle_confirms_solutions():
     for p, q in ((0, 1), (1, 1), (1, 2), (1, 3)):
         path = solve_tetra_type(spec, p, q)
         assert path is not None
-        word = path.seq.edge_word()
+        word = path.seq.edges
         edges, pos_err, dir_err = trace_geodesic(spec, path)
         assert edges == word[1:] + word[:1]
         assert pos_err < 1e-9
@@ -404,7 +404,7 @@ def simplicity_verdicts(monkeypatch):
 
     def checked(spec, dev, hits):
         got = chords(spec, dev, hits)
-        assert got == pairwise_is_simple(spec, dev, hits), dev.seq.edge_word()
+        assert got == pairwise_is_simple(spec, dev, hits), dev.seq.edges
         verdicts.append(got)
         return got
 
@@ -422,7 +422,7 @@ def test_chord_nesting_agrees_with_pairwise(kind, alphas, simplicity_verdicts):
         spec = build_solid(kind, alpha)
         for cls in enumerate_classes(spec, 16):
             # a class traversed twice closes but retraces itself
-            doubled = CrossingSequence.from_edges(spec, cls.path.seq.edge_word() * 2)
+            doubled = CrossingSequence.from_edges(spec, cls.path.seq.edges * 2)
             solve_sequence(spec, doubled)
     assert True in simplicity_verdicts and False in simplicity_verdicts
 
@@ -452,7 +452,7 @@ def test_chord_nesting_agrees_on_random_chords(kind, alpha):
             t = rng.choice((0.25, 0.5, 0.75)) if trial % 2 else rng.uniform(0.01, 0.99)
             hits.append(sphtrig.ArcCrossing(t, 0.0, sphtrig.slerp(p, q, t)))
         got = finder._dev_is_simple(spec, dev, hits)
-        assert got == pairwise_is_simple(spec, dev, hits), dev.seq.edge_word()
+        assert got == pairwise_is_simple(spec, dev, hits), dev.seq.edges
         verdicts.append(got)
     assert True in verdicts and False in verdicts
 
@@ -482,9 +482,9 @@ def test_canonicalize_idempotent_and_reversal(kind, alpha):
     for _ in range(60):
         seq = random_sequence(spec, rng)
         canon = canonicalize(spec, seq)
-        assert canonicalize(spec, canon).edge_word() == canon.edge_word()
-        rev = CrossingSequence.from_edges(spec, seq.edge_word()[::-1])
-        assert canonicalize(spec, rev).edge_word() == canon.edge_word()
+        assert canonicalize(spec, canon).edges == canon.edges
+        rev = CrossingSequence.from_edges(spec, seq.edges[::-1])
+        assert canonicalize(spec, rev).edges == canon.edges
 
 
 def test_canonicalize_octa_pole_swap():
@@ -495,9 +495,9 @@ def test_canonicalize_octa_pole_swap():
         if op.perm == (0, 1, 2, 3, 5, 4)
     )
     image = CrossingSequence.from_edges(
-        spec, tuple(swap.edge_perm[e] for e in seq.edge_word())
+        spec, tuple(swap.edge_perm[e] for e in seq.edges)
     )
-    assert canonicalize(spec, image).edge_word() == canonicalize(spec, seq).edge_word()
+    assert canonicalize(spec, image).edges == canonicalize(spec, seq).edges
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +532,7 @@ def test_solve_equivariance(kind, alpha, names):
     for _ in range(40):
         op = ops[rng.randrange(len(ops))]
         shift = rng.randrange(m)
-        word = seq.edge_word()
+        word = seq.edges
         shifted = word[shift:] + word[:shift]
         image_word = tuple(op.edge_perm[e] for e in shifted)
         image_path = solve_sequence(
@@ -553,7 +553,7 @@ def test_solve_reversal_same_geodesic():
     seq = seq_of(spec, OCTA_TYPE2)
     path = solve_sequence(spec, seq)
     rev = solve_sequence(
-        spec, CrossingSequence.from_edges(spec, seq.edge_word()[::-1])
+        spec, CrossingSequence.from_edges(spec, seq.edges[::-1])
     )
     assert rev is not None
     m = len(seq.edges)
@@ -700,8 +700,8 @@ def test_enumerate_deterministic():
     spec = build_solid(SolidKind.OCTAHEDRON, 0.45 * PI)
     a = enumerate_classes(spec, 10)
     b = enumerate_classes(spec, 10)
-    assert [c.path.seq.edge_word() for c in a] == [c.path.seq.edge_word() for c in b]
-    words = [c.path.seq.edge_word() for c in a]
+    assert [c.path.seq.edges for c in a] == [c.path.seq.edges for c in b]
+    words = [c.path.seq.edges for c in a]
     assert words == sorted(words)
 
 
@@ -717,7 +717,7 @@ def test_proper_powers_never_simple(kind, alphas, monkeypatch):
     solve = finder._solve_development
 
     def recorded(spec, dev, tol_closure, tol_vertex):
-        closures.append(dev.seq.edge_word())
+        closures.append(dev.seq.edges)
         return solve(spec, dev, tol_closure, tol_vertex)
 
     monkeypatch.setattr(finder, "_solve_development", recorded)
@@ -728,7 +728,7 @@ def test_proper_powers_never_simple(kind, alphas, monkeypatch):
         for w in closures:
             assert all(w[d:] + w[:d] != w for d in range(1, len(w)))
         for cls in classes:
-            doubled = cls.path.seq.edge_word() * 2
+            doubled = cls.path.seq.edges * 2
             assert solve_sequence(spec, CrossingSequence.from_edges(spec, doubled)) is None
         closures.clear()
 
@@ -752,8 +752,8 @@ def test_search_lays_out_closures_as_develop(monkeypatch):
             classes = enumerate_classes(spec, 16)
             assert len(devs) > len(classes)
             for dev in devs:
-                seq = CrossingSequence.from_edges(spec, dev.seq.edge_word())
-                assert dev == develop(spec, seq), dev.seq.edge_word()
+                seq = CrossingSequence.from_edges(spec, dev.seq.edges)
+                assert dev == develop(spec, seq), dev.seq.edges
             devs.clear()
 
 
@@ -838,7 +838,7 @@ def test_pruning_equivalence_depth8(kind, alphas):
     for alpha in alphas:
         spec = build_solid(kind, alpha)
         pruned = enumerate_classes(spec, 8)
-        assert [(c.path.seq.edge_word(), c.tag) for c in pruned] == reference_classes(spec, 8)
+        assert [(c.path.seq.edges, c.tag) for c in pruned] == reference_classes(spec, 8)
 
 
 def _golden_rows(path):
@@ -850,7 +850,7 @@ def _golden_rows(path):
         spec = build_solid(SolidKind(solid), float(alpha))
         for c in enumerate_classes(spec, int(depth)):
             got.append(" ".join([
-                solid, alpha, depth, ",".join(map(str, c.path.seq.edge_word())), c.tag,
+                solid, alpha, depth, ",".join(map(str, c.path.seq.edges)), c.tag,
                 str(c.orbit_size), repr(c.path.total_length),
             ]))
     return rows, got
@@ -971,6 +971,15 @@ def test_enumerate_rejects_depth_beyond_search_cap():
     spec = build_solid(SolidKind.CUBE, 0.52 * PI)
     with pytest.raises(sphtrig.DomainError):
         enumerate_classes(spec, finder.MAX_SEARCH_DEPTH + 1)
+
+
+@pytest.mark.parametrize("depth", [12.5, float("nan")], ids=["fraction", "nan"])
+def test_enumerate_rejects_non_integer_depth(depth):
+    # no walk depth equals 12.5 and NaN passes both range checks, so either
+    # bound would let the walk run without end
+    spec = build_solid(SolidKind.TETRAHEDRON, 0.45 * PI)
+    with pytest.raises(sphtrig.DomainError, match="not an integer"):
+        enumerate_classes(spec, depth)
 
 
 def test_tight_closure_tolerance_is_a_domain_error():

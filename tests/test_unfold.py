@@ -174,7 +174,7 @@ def test_cyclic_shift_conjugates_holonomy(kind):
     spec = build_solid(kind, MIDPOINTS[kind])
     rng = random.Random(17)
     for _ in range(100):
-        word = random_sequence(spec, rng).edge_word()
+        word = random_sequence(spec, rng).edges
         r0 = holonomy(spec, CrossingSequence.from_edges(spec, word))
         a0 = axis_angle(r0).angle
         s = rng.randrange(1, len(word))
@@ -188,7 +188,7 @@ def test_reversal_inverts_holonomy(kind):
     spec = build_solid(kind, MIDPOINTS[kind])
     rng = random.Random(23)
     for _ in range(100):
-        word = random_sequence(spec, rng).edge_word()
+        word = random_sequence(spec, rng).edges
         r = holonomy(spec, CrossingSequence.from_edges(spec, word))
         r_rev = holonomy(spec, CrossingSequence.from_edges(spec, word[::-1]))
         assert _is_identity(mat_compose(r, r_rev), tol=1e-12)
@@ -219,7 +219,7 @@ def test_symmetry_conjugates_holonomy(kind):
     rng = random.Random(31)
     for _ in range(60):
         seq = random_sequence(spec, rng)
-        word = seq.edge_word()
+        word = seq.edges
         op = rotations[rng.randrange(len(rotations))]
         image = CrossingSequence.from_edges(
             spec, tuple(op.edge_perm[e] for e in word)

@@ -100,7 +100,7 @@ def is_simple(spec: SolidSpec, path) -> bool:
 def canonicalize(spec: SolidSpec, seq: CrossingSequence) -> CrossingSequence:
     """Lexicographic minimum of the sequence over cyclic shifts, reversal and
     the full symmetry group; idempotent."""
-    return CrossingSequence.from_edges(spec, finder.canonical_word(spec, seq.edge_word()))
+    return CrossingSequence.from_edges(spec, finder.canonical_word(spec, seq.edges))
 
 
 def random_unit(rng: random.Random) -> Tuple[float, float, float]:
