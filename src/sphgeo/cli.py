@@ -178,6 +178,7 @@ def render_svg(
     solution within `tol_closure`, and its kind tag must be the solution's;
     otherwise DomainError is raised and nothing is drawn.
     """
+    finder.check_tolerances(tol_closure, tol_vertex)
     word = cls_doc["canonical_sequence"]
     # an edge id is a JSON integer: true would index as edge 1, and true or
     # 1.0 in a stored crossing would compare equal to it
@@ -446,13 +447,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     tols = (args.tol_closure, args.tol_vertex)
-    if not all(math.isfinite(t) and t > 0 for t in tols):
-        print("tolerances must be positive and finite", file=sys.stderr)
-        return EXIT_CONFIG
-    if not args.tol_vertex < 0.5:
-        print("--tol-vertex must be below 0.5: each crossing keeps that fraction "
-              "of its edge clear of both ends", file=sys.stderr)
-        return EXIT_CONFIG
     # an --out that is empty, a directory or in a missing one fails before any
     # work; the check creates nothing, so a command that fails later leaves no file
     out, out_dir = args.out, os.path.dirname(args.out or "") or "."
@@ -462,6 +456,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
 
     try:
+        finder.check_tolerances(*tols)
         if args.command == "export":
             return cmd_export(args.in_path, args.class_index, *tols, args.out)
         kind = SolidKind(args.solid)

@@ -186,6 +186,10 @@ def count_tetra(
     A type (p, q) crosses 4(p+q) edges; candidates needing more than
     `max_crossings` (when given) are reported as depth-capped and not counted.
     """
+    finder.check_tolerances(tol_closure, tol_vertex)
+    # NaN or a float would pass the depth comparison below as "no cap"
+    if max_crossings is not None and not isinstance(max_crossings, int):
+        raise DomainError(f"max_crossings={max_crossings!r} is not an integer")
     spec = solids.build_solid(SolidKind.TETRAHEDRON, alpha)
     cands = candidate_types(alpha)
     verdicts: List[TypeVerdict] = []

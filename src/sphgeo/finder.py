@@ -34,11 +34,14 @@ as some such image is smaller at a turn the prefix fixes, and solves a
 closed word only if it is the least image (see `enumerate_classes`).  This
 is orderly generation by canonical augmentation (McKay, J. Algorithms 26,
 1998) with the incremental prefix test of bracelet generators (Sawada,
-SIAM J. Comput. 31, 2001).  The walk lays out
-the development as it goes, so a closed word is solved on those placements
-without being developed again (`test_search_lays_out_closures_as_develop`
-checks that they are `develop`'s); a word that repeats a shorter one is
-skipped, since a geodesic traversed twice is not simple.
+SIAM J. Comput. 31, 2001).
+
+Each search node crosses one edge with `unfold.step` and keeps only the
+placement of the face copy it enters.  A closed word that is not a proper
+power (a geodesic traversed twice is not simple) and is least is laid out by
+`unfold.walk` from its turn word, with the same products in the same order
+(`test_search_lays_out_closures_as_develop` checks that this is `develop`'s
+layout).  A typed tetrahedron sequence is the walk of its turn word too.
 """
 
 from __future__ import annotations
@@ -60,13 +63,12 @@ from .sphtrig import (
     dot,
     equator_crossings,
     mat_apply,
-    mat_compose,
     neg,
     normalize,
     pole_frame,
 )
 from .solids import SolidKind, SolidSpec, cyclic_min, symmetry_group
-from .unfold import CrossingSequence, Development, develop
+from .unfold import CrossingSequence, Development, develop, step, walk
 
 TWO_PI = 2.0 * PI
 
@@ -78,6 +80,19 @@ FEAS_MARGIN = 1e-12  # poles closer than this to a chart's horizon are ignored
 # the repeats u^k of a closed word stay least and feasible, so they walk to
 # the crossing bound: capping it caps the search's run time
 MAX_SEARCH_DEPTH = 200
+
+
+def check_tolerances(tol_closure: float, tol_vertex: float) -> None:
+    """Raise DomainError unless both solve tolerances are positive and
+    finite and tol_vertex is below 0.5.  A NaN tolerance would switch a
+    check off or fail every candidate, and past 0.5 no crossing fraction t
+    satisfies tol_vertex < t < 1 - tol_vertex."""
+    if not all(math.isfinite(t) and t > 0 for t in (tol_closure, tol_vertex)):
+        raise DomainError(f"tolerances must be positive and finite, got "
+                          f"tol_closure={tol_closure!r}, tol_vertex={tol_vertex!r}")
+    if not tol_vertex < 0.5:
+        raise DomainError(f"tol_vertex={tol_vertex!r} must be below 0.5: each crossing "
+                          "keeps that fraction of its edge clear of both ends")
 
 
 class ClassificationError(ValueError):
@@ -212,6 +227,7 @@ def solve_sequence(
     traversal direction, with strictly increasing azimuths spanning exactly
     the rotation angle, stay clear of vertices, and be simple on the surface.
     """
+    check_tolerances(tol_closure, tol_vertex)
     return _solve_development(spec, develop(spec, seq), tol_closure, tol_vertex)
 
 
@@ -594,7 +610,7 @@ def enumerate_classes(
     is strictly smaller at a position t_0..t_k fixes, which every
     completion of the prefix shares; no image is smaller than the least
     one, so it is never cut.  A closed word is solved only if it is the least of its
-    4m images, on the development the walk has already laid out.  This is
+    4m images, on the development `unfold.walk` lays out from it.  This is
     isomorph-free generation by canonical augmentation (B. D. McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26, 1998), with
     the incremental prefix test of bracelet generators (J. Sawada,
@@ -628,31 +644,25 @@ def enumerate_classes(
         raise DomainError("max_crossings must be at least 3")
     if max_crossings > MAX_SEARCH_DEPTH:
         raise DomainError(f"max_crossings must be at most {MAX_SEARCH_DEPTH}")
+    check_tolerances(tol_closure, tol_vertex)
     n = spec.face_size
-    chart = spec.chart
     start_face, start_j = _start_crossing(spec)
     found: List[Tuple[int, ...]] = []
-    # A node is a walk about to cross local edge j of its last face copy.
-    # It holds the walk's own development, laid out as `develop` does it:
-    # crossing i leaves the copy of faces[i] placed by placements[i] through
-    # the developed edge arcs[i], and turns[i] is the turn in faces[i + 1].
-    # It also holds the pole region (None until the first crossing starts
-    # the chart about its entry vertex), the length bound and the forward
-    # images of `turns` that `_extend_least` has not yet decided.
-    stack = [((start_face,), (), (IDENTITY,), (), (), start_j, None, 0.0, ())]
+    # A node is a walk about to cross local edge j of the copy of `face`
+    # placed by `placement`.  It holds the edges crossed so far, their
+    # developed arcs, the turns made after each crossing, the pole region
+    # (None until the first crossing starts the chart about its entry
+    # vertex), the length bound and the forward images of `turns` that
+    # `_extend_least` has not yet decided.
+    stack = [(start_face, start_j, IDENTITY, (), (), (), None, 0.0, ())]
     while stack:
-        faces, edges, placements, arcs, turns, j, region, lb, tied = stack.pop()
-        cur_face, placement = faces[-1], placements[-1]
-        p = mat_apply(placement, chart[j])
-        q = mat_apply(placement, chart[(j + 1) % n])
-        arcs += ((p, q),)
-        region = _narrow(region or (_pole_box(q), None), arcs, 1)
+        face, j, placement, edges, arcs, turns, region, lb, tied = stack.pop()
+        arc, face, entry, placement = step(spec, face, j, placement)
+        arcs += (arc,)
+        region = _narrow(region or (_pole_box(arc[1]), None), arcs, 1)
         if region is None:
             continue
-        face, entry = spec.gluing[(cur_face, j)]
-        edges += (spec.face_edges[cur_face][j],)
-        faces += (face,)
-        placements += (mat_compose(placement, spec.steps[(cur_face, j)]),)
+        edges += (spec.face_edges[face][entry],)  # the edge just crossed
         m = len(edges)
         closing = (start_j - entry) % n
         # a closed word is solved unless it is a proper power, which retraces
@@ -661,7 +671,7 @@ def enumerate_classes(
                 and not any(m % d == 0 and edges[d:] + edges[:d] == edges
                             for d in range(1, m // 2 + 1))
                 and _is_least_turn_word(turns + (closing,), n)):
-            dev = Development(CrossingSequence(faces[:-1], edges), placements, arcs)
+            dev = walk(spec, start_face, start_j, turns + (closing,))
             if _solve_development(spec, dev, tol_closure, tol_vertex) is not None:
                 found.append(edges)
         if m == max_crossings:
@@ -673,8 +683,8 @@ def enumerate_classes(
                 grown = turns + (t,)
                 still = _extend_least(grown, tied, n)
                 if still is not None:
-                    stack.append((faces, edges, placements, arcs, grown,
-                                  (entry + t) % n, region, lb2, still))
+                    stack.append((face, (entry + t) % n, placement, edges, arcs,
+                                  grown, region, lb2, still))
 
     classes = [solve_class(spec, word, tol_closure, tol_vertex) for word in found]
     classes.sort(key=lambda c: c.path.seq.edges)
@@ -689,6 +699,7 @@ def solve_class(
 ) -> GeodesicClass:
     """The class of `word`, any edge word of a sequence that solved: its
     path is solved on the class's canonical word (see `canonical_word`)."""
+    check_tolerances(tol_closure, tol_vertex)
     orbit = _orbit(spec, word)
     seq = CrossingSequence.from_edges(spec, min(orbit))
     path = solve_sequence(spec, seq, tol_closure, tol_vertex)
@@ -704,37 +715,36 @@ def solve_class(
 # targeted tetrahedron sequences by type
 
 
-def tetra_type_sequence(spec: SolidSpec, p: int, q: int) -> CrossingSequence:
-    """The crossing sequence of the type-(p, q) tetrahedron geodesic.
-
-    The walk starts from the search's start crossing, edge 0 out of face
-    edge_faces[0][0], and is fixed by its exit turns (see
-    `enumerate_classes`).  Its turn word is the doubled lower Christoffel
-    word of slope p/q (J. Berstel, A. Lauve, C. Reutenauer, F. Saliola,
-    "Combinatorics on Words: Christoffel Words and Repetitions in Words",
-    AMS 2008): letter i, for i < 2(p + q), is upper iff
-    floor((i + 1) p / (p + q)) > floor(i p / (p + q)), and each lower letter
-    turns 2 then 1, each upper letter 1 then 2.  The walk closes on the
-    start crossing after exactly 4(p + q) crossings
-    (`test_tetra_type_sequence_structure` checks it, with the pair counts
-    and the class, against a straight line traced across the developing
-    triangular lattice, for every type with q <= 30).
-    """
+def _type_walk(spec: SolidSpec, p: int, q: int) -> Development:
+    """The laid-out walk whose faces and edges `tetra_type_sequence` returns."""
     if spec.kind is not SolidKind.TETRAHEDRON:
         raise DomainError("typed sequences apply to the tetrahedron")
     if not (0 <= p <= q) or q < 1 or math.gcd(p, q) != 1:
         raise DomainError(f"({p}, {q}) is not a valid coprime type")
-    face, k = _start_crossing(spec)
-    faces: List[int] = []
-    edges: List[int] = []
+    turns: List[int] = []
     for i in range(2 * (p + q)):
         upper = (i + 1) * p // (p + q) > i * p // (p + q)
-        for t in (1, 2) if upper else (2, 1):
-            faces.append(face)
-            edges.append(spec.face_edges[face][k])
-            face, entry = spec.gluing[(face, k)]
-            k = (entry + t) % 3
-    return CrossingSequence(tuple(faces), tuple(edges))
+        turns += (1, 2) if upper else (2, 1)
+    return walk(spec, *_start_crossing(spec), turns)
+
+
+def tetra_type_sequence(spec: SolidSpec, p: int, q: int) -> CrossingSequence:
+    """The crossing sequence of the type-(p, q) tetrahedron geodesic.
+
+    The walk starts from the search's start crossing, edge 0 out of face
+    edge_faces[0][0], and is fixed by its exit turns (see `unfold.walk`).
+    Its turn word is the doubled lower Christoffel word of slope p/q
+    (J. Berstel, A. Lauve, C. Reutenauer, F. Saliola, "Combinatorics on
+    Words: Christoffel Words and Repetitions in Words", AMS 2008): letter
+    i, for i < 2(p + q), is upper iff floor((i + 1) p / (p + q)) >
+    floor(i p / (p + q)), and each lower letter turns 2 then 1, each upper
+    letter 1 then 2.  The walk closes on the start crossing after exactly
+    4(p + q) crossings
+    (`test_tetra_type_sequence_structure` checks it, with the pair counts
+    and the class, against a straight line traced across the developing
+    triangular lattice, for every type with q <= 30).
+    """
+    return _type_walk(spec, p, q).seq
 
 
 def solve_tetra_type(
@@ -744,10 +754,10 @@ def solve_tetra_type(
     tol_closure: float = SOLVE_TOL,
     tol_vertex: float = SOLVE_TOL,
 ) -> Optional[GeodesicPath]:
-    """Solve the targeted type-(p, q) sequence; None when no such geodesic
-    exists at this facet angle."""
-    seq = tetra_type_sequence(spec, p, q)
-    path = solve_sequence(spec, seq, tol_closure, tol_vertex)
+    """Solve the targeted type-(p, q) sequence on the development of its
+    walk; None when no such geodesic exists at this facet angle."""
+    check_tolerances(tol_closure, tol_vertex)
+    path = _solve_development(spec, _type_walk(spec, p, q), tol_closure, tol_vertex)
     if path is not None:
         got = classify_tetra_type(spec, path)
         if got != (p, q):

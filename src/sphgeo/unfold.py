@@ -8,11 +8,14 @@ per-edge transfer rotations around the cycle is the closing rotation
 (holonomy) whose axis is the only possible pole of that arc.
 
 Per-directed-edge transfer rotations are precomputed once per solid (in
-``SolidSpec.steps``).  ``develop`` lays a sequence out from scratch; the
-exhaustive search in ``finder`` builds the same ``Development`` incrementally,
-one placement per crossing, with the same products in the same order
-(``test_search_lays_out_closures_as_develop`` checks that every closure it
-solves equals ``develop``'s layout of its edge word).
+``SolidSpec.steps``).  ``step`` crosses one edge, and is the only reader of
+them.  A walk that enters a face over local edge ``entry`` and leaves it over
+local edge k makes the exit turn t = (k - entry) mod n, so a walk is fixed by
+its first crossing and its turns; ``walk`` lays out a turn word with
+``step``.  ``develop`` reads the turns of a crossing sequence and walks them,
+the exhaustive search in ``finder`` steps once per walk node, and a
+tetrahedron type is the walk of its turn word, so every development comes
+from the same products in the same order.
 """
 
 from __future__ import annotations
@@ -60,16 +63,19 @@ class CrossingSequence:
         return CrossingSequence(tuple(mids[-1:] + mids[:-1]), tuple(edges))
 
     def validate(self, spec: SolidSpec) -> None:
+        """Raise DomainError unless the sequence is a closed face walk:
+        crossing i leaves face faces[i] over an edge of it and enters
+        faces[(i + 1) % m], and no two consecutive crossings share an edge."""
         m = len(self.edges)
         if m < 3 or len(self.faces) != m:
             raise DomainError("a crossing sequence needs at least 3 crossings "
                               "and one face for each")
         for i, e in enumerate(self.edges):
             f, g = self.faces[i], self.faces[(i + 1) % m]
-            if (f, e) not in spec.face_edge_local:
-                raise DomainError(f"edge {e} is not on face {f}")
-            if (g, e) not in spec.face_edge_local:
-                raise DomainError(f"edge {e} is not on face {g}")
+            j = spec.face_edge_local.get((f, e))
+            if j is None or spec.gluing[(f, j)][0] != g:
+                raise DomainError(f"crossing {i} over edge {e} does not lead "
+                                  f"from face {f} into face {g}")
             if e == self.edges[(i + 1) % m]:
                 raise DomainError("consecutive crossings reuse one edge")
 
@@ -94,18 +100,44 @@ class Development:
         return self.placements[-1]
 
 
+def step(spec: SolidSpec, face: int, j: int,
+         placement: Mat3) -> Tuple[Tuple[Vec3, Vec3], int, int, Mat3]:
+    """Cross local edge j of the copy of `face` placed by `placement`.
+
+    Returns the edge's developed arc (p, q), directed as the boundary of
+    the exited copy, the face entered and its local index of the edge, and
+    the placement of the entered copy.
+    """
+    p = mat_apply(placement, spec.chart[j])
+    q = mat_apply(placement, spec.chart[(j + 1) % spec.face_size])
+    return (p, q), *spec.gluing[(face, j)], mat_compose(placement, spec.steps[(face, j)])
+
+
+def walk(spec: SolidSpec, face: int, j: int, turns: Sequence[int]) -> Development:
+    """Lay out, from the identity, the walk that crosses local edge j of
+    `face` first and turns turns[i] in the face that crossing i enters: one
+    crossing per turn."""
+    faces: List[int] = []
+    edges: List[int] = []
+    placements: List[Mat3] = [IDENTITY]
+    arcs: List[Tuple[Vec3, Vec3]] = []
+    for t in turns:
+        faces.append(face)
+        edges.append(spec.face_edges[face][j])
+        arc, face, entry, placement = step(spec, face, j, placements[-1])
+        arcs.append(arc)
+        placements.append(placement)
+        j = (entry + t) % spec.face_size
+    return Development(CrossingSequence(tuple(faces), tuple(edges)),
+                       tuple(placements), tuple(arcs))
+
+
 def develop(spec: SolidSpec, seq: CrossingSequence) -> Development:
     """Lay out the face copies traversed by `seq`, starting from the identity."""
     seq.validate(spec)
-    n = spec.face_size
-    placements: List[Mat3] = [IDENTITY]
-    arcs: List[Tuple[Vec3, Vec3]] = []
-    r = IDENTITY
-    for f, e in zip(seq.faces, seq.edges):
-        j = spec.face_edge_local[(f, e)]
-        p = mat_apply(r, spec.chart[j])
-        q = mat_apply(r, spec.chart[(j + 1) % n])
-        arcs.append((p, q))
-        r = mat_compose(r, spec.steps[(f, j)])
-        placements.append(r)
-    return Development(seq=seq, placements=tuple(placements), arcs=tuple(arcs))
+    local = spec.face_edge_local
+    # crossing i enters g = faces[i + 1] over edge e and leaves it over e2 = edges[i + 1]
+    after = zip(seq.faces[1:] + seq.faces[:1], seq.edges[1:] + seq.edges[:1])
+    turns = [(local[(g, e2)] - local[(g, e)]) % spec.face_size
+             for e, (g, e2) in zip(seq.edges, after)]
+    return walk(spec, seq.faces[0], local[(seq.faces[0], seq.edges[0])], turns)

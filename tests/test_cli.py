@@ -784,7 +784,9 @@ def test_bad_args():
 ], ids=["enumerate", "export"])
 def test_non_finite_tolerance_rejected(capsys, command, flag, value):
     assert main(command + [flag, value]) == 2
-    assert capsys.readouterr().err == "tolerances must be positive and finite\n"
+    err = capsys.readouterr().err
+    assert err.startswith("error: tolerances must be positive and finite, got ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["0.5", "0.6"])
@@ -801,5 +803,5 @@ def test_vertex_tolerance_past_half_rejected(capsys, command, value):
     assert main(command + ["--tol-vertex", value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("--tol-vertex must be below 0.5")
+    assert captured.err.startswith(f"error: tol_vertex={float(value)!r} must be below 0.5")
     assert captured.err.count("\n") == 1

@@ -204,6 +204,14 @@ def test_depth_cap_reported():
     assert all(4 * (v.p + v.q) > 8 for v in capped)
 
 
+@pytest.mark.parametrize("depth", [12.5, math.nan], ids=["fraction", "nan"])
+def test_count_tetra_rejects_non_integer_depth(depth):
+    # NaN fails every "needs more crossings" comparison, so it would read as
+    # no cap, where enumerate_classes refuses it
+    with pytest.raises(DomainError, match="not an integer"):
+        count_tetra(0.45 * PI, depth)
+
+
 @pytest.mark.parametrize("alpha", [PI / 3, 2 * PI / 3, 0.7 * PI, math.nan])
 def test_count_tetra_rejects_inadmissible_alpha(alpha):
     # the tetrahedron is built first, and it refuses the angle

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphgeo import counts, finder, sphtrig
+from sphgeo import cli, counts, finder, sphtrig
 from sphgeo.finder import (
     ClassificationError,
     GeodesicPath,
@@ -20,7 +20,7 @@ from sphgeo.finder import (
     tetra_type_sequence,
 )
 from sphgeo.solids import ADMISSIBLE, SolidKind, build_solid, symmetry_group
-from sphgeo.sphtrig import PI, dot, neg, normalize
+from sphgeo.sphtrig import PI, DomainError, dot, neg, normalize
 from sphgeo.unfold import CrossingSequence, develop
 
 from util import (
@@ -221,12 +221,22 @@ def test_octa_type2_right_angles():
 
 
 def test_octa_reordered_word_has_no_geodesic():
-    # structurally valid 7-crossing word that no geodesic realizes
     spec = build_solid(SolidKind.OCTAHEDRON, 0.4 * PI)
+    # from_edges gives this word faces whose crossing 0 leads from face 4
+    # back into face 4, so it is no face walk
     word = word_of(
         spec, ("A1A2", "A2A6", "A2A3", "A3A5", "A3A4", "A4A6", "A6A1")
     )
+    with pytest.raises(DomainError, match="crossing 0 over edge"):
+        solve_sequence(spec, CrossingSequence.from_edges(spec, word))
+    # a closed walk that follows the type-2 geodesic for five crossings and
+    # then turns back; the octahedron's faces form the bipartite cube graph,
+    # so a closed walk has an even number of crossings
+    word = word_of(
+        spec, ("A1A2", "A2A6", "A2A3", "A3A5", "A3A4", "A3A6", "A2A3", "A2A5")
+    )
     seq = CrossingSequence.from_edges(spec, word)
+    develop(spec, seq)
     assert solve_sequence(spec, seq) is None
 
 
@@ -389,10 +399,13 @@ def test_self_crossing_band_rejected():
 
 
 def test_figure_eight_rejected():
+    # from_edges gives it faces (2, 2, 3, 0, 1, 2): crossing 0 would lead
+    # from face 2 back into face 2, so no face walk traces it
     spec = build_solid(SolidKind.TETRAHEDRON, 0.42 * PI)
     word = (0, 4, 3, 1, 2, 4)
     seq = CrossingSequence.from_edges(spec, word)
-    assert solve_sequence(spec, seq) is None
+    with pytest.raises(DomainError, match="crossing 0 over edge 0"):
+        solve_sequence(spec, seq)
 
 
 @pytest.fixture
@@ -462,9 +475,18 @@ def test_chord_nesting_agrees_on_random_chords(kind, alpha):
     (0, 4, 3, 1, 2, 4),        # figure eight
 ])
 def test_chord_nesting_rejects_self_crossing(word, simplicity_verdicts):
+    # the doubled band is a closed walk that retraces itself, so its chords
+    # decide it; the figure eight is no face walk (see
+    # test_figure_eight_rejected) and is refused before any chord is sorted
     spec = build_solid(SolidKind.TETRAHEDRON, 0.42 * PI)
-    assert solve_sequence(spec, CrossingSequence.from_edges(spec, word)) is None
-    assert simplicity_verdicts == [False]
+    seq = CrossingSequence.from_edges(spec, word)
+    if word == (0, 4, 3, 1, 2, 4):
+        with pytest.raises(DomainError):
+            solve_sequence(spec, seq)
+        assert simplicity_verdicts == []
+    else:
+        assert solve_sequence(spec, seq) is None
+        assert simplicity_verdicts == [False]
 
 
 # ---------------------------------------------------------------------------
@@ -980,6 +1002,33 @@ def test_enumerate_rejects_non_integer_depth(depth):
     spec = build_solid(SolidKind.TETRAHEDRON, 0.45 * PI)
     with pytest.raises(sphtrig.DomainError, match="not an integer"):
         enumerate_classes(spec, depth)
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol_vertex": math.nan}, {"tol_vertex": 0.7}, {"tol_vertex": 0.5},
+    {"tol_vertex": 0.0}, {"tol_closure": -1.0}, {"tol_closure": math.nan},
+    {"tol_closure": math.inf},
+], ids=["vertex-nan", "vertex-0.7", "vertex-0.5", "vertex-0", "closure-neg",
+        "closure-nan", "closure-inf"])
+def test_library_rejects_bad_tolerances(bad):
+    # a NaN tol_vertex or one past 0.5 fails every crossing and a negative
+    # tol_closure every chord, so the search would find nothing; a NaN
+    # tol_closure would switch the chord and residual checks off
+    octa = build_solid(SolidKind.OCTAHEDRON, 0.4 * PI)
+    tetra = build_solid(SolidKind.TETRAHEDRON, 0.45 * PI)
+    cls = enumerate_classes(octa, 12)[0]
+    word = cls.path.seq.edges
+    calls = [
+        lambda: enumerate_classes(octa, 12, **bad),
+        lambda: solve_sequence(octa, cls.path.seq, **bad),
+        lambda: finder.solve_class(octa, word, **bad),
+        lambda: solve_tetra_type(tetra, 0, 1, **bad),
+        lambda: counts.count_tetra(0.45 * PI, **bad),
+        lambda: cli.render_svg(octa, cli.class_to_doc(cls), **bad),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="tol"):
+            call()
 
 
 def test_tight_closure_tolerance_is_a_domain_error():

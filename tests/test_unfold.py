@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphgeo import sphtrig
 from sphgeo.solids import SolidKind, build_solid, cone_angle, symmetry_group
@@ -20,7 +22,9 @@ from util import (
     holonomy,
     mat_transpose,
     orthonormality_residual,
+    random_closed_word,
     random_sequence,
+    reference_develop,
     step_rotation,
 )
 
@@ -68,6 +72,24 @@ def test_validate_checks_face_chain():
     )
     with pytest.raises(DomainError):
         broken.validate(spec)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(list(SolidKind)), st.integers(0, 2**32 - 1), st.data())
+def test_develop_walks_the_reference_layout(kind, seed, data):
+    # develop reads a sequence's turns and walks them with unfold.step; a
+    # closed face walk must come out as the per-crossing lookup lays it out,
+    # float for float, and a sequence with one face label changed is no walk
+    spec = build_solid(kind, MIDPOINTS[kind])
+    word = random_closed_word(spec, random.Random(seed), max_len=16)
+    seq = CrossingSequence.from_edges(spec, word)
+    assert develop(spec, seq) == reference_develop(spec, seq)
+    i = data.draw(st.integers(0, len(seq) - 1))
+    f = data.draw(st.sampled_from([g for g in range(len(spec.faces))
+                                   if g != seq.faces[i]]))
+    faces = seq.faces[:i] + (f,) + seq.faces[i + 1:]
+    with pytest.raises(DomainError):
+        develop(spec, CrossingSequence(faces, seq.edges))
 
 
 # ---------------------------------------------------------------------------

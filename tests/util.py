@@ -63,6 +63,24 @@ def step_rotation(spec: SolidSpec, placement, from_face: int, edge: int, to_face
     return sphtrig.mat_compose(placement, spec.steps[(from_face, j)])
 
 
+def reference_develop(spec: SolidSpec, seq: CrossingSequence) -> unfold.Development:
+    """Slow oracle for `unfold.develop` on a valid sequence: it looks up
+    each crossing's local edge from its face and edge id, where `develop`
+    reads turns and walks them with `unfold.step`."""
+    n = spec.face_size
+    placements = [sphtrig.IDENTITY]
+    arcs = []
+    r = sphtrig.IDENTITY
+    for f, e in zip(seq.faces, seq.edges):
+        j = spec.face_edge_local[(f, e)]
+        p = sphtrig.mat_apply(r, spec.chart[j])
+        q = sphtrig.mat_apply(r, spec.chart[(j + 1) % n])
+        arcs.append((p, q))
+        r = sphtrig.mat_compose(r, spec.steps[(f, j)])
+        placements.append(r)
+    return unfold.Development(seq=seq, placements=tuple(placements), arcs=tuple(arcs))
+
+
 def holonomy(spec: SolidSpec, seq: CrossingSequence):
     """Closing rotation of the development of `seq`."""
     return unfold.develop(spec, seq).closing
