@@ -27,7 +27,7 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _check_type(p: int, q: int) -> None:
-    if not (isinstance(p, int) and isinstance(q, int)):
+    if not (finder.is_int(p) and finder.is_int(q)):
         raise DomainError("type entries must be integers")
     if not (0 <= p <= q) or (p, q) == (0, 0) or math.gcd(p, q) != 1:
         raise DomainError(f"({p}, {q}) is not a coprime type with 0 <= p <= q")
@@ -181,28 +181,34 @@ def count_tetra(
     tol_vertex: float = finder.SOLVE_TOL,
 ) -> CountReport:
     """Resolve every non-excluded type by its targeted crossing sequence,
-    with the solver tolerances of `finder.solve_tetra_type`.
+    with the solver tolerances and checks of `finder.solve_tetra_type`.
 
+    The types are laid out along one shared-prefix walk: their turn words
+    are walked in lexicographic order, each from the longest prefix it
+    shares with the one before (`finder._type_walks`), and each
+    development is the one `solve_tetra_type` solves, float for float.
     A type (p, q) crosses 4(p+q) edges; candidates needing more than
     `max_crossings` (when given) are reported as depth-capped and not counted.
     """
     finder.check_tolerances(tol_closure, tol_vertex)
-    # NaN or a float would pass the depth comparison below as "no cap"
-    if max_crossings is not None and not isinstance(max_crossings, int):
+    # NaN or a float would pass the depth comparison below as "no cap", and
+    # True would cap every type at one crossing
+    if max_crossings is not None and not finder.is_int(max_crossings):
         raise DomainError(f"max_crossings={max_crossings!r} is not an integer")
     spec = solids.build_solid(SolidKind.TETRAHEDRON, alpha)
     cands = candidate_types(alpha)
+    solved = [(p, q) for p, q in cands
+              if max_crossings is None or 4 * (p + q) <= max_crossings]
+    found = dict(zip(solved, finder._types_found(spec, solved, tol_closure, tol_vertex)))
     verdicts: List[TypeVerdict] = []
     for p, q in cands:
-        depth = 4 * (p + q)
-        if max_crossings is not None and depth > max_crossings:
+        if (p, q) not in found:
             verdicts.append(TypeVerdict(p, q, "depth-capped", False))
             continue
-        path = finder.solve_tetra_type(spec, p, q, tol_closure, tol_vertex)
         guaranteed = sufficient_exists(p, q, alpha)
         verdicts.append(TypeVerdict(
             p, q, "sufficient-guaranteed" if guaranteed else "solver-resolved",
-            path is not None,
+            found[p, q],
         ))
     return CountReport(
         c1=c1_alpha(alpha),

@@ -4,9 +4,11 @@ Closure of a candidate crossing sequence is solved algebraically: the closing
 rotation of the development fixes exactly one great circle (the equator of
 its axis), so a sequence either carries the unique geodesic with those
 crossings or none at all.  No shooting, no root-finding.  A pole is solved
-in one pass: all edges are side-tested by two dots each, then the crossings
-follow with the pole's frame built once.  Each incidence angle is measured
-on the exited face copy's edge and, independently, the entered copy's.
+in one pass per stage: all edges are side-tested by two dots each; the
+crossings follow with the pole's frame built once; one loop checks each
+crossing's clearance of the vertices and its chord against its azimuth gap;
+and one loop measures each incidence angle on the exited face copy's edge
+and, independently, the entered copy's.
 
 Simplicity is decided combinatorially.  A face is convex and each segment of
 a solved candidate is a minor chord between two points of its boundary; the
@@ -41,14 +43,18 @@ placement of the face copy it enters.  A closed word that is not a proper
 power (a geodesic traversed twice is not simple) and is least is laid out by
 `unfold.walk` from its turn word, with the same products in the same order
 (`test_search_lays_out_closures_as_develop` checks that this is `develop`'s
-layout).  A typed tetrahedron sequence is the walk of its turn word too.
+layout).  A typed tetrahedron sequence is the walk of its turn word too, and
+`count_tetra` walks all its candidate types along one shared-prefix walk: the
+turn words go in lexicographic order through one `unfold.Walker`, which
+resumes each from the longest prefix it shares with the word before, with
+the same products as a fresh walk (see `_type_walks`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .sphtrig import (
     CONTACT_TOL,
@@ -57,9 +63,7 @@ from .sphtrig import (
     ArcCrossing,
     DomainError,
     Vec3,
-    angle_between,
     axis_angle,
-    cross,
     dot,
     equator_crossings,
     mat_apply,
@@ -68,7 +72,7 @@ from .sphtrig import (
     pole_frame,
 )
 from .solids import SolidKind, SolidSpec, cyclic_min, symmetry_group
-from .unfold import CrossingSequence, Development, develop, step, walk
+from .unfold import CrossingSequence, Development, Walker, develop, step, walk
 
 TWO_PI = 2.0 * PI
 
@@ -93,6 +97,11 @@ def check_tolerances(tol_closure: float, tol_vertex: float) -> None:
     if not tol_vertex < 0.5:
         raise DomainError(f"tol_vertex={tol_vertex!r} must be below 0.5: each crossing "
                           "keeps that fraction of its edge clear of both ends")
+
+
+def is_int(x: object) -> bool:
+    """Whether x is an int and not a bool, which would count as 0 or 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class ClassificationError(ValueError):
@@ -253,43 +262,44 @@ def _path_for_pole(
     tol_closure: float,
     tol_vertex: float,
 ) -> Optional[GeodesicPath]:
-    # the equator must cross from the exited copy's side to the entered one;
-    # most poles fail this somewhere, so test every arc before any crossing
+    # One pass per stage, each with the floats of the sphtrig helpers it
+    # writes out (dot, angle_between, normalize(cross(...)), mat_apply) in
+    # their order.  The equator must cross from the exited copy's side to
+    # the entered one; most poles fail this somewhere, so test every arc
+    # before any crossing
+    x, y, z = pole
     dots = []
-    for p, q in dev.arcs:
-        dp = dot(pole, p)
-        dq = dot(pole, q)
+    for (p0, p1, p2), (q0, q1, q2) in dev.arcs:
+        dp = x * p0 + y * p1 + z * p2
+        dq = x * q0 + y * q1 + z * q2
         if not dq > 0.0 > dp:
             return None
         dots.append((dp, dq))
     hits = equator_crossings(pole, dev.arcs, dots)
     if hits is None:
         return None
-    for hit in hits:
-        if not tol_vertex < hit.t < 1.0 - tol_vertex:
-            return None
     m = len(hits)
 
-    gaps = []
-    for i in range(m):
-        if i < m - 1:
-            d = (hits[i + 1].azimuth - hits[i].azimuth) % TWO_PI
-        else:
-            d = (hits[0].azimuth + theta - hits[i].azimuth) % TWO_PI
-        if d <= 0.0:
-            return None
-        gaps.append(d)
-
-    # Each in-face chord must equal its azimuth gap; acos gives the minor-arc
-    # length, so agreement also certifies the segment is the minor arc, which
-    # face convexity then keeps inside the face copy.
-    pts = [h.point for h in hits]
-    closing_pt = mat_apply(dev.closing, pts[0])
+    # Each crossing keeps tol_vertex clear of the edge's ends, and each
+    # in-face chord must equal its azimuth gap; acos gives the minor-arc
+    # length, so agreement also certifies the segment is the minor arc,
+    # which face convexity then keeps inside the face copy.
     arc_lengths = []
-    for i in range(m):
-        nxt = pts[i + 1] if i < m - 1 else closing_pt
-        seg = angle_between(pts[i], nxt)
-        if abs(seg - gaps[i]) > tol_closure:
+    for i, (t, azimuth, (a0, a1, a2)) in enumerate(hits):
+        if not tol_vertex < t < 1.0 - tol_vertex:
+            return None
+        if i < m - 1:
+            _, nxt_azimuth, (b0, b1, b2) = hits[i + 1]
+            gap = (nxt_azimuth - azimuth) % TWO_PI
+        else:
+            gap = (hits[0].azimuth + theta - azimuth) % TWO_PI
+            b0, b1, b2 = mat_apply(dev.closing, hits[0].point)
+        if gap <= 0.0:
+            return None
+        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        seg = math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
+                         a0 * b0 + a1 * b1 + a2 * b2)
+        if abs(seg - gap) > tol_closure:
             return None
         arc_lengths.append(seg)
     total = math.fsum(arc_lengths)
@@ -298,30 +308,41 @@ def _path_for_pole(
         return None
 
     n = spec.face_size
+    local, gluing, chart = spec.face_edge_local, spec.gluing, spec.chart
     crossings = []
     for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
-        j = spec.face_edge_local[(f, e)]
-        v1 = spec.faces[f][j]
-        v2 = spec.faces[f][(j + 1) % n]
-        point = pts[i]
-        direction = normalize(cross(pole, point))     # geodesic tangent
+        j = local[(f, e)]
+        t, _, (x0, x1, x2) = hits[i]
+        # the geodesic tangent at the crossing point
+        d0, d1, d2 = y * x2 - z * x1, z * x0 - x * x2, x * x1 - y * x0
+        r = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+        if r < 1e-15:
+            raise DomainError("cannot normalize a (near-)zero vector")
+        d0, d1, d2 = d0 / r, d1 / r, d2 / r
         # the edge as the exited copy develops it is arcs[i]; the entered
         # copy develops it again from its own placement
-        inc_exit = _edge_angle(direction, point, *dev.arcs[i])
-        j2 = spec.gluing[(f, j)][1]
-        placement = dev.placements[i + 1]
-        inc_enter = _edge_angle(direction, point,
-                                mat_apply(placement, spec.chart[j2]),
-                                mat_apply(placement, spec.chart[(j2 + 1) % n]))
+        inc_exit = _edge_angle(d0, d1, d2, x0, x1, x2, *dev.arcs[i])
+        j2 = gluing[(f, j)][1]
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = dev.placements[i + 1]
+        u0, u1, u2 = chart[j2]
+        w0, w1, w2 = chart[(j2 + 1) % n]
+        inc_enter = _edge_angle(
+            d0, d1, d2, x0, x1, x2,
+            (m00 * u0 + m01 * u1 + m02 * u2,
+             m10 * u0 + m11 * u1 + m12 * u2,
+             m20 * u0 + m21 * u1 + m22 * u2),
+            (m00 * w0 + m01 * w1 + m02 * w2,
+             m10 * w0 + m11 * w1 + m12 * w2,
+             m20 * w0 + m21 * w1 + m22 * w2))
         # the two face copies develop the edge independently; the angles they
         # see must agree (edge orientations oppose, hence the pi flip)
         if abs(inc_exit - (PI - inc_enter)) > 1e-10:
             return None
-        if v1 < v2:
-            t, inc = hits[i].t, inc_exit
+        face = spec.faces[f]
+        if face[j] < face[(j + 1) % n]:
+            crossings.append(Crossing(e, t, inc_exit))
         else:
-            t, inc = 1.0 - hits[i].t, PI - inc_exit
-        crossings.append(Crossing(e, t, inc))
+            crossings.append(Crossing(e, 1.0 - t, PI - inc_exit))
 
     if not _dev_is_simple(spec, dev, hits):
         return None
@@ -336,10 +357,11 @@ def _path_for_pole(
     )
 
 
-def _edge_angle(direction: Vec3, point: Vec3, p: Vec3, q: Vec3) -> float:
-    """Angle between `direction` and the tangent at `point` of the edge arc
-    (p, q), oriented p -> q: the floats of angle_between(direction,
-    normalize(cross(normalize(cross(p, q)), point)))."""
+def _edge_angle(d0: float, d1: float, d2: float, x0: float, x1: float, x2: float,
+                p: Vec3, q: Vec3) -> float:
+    """Angle between the direction (d0, d1, d2) and the tangent at the point
+    (x0, x1, x2) of the edge arc (p, q), oriented p -> q: the floats of
+    angle_between(direction, normalize(cross(normalize(cross(p, q)), point)))."""
     p0, p1, p2 = p
     q0, q1, q2 = q
     n0, n1, n2 = p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0
@@ -347,13 +369,11 @@ def _edge_angle(direction: Vec3, point: Vec3, p: Vec3, q: Vec3) -> float:
     if r < 1e-15:
         raise DomainError("cannot normalize a (near-)zero vector")
     n0, n1, n2 = n0 / r, n1 / r, n2 / r        # edge pole
-    x0, x1, x2 = point
     t0, t1, t2 = n1 * x2 - n2 * x1, n2 * x0 - n0 * x2, n0 * x1 - n1 * x0
     r = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
     if r < 1e-15:
         raise DomainError("cannot normalize a (near-)zero vector")
     t0, t1, t2 = t0 / r, t1 / r, t2 / r        # edge tangent
-    d0, d1, d2 = direction
     c0, c1, c2 = d1 * t2 - d2 * t1, d2 * t0 - d0 * t2, d0 * t1 - d1 * t0
     return math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
                       d0 * t0 + d1 * t1 + d2 * t2)
@@ -413,13 +433,17 @@ def _orbit(spec: SolidSpec, word: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
 
 
 def canonical_word(spec: SolidSpec, word: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The lexicographic minimum of `word`'s orbit."""
+    """The lexicographic minimum of `word`'s orbit; raises DomainError
+    unless `word` is the edge word of a closed face walk."""
+    CrossingSequence.from_edges(spec, word)
     return min(_orbit(spec, word))
 
 
 def orbit_size(spec: SolidSpec, seq: CrossingSequence) -> int:
     """Number of distinct geodesics (sequences up to shift and reversal) in
-    the symmetry orbit."""
+    the symmetry orbit; raises DomainError unless `seq` is a closed face
+    walk."""
+    seq.validate(spec)
     return len(_orbit(spec, seq.edges))
 
 
@@ -638,7 +662,7 @@ def enumerate_classes(
     """
     # a float bound would never equal the depth, and NaN passes both range
     # checks, so either would let the walk run without end
-    if not isinstance(max_crossings, int):
+    if not is_int(max_crossings):
         raise DomainError(f"max_crossings={max_crossings!r} is not an integer")
     if max_crossings < 3:
         raise DomainError("max_crossings must be at least 3")
@@ -715,17 +739,38 @@ def solve_class(
 # targeted tetrahedron sequences by type
 
 
-def _type_walk(spec: SolidSpec, p: int, q: int) -> Development:
-    """The laid-out walk whose faces and edges `tetra_type_sequence` returns."""
-    if spec.kind is not SolidKind.TETRAHEDRON:
-        raise DomainError("typed sequences apply to the tetrahedron")
-    if not (0 <= p <= q) or q < 1 or math.gcd(p, q) != 1:
-        raise DomainError(f"({p}, {q}) is not a valid coprime type")
-    turns: List[int] = []
+def _turn_word(p: int, q: int) -> bytes:
+    """The turn word of type (p, q) (see `tetra_type_sequence`), one byte
+    per turn: bytes keep a count's thousands of words small to sort."""
+    turns = bytearray()
     for i in range(2 * (p + q)):
         upper = (i + 1) * p // (p + q) > i * p // (p + q)
-        turns += (1, 2) if upper else (2, 1)
-    return walk(spec, *_start_crossing(spec), turns)
+        turns += b"\x01\x02" if upper else b"\x02\x01"
+    return bytes(turns)
+
+
+def _type_walks(
+    spec: SolidSpec, types: Sequence[Tuple[int, int]]
+) -> Iterator[Tuple[int, Development]]:
+    """(i, the laid-out walk of types[i]) for every type, in the
+    lexicographic order of their turn words.
+
+    One `unfold.Walker` lays them all out, so each word resumes from the
+    longest prefix it shares with the word before it.  Christoffel words of
+    nearby slopes share long prefixes (Berstel et al., see
+    `tetra_type_sequence`): near the flat limit only about 3 in 5 of the
+    crossings of all candidate types are distinct prefixes.
+    """
+    if spec.kind is not SolidKind.TETRAHEDRON:
+        raise DomainError("typed sequences apply to the tetrahedron")
+    for p, q in types:
+        if not (is_int(p) and is_int(q)) or not (0 <= p <= q) or q < 1 \
+                or math.gcd(p, q) != 1:
+            raise DomainError(f"({p!r}, {q!r}) is not a valid coprime type")
+    words = [_turn_word(p, q) for p, q in types]
+    walker = Walker(spec, *_start_crossing(spec))
+    for i in sorted(range(len(types)), key=words.__getitem__):
+        yield i, walker.walk(words[i])
 
 
 def tetra_type_sequence(spec: SolidSpec, p: int, q: int) -> CrossingSequence:
@@ -744,7 +789,23 @@ def tetra_type_sequence(spec: SolidSpec, p: int, q: int) -> CrossingSequence:
     and the class, against a straight line traced across the developing
     triangular lattice, for every type with q <= 30).
     """
-    return _type_walk(spec, p, q).seq
+    ((_, dev),) = _type_walks(spec, ((p, q),))
+    return dev.seq
+
+
+def _solve_typed(
+    spec: SolidSpec, p: int, q: int, dev: Development, tol_closure: float,
+    tol_vertex: float,
+) -> Optional[GeodesicPath]:
+    """Solve the walk of type (p, q) and check that the path has that type."""
+    path = _solve_development(spec, dev, tol_closure, tol_vertex)
+    if path is not None:
+        got = classify_tetra_type(spec, path)
+        if got != (p, q):
+            raise ClassificationError(
+                f"targeted ({p}, {q}) sequence solved as type {got}"
+            )
+    return path
 
 
 def solve_tetra_type(
@@ -757,11 +818,20 @@ def solve_tetra_type(
     """Solve the targeted type-(p, q) sequence on the development of its
     walk; None when no such geodesic exists at this facet angle."""
     check_tolerances(tol_closure, tol_vertex)
-    path = _solve_development(spec, _type_walk(spec, p, q), tol_closure, tol_vertex)
-    if path is not None:
-        got = classify_tetra_type(spec, path)
-        if got != (p, q):
-            raise ClassificationError(
-                f"targeted ({p}, {q}) sequence solved as type {got}"
-            )
-    return path
+    ((_, dev),) = _type_walks(spec, ((p, q),))
+    return _solve_typed(spec, p, q, dev, tol_closure, tol_vertex)
+
+
+def _types_found(
+    spec: SolidSpec, types: Sequence[Tuple[int, int]], tol_closure: float,
+    tol_vertex: float,
+) -> List[bool]:
+    """Whether `solve_tetra_type` finds each of `types`, in their order.
+
+    The types are walked along one shared-prefix walk (`_type_walks`) and
+    each path is dropped once its verdict is read, so a count holds one
+    path at a time."""
+    found = [False] * len(types)
+    for i, dev in _type_walks(spec, types):
+        found[i] = _solve_typed(spec, *types[i], dev, tol_closure, tol_vertex) is not None
+    return found

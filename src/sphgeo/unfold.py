@@ -11,11 +11,12 @@ Per-directed-edge transfer rotations are precomputed once per solid (in
 ``SolidSpec.steps``).  ``step`` crosses one edge, and is the only reader of
 them.  A walk that enters a face over local edge ``entry`` and leaves it over
 local edge k makes the exit turn t = (k - entry) mod n, so a walk is fixed by
-its first crossing and its turns; ``walk`` lays out a turn word with
-``step``.  ``develop`` reads the turns of a crossing sequence and walks them,
-the exhaustive search in ``finder`` steps once per walk node, and a
-tetrahedron type is the walk of its turn word, so every development comes
-from the same products in the same order.
+its first crossing and its turns; a ``Walker`` lays out turn words with
+``step``, each from the longest prefix it shares with the word before, and
+``walk`` lays out one.  ``develop`` reads the turns of a crossing sequence
+and walks them, the exhaustive search in ``finder`` steps once per walk
+node, and the tetrahedron types are walked by one ``Walker``, so every
+development comes from the same products in the same order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .sphtrig import IDENTITY, DomainError, Mat3, Vec3, mat_apply, mat_compose
+from .sphtrig import IDENTITY, DomainError, Mat3, Vec3, mat_compose
 from .solids import SolidSpec
 
 
@@ -44,7 +45,8 @@ class CrossingSequence:
         """Build the sequence from a cyclic edge-id list.
 
         Consecutive edges must share exactly one face (which becomes the face
-        traversed between the two crossings); raises DomainError otherwise.
+        traversed between the two crossings), and the faces must chain into a
+        closed face walk (see `validate`); raises DomainError otherwise.
         """
         m = len(edges)
         if m < 3:
@@ -60,7 +62,12 @@ class CrossingSequence:
                     f"edges {e1} and {e2} do not bound a common face"
                 )
             mids.append(f)
-        return CrossingSequence(tuple(mids[-1:] + mids[:-1]), tuple(edges))
+        seq = CrossingSequence(tuple(mids[-1:] + mids[:-1]), tuple(edges))
+        # each pair of consecutive edges bounds a face, yet a crossing can
+        # still lead from a face back into it, as in the tetrahedron word
+        # (0, 4, 3, 1, 2, 4)
+        seq.validate(spec)
+        return seq
 
     def validate(self, spec: SolidSpec) -> None:
         """Raise DomainError unless the sequence is a closed face walk:
@@ -106,30 +113,76 @@ def step(spec: SolidSpec, face: int, j: int,
 
     Returns the edge's developed arc (p, q), directed as the boundary of
     the exited copy, the face entered and its local index of the edge, and
-    the placement of the entered copy.
+    the placement of the entered copy.  p and q are the floats of
+    mat_apply(placement, chart[j]) and of the next chart vertex.
     """
-    p = mat_apply(placement, spec.chart[j])
-    q = mat_apply(placement, spec.chart[(j + 1) % spec.face_size])
-    return (p, q), *spec.gluing[(face, j)], mat_compose(placement, spec.steps[(face, j)])
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = placement
+    p0, p1, p2 = spec.chart[j]
+    q0, q1, q2 = spec.chart[(j + 1) % spec.face_size]
+    return (((m00 * p0 + m01 * p1 + m02 * p2,
+              m10 * p0 + m11 * p1 + m12 * p2,
+              m20 * p0 + m21 * p1 + m22 * p2),
+             (m00 * q0 + m01 * q1 + m02 * q2,
+              m10 * q0 + m11 * q1 + m12 * q2,
+              m20 * q0 + m21 * q1 + m22 * q2)),
+            *spec.gluing[(face, j)], mat_compose(placement, spec.steps[(face, j)]))
+
+
+class Walker:
+    """Lays out turn words from one first crossing, local edge j of `face`,
+    each from the layout of the word before it.
+
+    Crossing i of a walk depends on its first crossing and turns[:i] alone.
+    So a word that shares its first k turns with the previous one shares
+    its first k crossings, their faces, edges, arcs and placements, and the
+    (face, j) that crossing k leaves; `walk` keeps those and steps on from
+    crossing k.  Every crossing is the same `step` product as in a fresh
+    walk, so each development equals a fresh walk's, float for float.
+    Words in lexicographic order share the longest prefixes.
+    """
+
+    def __init__(self, spec: SolidSpec, face: int, j: int) -> None:
+        self.spec = spec
+        self._turns: Sequence[int] = ()
+        self._faces: List[int] = []
+        self._edges: List[int] = []
+        self._arcs: List[Tuple[Vec3, Vec3]] = []
+        self._placements: List[Mat3] = [IDENTITY]
+        self._at: List[Tuple[int, int]] = [(face, j)]  # (face, j) of crossing i
+
+    def walk(self, turns: Sequence[int]) -> Development:
+        """The walk that turns turns[i] in the face that crossing i enters:
+        one crossing per turn."""
+        prev = self._turns
+        k = 0
+        common = min(len(prev), len(turns))
+        while k < common and prev[k] == turns[k]:
+            k += 1
+        faces, edges, arcs = self._faces, self._edges, self._arcs
+        placements, at = self._placements, self._at
+        del faces[k:], edges[k:], arcs[k:], placements[k + 1:], at[k + 1:]
+        spec = self.spec
+        face_edges, n = spec.face_edges, spec.face_size
+        face, j = at[-1]
+        placement = placements[-1]
+        for t in turns[k:]:
+            faces.append(face)
+            edges.append(face_edges[face][j])
+            arc, face, entry, placement = step(spec, face, j, placement)
+            arcs.append(arc)
+            placements.append(placement)
+            j = (entry + t) % n
+            at.append((face, j))
+        self._turns = tuple(turns)
+        return Development(CrossingSequence(tuple(faces), tuple(edges)),
+                           tuple(placements), tuple(arcs))
 
 
 def walk(spec: SolidSpec, face: int, j: int, turns: Sequence[int]) -> Development:
     """Lay out, from the identity, the walk that crosses local edge j of
     `face` first and turns turns[i] in the face that crossing i enters: one
     crossing per turn."""
-    faces: List[int] = []
-    edges: List[int] = []
-    placements: List[Mat3] = [IDENTITY]
-    arcs: List[Tuple[Vec3, Vec3]] = []
-    for t in turns:
-        faces.append(face)
-        edges.append(spec.face_edges[face][j])
-        arc, face, entry, placement = step(spec, face, j, placements[-1])
-        arcs.append(arc)
-        placements.append(placement)
-        j = (entry + t) % spec.face_size
-    return Development(CrossingSequence(tuple(faces), tuple(edges)),
-                       tuple(placements), tuple(arcs))
+    return Walker(spec, face, j).walk(turns)
 
 
 def develop(spec: SolidSpec, seq: CrossingSequence) -> Development:

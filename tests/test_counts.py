@@ -18,6 +18,8 @@ from sphgeo.counts import (
     sufficient_exists,
     totient_sum,
 )
+from sphgeo.finder import solve_tetra_type
+from sphgeo.solids import SolidKind, build_solid
 from sphgeo.sphtrig import PI, DomainError, tetra_edge
 
 PI2 = PI * PI
@@ -204,10 +206,11 @@ def test_depth_cap_reported():
     assert all(4 * (v.p + v.q) > 8 for v in capped)
 
 
-@pytest.mark.parametrize("depth", [12.5, math.nan], ids=["fraction", "nan"])
+@pytest.mark.parametrize("depth", [12.5, math.nan, True], ids=["fraction", "nan", "bool"])
 def test_count_tetra_rejects_non_integer_depth(depth):
     # NaN fails every "needs more crossings" comparison, so it would read as
-    # no cap, where enumerate_classes refuses it
+    # no cap, where enumerate_classes refuses it; True would cap every type
+    # as depth 1 and report N = 0
     with pytest.raises(DomainError, match="not an integer"):
         count_tetra(0.45 * PI, depth)
 
@@ -217,3 +220,25 @@ def test_count_tetra_rejects_inadmissible_alpha(alpha):
     # the tetrahedron is built first, and it refuses the angle
     with pytest.raises(DomainError, match="admissible interval"):
         count_tetra(alpha)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: necessary_excluded(True, 2, 0.4 * PI),
+    lambda: sufficient_exists(0, True, 0.4 * PI),
+], ids=["necessary_excluded", "sufficient_exists"])
+def test_type_checks_reject_bool(call):
+    with pytest.raises(DomainError, match="must be integers"):
+        call()
+
+
+def test_count_tetra_verdicts_in_candidate_order():
+    # the types are solved along one walk in the order of their turn words;
+    # the verdicts come back in candidate order, each solve_tetra_type's;
+    # two of the 53 candidates at this angle are not realizable
+    alpha = 0.335 * PI
+    spec = build_solid(SolidKind.TETRAHEDRON, alpha)
+    rep = count_tetra(alpha)
+    assert [(v.p, v.q) for v in rep.verdicts] == candidate_types(alpha)
+    assert [v.found for v in rep.verdicts] == [
+        solve_tetra_type(spec, v.p, v.q) is not None for v in rep.verdicts]
+    assert not all(v.found for v in rep.verdicts)

@@ -399,13 +399,23 @@ def test_self_crossing_band_rejected():
 
 
 def test_figure_eight_rejected():
-    # from_edges gives it faces (2, 2, 3, 0, 1, 2): crossing 0 would lead
-    # from face 2 back into face 2, so no face walk traces it
+    # its faces would be (2, 2, 3, 0, 1, 2): crossing 0 would lead from
+    # face 2 back into face 2, so no face walk traces it, and from_edges
+    # refuses it before anything takes it for a sequence
     spec = build_solid(SolidKind.TETRAHEDRON, 0.42 * PI)
     word = (0, 4, 3, 1, 2, 4)
-    seq = CrossingSequence.from_edges(spec, word)
+    with pytest.raises(DomainError, match="crossing 0 over edge 0"):
+        CrossingSequence.from_edges(spec, word)
+    seq = CrossingSequence((2, 2, 3, 0, 1, 2), word)
     with pytest.raises(DomainError, match="crossing 0 over edge 0"):
         solve_sequence(spec, seq)
+    # nor does any caller that takes the word or the sequence undeveloped
+    # accept it
+    for call in (lambda: finder.canonical_word(spec, word),
+                 lambda: finder.orbit_size(spec, seq),
+                 lambda: finder.solve_class(spec, word)):
+        with pytest.raises(DomainError, match="does not lead"):
+            call()
 
 
 @pytest.fixture
@@ -479,13 +489,12 @@ def test_chord_nesting_rejects_self_crossing(word, simplicity_verdicts):
     # decide it; the figure eight is no face walk (see
     # test_figure_eight_rejected) and is refused before any chord is sorted
     spec = build_solid(SolidKind.TETRAHEDRON, 0.42 * PI)
-    seq = CrossingSequence.from_edges(spec, word)
     if word == (0, 4, 3, 1, 2, 4):
         with pytest.raises(DomainError):
-            solve_sequence(spec, seq)
+            solve_sequence(spec, CrossingSequence.from_edges(spec, word))
         assert simplicity_verdicts == []
     else:
-        assert solve_sequence(spec, seq) is None
+        assert solve_sequence(spec, CrossingSequence.from_edges(spec, word)) is None
         assert simplicity_verdicts == [False]
 
 
@@ -654,6 +663,44 @@ def test_tetra_type_sequence_structure():
             == start_face
         assert finder.canonical_word(spec, seq.edges) == finder.canonical_word(
             spec, reference_tetra_type_sequence(spec, p, q).edges), (p, q)
+
+
+# coprime types with q <= 14, and the run (1, 1), ..., (1, 14), whose turn
+# words share long prefixes with each other and with (0, 1)'s
+_TYPES = [(p, q) for q in range(1, 15) for p in range(q + 1) if math.gcd(p, q) == 1]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from((0.3342, 0.34, 0.36)),
+       st.lists(st.sampled_from(_TYPES), min_size=1, max_size=10),
+       st.integers(0, 14), st.randoms(use_true_random=False))
+def test_shared_prefix_walk_matches_one_type_walks(alpha, types, run, rnd):
+    # count_tetra walks its types along one shared-prefix walk; each
+    # development must be the one-type walk's float for float, each path
+    # solve_tetra_type's, and the verdicts must come back in the types' order
+    types = types + [(1, q) for q in range(1, run + 1)]
+    rnd.shuffle(types)
+    spec = build_solid(SolidKind.TETRAHEDRON, alpha * PI)
+    batched = list(finder._type_walks(spec, types))
+    assert sorted(i for i, _ in batched) == list(range(len(types)))
+    for i, dev in batched:
+        p, q = types[i]
+        ((_, alone),) = finder._type_walks(spec, [(p, q)])
+        assert repr(dev) == repr(alone), (p, q)
+        path = finder._solve_typed(spec, p, q, dev, finder.SOLVE_TOL, finder.SOLVE_TOL)
+        assert repr(path) == repr(solve_tetra_type(spec, p, q)), (p, q)
+    found = finder._types_found(spec, types, finder.SOLVE_TOL, finder.SOLVE_TOL)
+    assert found == [solve_tetra_type(spec, p, q) is not None for p, q in types]
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: tetra_type_sequence(spec, True, 2),
+    lambda spec: solve_tetra_type(spec, 0, True),
+], ids=["tetra_type_sequence", "solve_tetra_type"])
+def test_typed_walk_rejects_bool_type(call):
+    # True == 1 would walk type (1, 2) or (0, 1) under a name that is no count
+    with pytest.raises(DomainError, match="not a valid coprime type"):
+        call(build_solid(SolidKind.TETRAHEDRON, 0.4 * PI))
 
 
 # ---------------------------------------------------------------------------
@@ -995,10 +1042,11 @@ def test_enumerate_rejects_depth_beyond_search_cap():
         enumerate_classes(spec, finder.MAX_SEARCH_DEPTH + 1)
 
 
-@pytest.mark.parametrize("depth", [12.5, float("nan")], ids=["fraction", "nan"])
+@pytest.mark.parametrize("depth", [12.5, float("nan"), True],
+                         ids=["fraction", "nan", "bool"])
 def test_enumerate_rejects_non_integer_depth(depth):
     # no walk depth equals 12.5 and NaN passes both range checks, so either
-    # bound would let the walk run without end
+    # bound would let the walk run without end; True is no count at all
     spec = build_solid(SolidKind.TETRAHEDRON, 0.45 * PI)
     with pytest.raises(sphtrig.DomainError, match="not an integer"):
         enumerate_classes(spec, depth)
