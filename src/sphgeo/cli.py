@@ -157,8 +157,8 @@ def _check_crossings(stored: Sequence[Dict], path: finder.GeodesicPath,
             raise DomainError(f"stored crossing {i} has an edge that is not an integer")
         if not (
             doc_c["edge"] == c.edge
-            and abs(doc_c["t"] - c.t) <= tol
-            and abs(doc_c["incidence_angle"] - c.incidence) <= tol
+            and abs(_json_number(doc_c, "t") - c.t) <= tol
+            and abs(_json_number(doc_c, "incidence_angle") - c.incidence) <= tol
         ):
             raise DomainError(f"stored crossing {i} does not match the re-solved path")
 
@@ -174,8 +174,9 @@ def render_svg(
 
     The class is re-solved from its sequence with the given tolerances.
     Its edge ids, in the sequence and the stored crossings, must be ints
-    (not bools). Its stored crossings and total length must match the
-    solution within `tol_closure`, and its kind tag must be the solution's;
+    (not bools). Its stored crossings and total length must be numbers,
+    not bools, that match the solution within `tol_closure`, and its kind
+    tag must be the solution's;
     otherwise DomainError is raised and nothing is drawn.
     """
     finder.check_tolerances(tol_closure, tol_vertex)
@@ -192,7 +193,7 @@ def render_svg(
     _check_crossings(cls_doc["crossings"], path, tol_closure)
     if cls_doc["kind_tag"] != finder.class_tag(spec, path):
         raise DomainError("stored kind_tag does not match the re-solved path")
-    if not abs(cls_doc["total_length"] - path.total_length) <= tol_closure:
+    if not abs(_json_number(cls_doc, "total_length") - path.total_length) <= tol_closure:
         raise DomainError("stored total_length does not match the re-solved path")
     pole = path.pole
     frame = (f0, f1, f2), (g0, g1, g2) = sphtrig.pole_frame(pole)

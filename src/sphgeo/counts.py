@@ -120,8 +120,21 @@ def totient_sum(x: int) -> Tuple[int, float]:
     return total, total / ((3.0 / _PI2) * x * x)
 
 
+# The most candidate types a count lists.  Below s < T lie about
+# T / (pi sqrt 3) coprime pairs (a twelfth of the ellipse s < T at density
+# 6 / pi^2), and g(alpha) grows without bound as alpha nears pi/3: at
+# pi/3 + 1e-9 it asks for 2.6e8.  2,000 admits 0.3334pi, the tightest angle
+# in use (1,252 types); README gives the timings.
+MAX_CANDIDATES = 2000
+
+
 def _coprime_pairs_below(threshold: float) -> List[Tuple[int, int]]:
-    """The coprime pairs 0 < p <= q with s(p, q) < threshold, by q, then p."""
+    """The coprime pairs 0 < p <= q with s(p, q) < threshold, by q, then p;
+    raises DomainError, before listing any, if there would be more than
+    about MAX_CANDIDATES."""
+    if not threshold <= MAX_CANDIDATES * math.sqrt(3.0) * PI:
+        raise DomainError(f"s < {threshold!r} holds more than {MAX_CANDIDATES} "
+                          "candidate types (alpha too close to pi/3)")
     qmax = math.isqrt(max(0, math.ceil(threshold))) + 1
     return [(p, q) for q in range(1, qmax + 1) for p in range(1, q + 1)
             if s_form(p, q) < threshold and math.gcd(p, q) == 1]

@@ -38,27 +38,26 @@ is orderly generation by canonical augmentation (McKay, J. Algorithms 26,
 1998) with the incremental prefix test of bracelet generators (Sawada,
 SIAM J. Comput. 31, 2001).
 
-Each search node crosses one edge with `unfold.step` and keeps only the
-placement of the face copy it enters.  A closed word that is not a proper
-power (a geodesic traversed twice is not simple) and is least is laid out by
-`unfold.walk` from its turn word, with the same products in the same order
-(`test_search_lays_out_closures_as_develop` checks that this is `develop`'s
-layout).  A typed tetrahedron sequence is the walk of its turn word too, and
-`count_tetra` walks all its candidate types along one shared-prefix walk: the
-turn words go in lexicographic order through one `unfold.Walker`, which
-resumes each from the longest prefix it shares with the word before, with
-the same products as a fresh walk (see `_type_walks`).
+The search lays out every node on one `unfold.Walker`, a crossing stack
+that each node cuts back to its parent's crossings and crosses once.  A
+closed word that is not a proper power (a geodesic traversed twice is not
+simple) and is least is solved on the walker's own layout, which is
+`develop`'s (`test_search_lays_out_closures_as_develop`).  A typed
+tetrahedron sequence is the walk of its turn word too, and `count_tetra`
+walks all its candidate types on one walker, in the lexicographic order of
+their turn words, each cut back to the prefix it shares with the word
+before (see `_type_walks`).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .sphtrig import (
     CONTACT_TOL,
-    IDENTITY,
     PI,
     ArcCrossing,
     DomainError,
@@ -72,7 +71,7 @@ from .sphtrig import (
     pole_frame,
 )
 from .solids import SolidKind, SolidSpec, cyclic_min, symmetry_group
-from .unfold import CrossingSequence, Development, Walker, develop, step, walk
+from .unfold import CrossingSequence, Development, Walker, develop
 
 TWO_PI = 2.0 * PI
 
@@ -634,7 +633,7 @@ def enumerate_classes(
     is strictly smaller at a position t_0..t_k fixes, which every
     completion of the prefix shares; no image is smaller than the least
     one, so it is never cut.  A closed word is solved only if it is the least of its
-    4m images, on the development `unfold.walk` lays out from it.  This is
+    4m images, on the walker's layout of it.  This is
     isomorph-free generation by canonical augmentation (B. D. McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26, 1998), with
     the incremental prefix test of bracelet generators (J. Sawada,
@@ -672,21 +671,26 @@ def enumerate_classes(
     n = spec.face_size
     start_face, start_j = _start_crossing(spec)
     found: List[Tuple[int, ...]] = []
-    # A node is a walk about to cross local edge j of the copy of `face`
-    # placed by `placement`.  It holds the edges crossed so far, their
-    # developed arcs, the turns made after each crossing, the pole region
-    # (None until the first crossing starts the chart about its entry
-    # vertex), the length bound and the forward images of `turns` that
-    # `_extend_least` has not yet decided.
-    stack = [(start_face, start_j, IDENTITY, (), (), (), None, 0.0, ())]
+    # A node is the walk of the start crossing and its `turns`, with the
+    # pole region of its parent's crossings (the root's is the chart about
+    # its entry vertex), its length bound and the forward images of `turns`
+    # that `_extend_least` has not yet decided.  Nodes are popped in
+    # preorder, so the walker always holds the parent's crossings, perhaps
+    # followed by those of an earlier sibling's subtree: the root is the
+    # walker's first crossing, and any other node costs one cut and one
+    # crossing.
+    walker = Walker(spec, start_face, start_j)
+    stack = [((), (_pole_box(walker.arcs[0][1]), None), 0.0, ())]
     while stack:
-        face, j, placement, edges, arcs, turns, region, lb, tied = stack.pop()
-        arc, face, entry, placement = step(spec, face, j, placement)
-        arcs += (arc,)
-        region = _narrow(region or (_pole_box(arc[1]), None), arcs, 1)
+        turns, region, lb, tied = stack.pop()
+        if turns:
+            walker.cut(len(turns))
+            walker.cross(turns[-1])
+        region = _narrow(region, walker.arcs, 1)
         if region is None:
             continue
-        edges += (spec.face_edges[face][entry],)  # the edge just crossed
+        face, entry = walker.entered[-1]
+        edges = walker.edges
         m = len(edges)
         closing = (start_j - entry) % n
         # a closed word is solved unless it is a proper power, which retraces
@@ -695,9 +699,9 @@ def enumerate_classes(
                 and not any(m % d == 0 and edges[d:] + edges[:d] == edges
                             for d in range(1, m // 2 + 1))
                 and _is_least_turn_word(turns + (closing,), n)):
-            dev = walk(spec, start_face, start_j, turns + (closing,))
+            dev = walker.development()
             if _solve_development(spec, dev, tol_closure, tol_vertex) is not None:
-                found.append(edges)
+                found.append(dev.seq.edges)
         if m == max_crossings:
             continue
         # pushed last turn first, so the walk visits turns in increasing order
@@ -707,8 +711,7 @@ def enumerate_classes(
                 grown = turns + (t,)
                 still = _extend_least(grown, tied, n)
                 if still is not None:
-                    stack.append((face, (entry + t) % n, placement, edges, arcs,
-                                  grown, region, lb2, still))
+                    stack.append((grown, region, lb2, still))
 
     classes = [solve_class(spec, word, tol_closure, tol_vertex) for word in found]
     classes.sort(key=lambda c: c.path.seq.edges)
@@ -755,8 +758,9 @@ def _type_walks(
     """(i, the laid-out walk of types[i]) for every type, in the
     lexicographic order of their turn words.
 
-    One `unfold.Walker` lays them all out, so each word resumes from the
-    longest prefix it shares with the word before it.  Christoffel words of
+    One `unfold.Walker` lays them all out: each word cuts it back to the
+    crossings fixed by the turns it shares with the word before it, and
+    crosses on from there.  Christoffel words of
     nearby slopes share long prefixes (Berstel et al., see
     `tetra_type_sequence`): near the flat limit only about 3 in 5 of the
     crossings of all candidate types are distinct prefixes.
@@ -767,17 +771,24 @@ def _type_walks(
         if not (is_int(p) and is_int(q)) or not (0 <= p <= q) or q < 1 \
                 or math.gcd(p, q) != 1:
             raise DomainError(f"({p!r}, {q!r}) is not a valid coprime type")
-    words = [_turn_word(p, q) for p, q in types]
+    # the closing turn of a word lays nothing out
+    words = [_turn_word(p, q)[:-1] for p, q in types]
     walker = Walker(spec, *_start_crossing(spec))
+    held = b""  # the turns between the crossings the walker holds
     for i in sorted(range(len(types)), key=words.__getitem__):
-        yield i, walker.walk(words[i])
+        k = len(os.path.commonprefix((held, words[i])))
+        walker.cut(k + 1)
+        for t in words[i][k:]:
+            walker.cross(t)
+        held = words[i]
+        yield i, walker.development()
 
 
 def tetra_type_sequence(spec: SolidSpec, p: int, q: int) -> CrossingSequence:
     """The crossing sequence of the type-(p, q) tetrahedron geodesic.
 
     The walk starts from the search's start crossing, edge 0 out of face
-    edge_faces[0][0], and is fixed by its exit turns (see `unfold.walk`).
+    edge_faces[0][0], and is fixed by its exit turns (see `unfold.Walker`).
     Its turn word is the doubled lower Christoffel word of slope p/q
     (J. Berstel, A. Lauve, C. Reutenauer, F. Saliola, "Combinatorics on
     Words: Christoffel Words and Repetitions in Words", AMS 2008): letter

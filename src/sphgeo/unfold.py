@@ -8,15 +8,12 @@ per-edge transfer rotations around the cycle is the closing rotation
 (holonomy) whose axis is the only possible pole of that arc.
 
 Per-directed-edge transfer rotations are precomputed once per solid (in
-``SolidSpec.steps``).  ``step`` crosses one edge, and is the only reader of
-them.  A walk that enters a face over local edge ``entry`` and leaves it over
-local edge k makes the exit turn t = (k - entry) mod n, so a walk is fixed by
-its first crossing and its turns; a ``Walker`` lays out turn words with
-``step``, each from the longest prefix it shares with the word before, and
-``walk`` lays out one.  ``develop`` reads the turns of a crossing sequence
-and walks them, the exhaustive search in ``finder`` steps once per walk
-node, and the tetrahedron types are walked by one ``Walker``, so every
-development comes from the same products in the same order.
+``SolidSpec.steps``), and one crossing stack reads them: a ``Walker``,
+which `cut` shortens and `cross` extends by one exit turn.  ``develop``
+walks the turns of a crossing sequence, the exhaustive search in
+``finder`` cuts and crosses once per walk node, and the tetrahedron types
+are walked by one ``Walker``, so every development comes from the same
+products in the same order.
 """
 
 from __future__ import annotations
@@ -107,90 +104,69 @@ class Development:
         return self.placements[-1]
 
 
-def step(spec: SolidSpec, face: int, j: int,
-         placement: Mat3) -> Tuple[Tuple[Vec3, Vec3], int, int, Mat3]:
-    """Cross local edge j of the copy of `face` placed by `placement`.
-
-    Returns the edge's developed arc (p, q), directed as the boundary of
-    the exited copy, the face entered and its local index of the edge, and
-    the placement of the entered copy.  p and q are the floats of
-    mat_apply(placement, chart[j]) and of the next chart vertex.
-    """
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = placement
-    p0, p1, p2 = spec.chart[j]
-    q0, q1, q2 = spec.chart[(j + 1) % spec.face_size]
-    return (((m00 * p0 + m01 * p1 + m02 * p2,
-              m10 * p0 + m11 * p1 + m12 * p2,
-              m20 * p0 + m21 * p1 + m22 * p2),
-             (m00 * q0 + m01 * q1 + m02 * q2,
-              m10 * q0 + m11 * q1 + m12 * q2,
-              m20 * q0 + m21 * q1 + m22 * q2)),
-            *spec.gluing[(face, j)], mat_compose(placement, spec.steps[(face, j)]))
-
-
 class Walker:
-    """Lays out turn words from one first crossing, local edge j of `face`,
-    each from the layout of the word before it.
+    """A stack of crossings, laid out from the identity: the walk that
+    crosses local edge j of `face` first, then turns once per crossing.
 
-    Crossing i of a walk depends on its first crossing and turns[:i] alone.
-    So a word that shares its first k turns with the previous one shares
-    its first k crossings, their faces, edges, arcs and placements, and the
-    (face, j) that crossing k leaves; `walk` keeps those and steps on from
-    crossing k.  Every crossing is the same `step` product as in a fresh
-    walk, so each development equals a fresh walk's, float for float.
-    Words in lexicographic order share the longest prefixes.
+    A walk that enters a face over local edge ``entry`` and leaves it over
+    local edge k makes the exit turn t = (k - entry) mod n, so crossing i
+    depends on the first crossing and the first i turns alone.  `cut` keeps
+    the first k crossings and `cross` adds one, so a walk that shares its
+    first k turns with the one held keeps k + 1 crossings and crosses on
+    from there, with the products of a fresh walk, float for float.
+    ``placements[i + 1]`` and ``entered[i + 1]`` belong to the copy that
+    crossing i enters; the start copy enters `face` over j itself, so its
+    turn 0 is the first crossing.
     """
 
     def __init__(self, spec: SolidSpec, face: int, j: int) -> None:
         self.spec = spec
-        self._turns: Sequence[int] = ()
-        self._faces: List[int] = []
-        self._edges: List[int] = []
-        self._arcs: List[Tuple[Vec3, Vec3]] = []
-        self._placements: List[Mat3] = [IDENTITY]
-        self._at: List[Tuple[int, int]] = [(face, j)]  # (face, j) of crossing i
+        self.faces: List[int] = []
+        self.edges: List[int] = []
+        self.arcs: List[Tuple[Vec3, Vec3]] = []
+        self.placements: List[Mat3] = [IDENTITY]
+        self.entered: List[Tuple[int, int]] = [(face, j)]  # (face, local edge)
+        self.cross(0)
 
-    def walk(self, turns: Sequence[int]) -> Development:
-        """The walk that turns turns[i] in the face that crossing i enters:
-        one crossing per turn."""
-        prev = self._turns
-        k = 0
-        common = min(len(prev), len(turns))
-        while k < common and prev[k] == turns[k]:
-            k += 1
-        faces, edges, arcs = self._faces, self._edges, self._arcs
-        placements, at = self._placements, self._at
-        del faces[k:], edges[k:], arcs[k:], placements[k + 1:], at[k + 1:]
+    def cut(self, k: int) -> None:
+        """Keep the first k crossings."""
+        del self.faces[k:], self.edges[k:], self.arcs[k:]
+        del self.placements[k + 1:], self.entered[k + 1:]
+
+    def cross(self, t: int) -> None:
+        """Cross one more edge: leave the face the last crossing entered by
+        the exit turn t.  The arc (p, q) is the crossed edge as the exited
+        copy's boundary runs, the floats of mat_apply(placement, chart[j])
+        and of the next chart vertex."""
         spec = self.spec
-        face_edges, n = spec.face_edges, spec.face_size
-        face, j = at[-1]
-        placement = placements[-1]
-        for t in turns[k:]:
-            faces.append(face)
-            edges.append(face_edges[face][j])
-            arc, face, entry, placement = step(spec, face, j, placement)
-            arcs.append(arc)
-            placements.append(placement)
-            j = (entry + t) % n
-            at.append((face, j))
-        self._turns = tuple(turns)
-        return Development(CrossingSequence(tuple(faces), tuple(edges)),
-                           tuple(placements), tuple(arcs))
+        face, entry = self.entered[-1]
+        j = (entry + t) % spec.face_size
+        placement = (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self.placements[-1]
+        p0, p1, p2 = spec.chart[j]
+        q0, q1, q2 = spec.chart[(j + 1) % spec.face_size]
+        self.faces.append(face)
+        self.edges.append(spec.face_edges[face][j])
+        self.arcs.append(((m00 * p0 + m01 * p1 + m02 * p2,
+                           m10 * p0 + m11 * p1 + m12 * p2,
+                           m20 * p0 + m21 * p1 + m22 * p2),
+                          (m00 * q0 + m01 * q1 + m02 * q2,
+                           m10 * q0 + m11 * q1 + m12 * q2,
+                           m20 * q0 + m21 * q1 + m22 * q2)))
+        self.entered.append(spec.gluing[(face, j)])
+        self.placements.append(mat_compose(placement, spec.steps[(face, j)]))
 
-
-def walk(spec: SolidSpec, face: int, j: int, turns: Sequence[int]) -> Development:
-    """Lay out, from the identity, the walk that crosses local edge j of
-    `face` first and turns turns[i] in the face that crossing i enters: one
-    crossing per turn."""
-    return Walker(spec, face, j).walk(turns)
+    def development(self) -> Development:
+        """The crossings held, as a development."""
+        return Development(CrossingSequence(tuple(self.faces), tuple(self.edges)),
+                           tuple(self.placements), tuple(self.arcs))
 
 
 def develop(spec: SolidSpec, seq: CrossingSequence) -> Development:
     """Lay out the face copies traversed by `seq`, starting from the identity."""
     seq.validate(spec)
     local = spec.face_edge_local
+    walker = Walker(spec, seq.faces[0], local[(seq.faces[0], seq.edges[0])])
     # crossing i enters g = faces[i + 1] over edge e and leaves it over e2 = edges[i + 1]
-    after = zip(seq.faces[1:] + seq.faces[:1], seq.edges[1:] + seq.edges[:1])
-    turns = [(local[(g, e2)] - local[(g, e)]) % spec.face_size
-             for e, (g, e2) in zip(seq.edges, after)]
-    return walk(spec, seq.faces[0], local[(seq.faces[0], seq.edges[0])], turns)
+    for e, g, e2 in zip(seq.edges, seq.faces[1:], seq.edges[1:]):
+        walker.cross((local[(g, e2)] - local[(g, e)]) % spec.face_size)
+    return walker.development()

@@ -290,7 +290,13 @@ def test_sweep_grid_at_cap(tmp_path, monkeypatch):
     (["sweep", "--solid", "tetra", "--alpha", "0.3pi",
       "--alpha-stop", "0.4pi", "--alpha-step", "0.05pi"],
      "error: alpha=0.9424777960769379 outside the admissible interval "),
-], ids=["enumerate-depth-2", "enumerate-alpha", "solve-alpha", "sweep-start-alpha"])
+    # near pi/3 the count refuses its candidate types before listing them
+    (["solve", "--solid", "tetra", "--alpha", "1.0471975511975979", "--type", "0,1"],
+     "error: s < "),
+    (["enumerate", "--solid", "tetra", "--alpha", "1.0471975511975979", "--depth", "3"],
+     "error: s < "),
+], ids=["enumerate-depth-2", "enumerate-alpha", "solve-alpha", "sweep-start-alpha",
+        "solve-near-flat", "enumerate-near-flat"])
 def test_domain_error_one_line(capsys, argv, message):
     # the solid and the search check their own inputs; main prints one line
     assert main(argv) == 2
@@ -387,6 +393,19 @@ def _tampered_t(doc):
     return doc
 
 
+def _bool_number(crossing, key, value):
+    # with --tol-closure 0.6 a bool read as 1 or 0 is near enough to the
+    # crossing's t = 0.5 or incidence angle pi/2 to pass for it
+    def mutate(doc):
+        doc["classes"][0]["crossings"][crossing][key] = value
+        return doc
+    return mutate
+
+
+_BOOL_NUMBERS = (_bool_number(0, "t", True), _bool_number(2, "t", False),
+                 _bool_number(1, "incidence_angle", True))
+
+
 def _tampered_tag(doc):
     doc["classes"][0]["kind_tag"] = "type9"
     return doc
@@ -421,6 +440,7 @@ def _tampered_length(doc):
     _tampered_t,
     _tampered_tag,
     _tampered_length,
+    *_BOOL_NUMBERS,
 ], ids=["top-level-list", "no-closure-residual", "classes-not-list",
         "classes-missing", "classes-null", "classes-empty-object", "classes-zero",
         "classes-false", "classes-empty-string",
@@ -428,14 +448,16 @@ def _tampered_length(doc):
         "alpha-string-padded", "closure-residual-false", "edge-out-of-range",
         "sequence-bool", "sequence-float", "crossing-edge-bool",
         "crossing-edge-float", "tampered-t",
-        "tampered-tag", "tampered-length"])
+        "tampered-tag", "tampered-length", "crossing-t-true", "crossing-t-false",
+        "crossing-incidence-true"])
 def test_export_malformed_document(tmp_path, capsys, mutate):
     res = tmp_path / "octa.json"
     main(["enumerate", "--solid", "octa", "--alpha", "0.4pi", "--out", str(res)])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(mutate(json.loads(res.read_text()))))
     capsys.readouterr()
-    rc = main(["export", "--in", str(bad), "--out", str(tmp_path / "bad.svg")])
+    loose = ["--tol-closure", "0.6"] if mutate in _BOOL_NUMBERS else []
+    rc = main(["export", "--in", str(bad), "--out", str(tmp_path / "bad.svg"), *loose])
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("invalid result document") and err.count("\n") == 1

@@ -157,6 +157,18 @@ def test_psi2_counts_candidates_past_first():
         assert len(candidate_types(alpha)) - 1 == psi_count(g_alpha(alpha))
 
 
+def test_candidate_listing_bounded():
+    # every angle in use lists its candidates, down to 0.3334pi; at
+    # pi/3 + 1e-9, g(alpha) = 1.4e9 would ask for 2.6e8 pairs, so each
+    # lister refuses before listing any
+    assert len(candidate_types(0.3334 * PI)) == 1252 <= counts.MAX_CANDIDATES
+    alpha = PI / 3 + 1e-9
+    for call in (candidate_types, lambda a: psi_count(g_alpha(a)), count_tetra,
+                 lambda a: count_tetra(a, 3)):
+        with pytest.raises(DomainError, match="more than 2000 candidate types"):
+            call(alpha)
+
+
 def test_psi_bounds_bracket_candidates():
     # psi1 <= N <= psi2 + 1 by construction of the thresholds
     for api in (0.38, 0.45, 0.55):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphgeo import cli, counts, finder, sphtrig
+from sphgeo import cli, counts, finder, sphtrig, unfold
 from sphgeo.finder import (
     ClassificationError,
     GeodesicPath,
@@ -955,16 +955,26 @@ def test_search_node_counts(kind, alpha, nodes, monkeypatch):
     # how much the feasibility, least-turn-word and length-bound pruning
     # cut.  They rest on the same float determinism as
     # data/enumerate_classes.txt: a change to the pruning updates them.
+    # The walker lays out one crossing per node, and only solve_class lays
+    # out a closure again, so a search that re-walks a closure fails here.
     calls = []
+    crossed = []
     narrow = finder._narrow
+    cross = unfold.Walker.cross
 
     def counting(*args):
         calls.append(None)
         return narrow(*args)
 
+    def crossing(walker, t):
+        crossed.append(None)
+        cross(walker, t)
+
     monkeypatch.setattr(finder, "_narrow", counting)
-    enumerate_classes(build_solid(kind, alpha), 20)
+    monkeypatch.setattr(unfold.Walker, "cross", crossing)
+    classes = enumerate_classes(build_solid(kind, alpha), 20)
     assert len(calls) == nodes
+    assert len(crossed) == nodes + sum(len(c.path.seq) for c in classes)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -16,7 +16,7 @@ from sphgeo.sphtrig import (
     mat_compose,
     rot_about,
 )
-from sphgeo.unfold import CrossingSequence, develop
+from sphgeo.unfold import CrossingSequence, Walker, develop
 
 from util import (
     holonomy,
@@ -77,7 +77,7 @@ def test_validate_checks_face_chain():
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.sampled_from(list(SolidKind)), st.integers(0, 2**32 - 1), st.data())
 def test_develop_walks_the_reference_layout(kind, seed, data):
-    # develop reads a sequence's turns and walks them with unfold.step; a
+    # develop walks a sequence's turns on an unfold.Walker; a
     # closed face walk must come out as the per-crossing lookup lays it out,
     # float for float, and a sequence with one face label changed is no walk
     spec = build_solid(kind, MIDPOINTS[kind])
@@ -90,6 +90,47 @@ def test_develop_walks_the_reference_layout(kind, seed, data):
     faces = seq.faces[:i] + (f,) + seq.faces[i + 1:]
     with pytest.raises(DomainError):
         develop(spec, CrossingSequence(faces, seq.edges))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(list(SolidKind)), st.integers(0, 2**32 - 1))
+def test_walker_lays_out_words_sharing_prefixes(kind, seed):
+    # one walker lays out closed walks from one first crossing, each going
+    # on from a random prefix of an earlier one, in random order: every cut
+    # must keep exactly the crossings that the shared turns fix, so each
+    # layout is the per-crossing reference's, float for float
+    spec = build_solid(kind, MIDPOINTS[kind])
+    rng = random.Random(seed)
+    n = spec.face_size
+    f0 = spec.edge_faces[0][0]
+    j0 = spec.face_edge_local[(f0, 0)]
+    walks = []  # (the turns between crossings, the edge word)
+    while len(walks) < 12:
+        prefix = rng.choice(walks)[0] if walks else ()
+        prefix = prefix[:rng.randrange(len(prefix) + 1)]
+        turns, edges, face, j = [], [], f0, j0
+        while len(edges) < 20:
+            edges.append(spec.face_edges[face][j])
+            face, entry = spec.gluing[(face, j)]
+            if len(turns) >= max(2, len(prefix)) and face == f0 and entry != j0:
+                walks.append((tuple(turns), tuple(edges)))
+                break
+            turns.append(prefix[len(turns)] if len(turns) < len(prefix)
+                         else rng.randrange(1, n))
+            j = (entry + turns[-1]) % n
+    rng.shuffle(walks)
+    walker = Walker(spec, f0, j0)
+    held = ()
+    for turns, edges in walks:
+        k = 0
+        while k < min(len(held), len(turns)) and held[k] == turns[k]:
+            k += 1
+        walker.cut(k + 1)
+        for t in turns[k:]:
+            walker.cross(t)
+        held = turns
+        seq = CrossingSequence.from_edges(spec, edges)
+        assert walker.development() == reference_develop(spec, seq), edges
 
 
 # ---------------------------------------------------------------------------

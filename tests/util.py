@@ -66,7 +66,7 @@ def step_rotation(spec: SolidSpec, placement, from_face: int, edge: int, to_face
 def reference_develop(spec: SolidSpec, seq: CrossingSequence) -> unfold.Development:
     """Slow oracle for `unfold.develop` on a valid sequence: it looks up
     each crossing's local edge from its face and edge id, where `develop`
-    reads turns and walks them with `unfold.step`."""
+    walks its turns on the crossing stack `unfold.Walker`."""
     n = spec.face_size
     placements = [sphtrig.IDENTITY]
     arcs = []
