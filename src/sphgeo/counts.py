@@ -26,13 +26,6 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha={alpha!r} outside (pi/3, 2pi/3]")
 
 
-def _check_type(p: int, q: int) -> None:
-    if not (finder.is_int(p) and finder.is_int(q)):
-        raise DomainError("type entries must be integers")
-    if not (0 <= p <= q) or (p, q) == (0, 0) or math.gcd(p, q) != 1:
-        raise DomainError(f"({p}, {q}) is not a coprime type with 0 <= p <= q")
-
-
 def s_form(p: int, q: int) -> int:
     """The quadratic form p^2 + pq + q^2."""
     return p * p + p * q + q * q
@@ -75,13 +68,13 @@ def necessary_excluded(p: int, q: int, alpha: float) -> bool:
     Equivalent to the arcsine form alpha > 2 asin sqrt(s / (4s - pi^2))
     wherever that radicand is admissible, and total everywhere.
     """
-    _check_type(p, q)
+    finder.check_type(p, q)
     return s_form(p, q) >= g_alpha(alpha)
 
 
 def sufficient_exists(p: int, q: int, alpha: float) -> bool:
     """Whether the edge is short enough to force existence of type (p, q)."""
-    _check_type(p, q)
+    finder.check_type(p, q)
     s = s_form(p, q)
     return tetra_edge(alpha) < 2.0 * math.asin(PI / (math.sqrt(s) + math.sqrt(s + 2.0 * _PI2)))
 

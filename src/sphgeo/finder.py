@@ -33,10 +33,10 @@ from there is fixed by its exit turns, and the walks that trace one class
 read the rotations, reversals and mirrors (t -> n - t) of one cyclic turn
 word, so the search walks only the least of them: it cuts a prefix as soon
 as some such image is smaller at a turn the prefix fixes, and solves a
-closed word only if it is the least image (see `enumerate_classes`).  This
-is orderly generation by canonical augmentation (McKay, J. Algorithms 26,
-1998) with the incremental prefix test of bracelet generators (Sawada,
-SIAM J. Comput. 31, 2001).
+closed word of m turns only if that test, run on through its first m - 1
+turns, passes it (see `enumerate_classes`).  This is orderly generation by
+canonical augmentation (McKay, J. Algorithms 26, 1998) with the incremental
+prefix test of bracelet generators (Sawada, SIAM J. Comput. 31, 2001).
 
 The search lays out every node on one `unfold.Walker`, a crossing stack
 that each node cuts back to its parent's crossings and crosses once.  A
@@ -101,6 +101,13 @@ def check_tolerances(tol_closure: float, tol_vertex: float) -> None:
 def is_int(x: object) -> bool:
     """Whether x is an int and not a bool, which would count as 0 or 1."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_type(p: int, q: int) -> None:
+    """Raise DomainError unless (p, q) is a tetrahedron type."""
+    if not (is_int(p) and is_int(q) and 0 <= p <= q and math.gcd(p, q) == 1):
+        raise DomainError(f"({p!r}, {q!r}) is not a valid coprime type: p and q must be "
+                          "integers with 0 <= p <= q and gcd(p, q) = 1")
 
 
 class ClassificationError(ValueError):
@@ -537,52 +544,46 @@ def class_tag(spec: SolidSpec, path: GeodesicPath) -> str:
 
 
 def _extend_least(
-    turns: Sequence[int], tied: Sequence[Tuple[int, bool]], n: int
-) -> Optional[List[Tuple[int, bool]]]:
-    """The search's prefix test (see `enumerate_classes`) for a new turn.
+    turns: Sequence[int], start: int, tied: Sequence[Tuple[int, bool]], n: int
+) -> Optional[Sequence[Tuple[int, bool]]]:
+    """The search's prefix test (see `enumerate_classes`) on turns[start:].
 
-    `turns` is the prefix t_0..t_k.  `tied` lists the forward images
-    (s, mirrored) whose turns so far equal the prefix's first ones:
+    Each turn t_k is tested against t_0..t_{k-1}.  `tied` lists the forward
+    images (s, mirrored) whose turns so far equal the prefix's first ones:
     t_s..t_{k-1} (each read as n - t if mirrored) equal t_0..t_{k-1-s}.
-    Returns the forward images still tied after t_k, or None as soon as
-    some image is strictly smaller than the prefix at a position the prefix
-    fixes.  t_k starts two forward images and two backward reads,
-    n - t_k, n - t_{k-1}, ... and t_k, t_{k-1}, ...; a backward read learns
-    no later turn before closure, so it is read here, up to its first
-    difference.
+    Returns the forward images still tied after the last turn, or None as
+    soon as some image is strictly smaller at a position the turns fix.
+    t_k starts two forward images and two backward reads, n - t_k,
+    n - t_{k-1}, ... and t_k, t_{k-1}, ..., each read up to its first
+    difference: a backward read learns no later turn.
     """
-    k = len(turns) - 1
-    t = turns[k]
-    out = []
-    for s, mirrored in tied:
-        a = n - t if mirrored else t
-        b = turns[k - s]
-        if a < b:
-            return None
-        if a == b:
-            out.append((s, mirrored))
-    # t_k starts a forward image and its mirror (the plain image from t_0
-    # is the prefix itself); the backward reads below begin with the same
-    # first comparisons, t_k and n - t_k against t_0
-    if k and t == turns[0]:
-        out.append((k, False))
-    if n - t == turns[0]:
-        out.append((k, True))
-    for mirrored in (False, True):
-        for j in range(k + 1):
-            a = turns[k - j] if mirrored else n - turns[k - j]
-            b = turns[j]
-            if a != b:
-                if a < b:
-                    return None
-                break
-    return out
-
-
-def _is_least_turn_word(word: Tuple[int, ...], n: int) -> bool:
-    """Whether the cyclic turn word `word` is the least of its rotations,
-    reversals and mirrors (each turn t read as n - t)."""
-    return word == min(cyclic_min(word), cyclic_min(tuple(n - t for t in word)))
+    for k in range(start, len(turns)):
+        t = turns[k]
+        out = []
+        for s, mirrored in tied:
+            a = n - t if mirrored else t
+            b = turns[k - s]
+            if a < b:
+                return None
+            if a == b:
+                out.append((s, mirrored))
+        # t_k starts a forward image and its mirror (the plain image from
+        # t_0 is the prefix itself); the backward reads below begin with the
+        # same first comparisons, t_k and n - t_k against t_0
+        if k and t == turns[0]:
+            out.append((k, False))
+        if n - t == turns[0]:
+            out.append((k, True))
+        for mirrored in (False, True):
+            for j in range(k + 1):
+                a = turns[k - j] if mirrored else n - turns[k - j]
+                b = turns[j]
+                if a != b:
+                    if a < b:
+                        return None
+                    break
+        tied = out
+    return tied
 
 
 def _start_crossing(spec: SolidSpec) -> Tuple[int, int]:
@@ -632,14 +633,16 @@ def enumerate_classes(
     The prefix test (`_extend_least`) cuts t_0..t_k as soon as some image
     is strictly smaller at a position t_0..t_k fixes, which every
     completion of the prefix shares; no image is smaller than the least
-    one, so it is never cut.  A closed word is solved only if it is the least of its
-    4m images, on the walker's layout of it.  This is
+    one, so it is never cut.  A closed word of m turns is solved, on the
+    walker's layout of it, only if the prefix test run on through the
+    word's first m - 1 turns passes it: that copy carries every forward
+    image still tied through the wrap and reads every backward image in
+    full, so it passes exactly the least of the 4m images.  This is
     isomorph-free generation by canonical augmentation (B. D. McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26, 1998), with
     the incremental prefix test of bracelet generators (J. Sawada,
     "Generating bracelets in constant amortized time", SIAM J. Comput. 31,
-    2001): each forward comparison still tied is extended by one turn, and
-    each backward read stops at its first difference.
+    2001), whose comparisons `_extend_least` states.
 
     Length bound by turns.  The geodesic's segment in a face copy runs
     from a point of the entry edge to a point of the exit edge, so it is
@@ -698,7 +701,7 @@ def enumerate_classes(
         if (m >= 3 and face == start_face and closing
                 and not any(m % d == 0 and edges[d:] + edges[:d] == edges
                             for d in range(1, m // 2 + 1))
-                and _is_least_turn_word(turns + (closing,), n)):
+                and _extend_least(turns + (closing,) + turns, m - 1, tied, n) is not None):
             dev = walker.development()
             if _solve_development(spec, dev, tol_closure, tol_vertex) is not None:
                 found.append(dev.seq.edges)
@@ -709,7 +712,7 @@ def enumerate_classes(
             lb2 = lb + spec.edge_length if 2 * t == n else lb
             if lb2 < TWO_PI - 1e-12:
                 grown = turns + (t,)
-                still = _extend_least(grown, tied, n)
+                still = _extend_least(grown, len(turns), tied, n)
                 if still is not None:
                     stack.append((grown, region, lb2, still))
 
@@ -731,8 +734,11 @@ def solve_class(
     seq = CrossingSequence.from_edges(spec, min(orbit))
     path = solve_sequence(spec, seq, tol_closure, tol_vertex)
     if path is None:
-        # the search solved `word` on its own floats; its canonical image
-        # differs from it by rounding only
+        own = CrossingSequence.from_edges(spec, word)
+        if solve_sequence(spec, own, tol_closure, tol_vertex) is None:
+            raise DomainError(f"edge word {list(word)} does not solve at alpha={spec.alpha!r}")
+        # `word` solves on its own floats; its canonical image differs from
+        # it by rounding only
         raise DomainError(f"tol_closure={tol_closure!r} is too tight for the canonical "
                           "image of a solved sequence to re-solve")
     return GeodesicClass(path=path, orbit_size=len(orbit), tag=class_tag(spec, path))
@@ -768,9 +774,7 @@ def _type_walks(
     if spec.kind is not SolidKind.TETRAHEDRON:
         raise DomainError("typed sequences apply to the tetrahedron")
     for p, q in types:
-        if not (is_int(p) and is_int(q)) or not (0 <= p <= q) or q < 1 \
-                or math.gcd(p, q) != 1:
-            raise DomainError(f"({p!r}, {q!r}) is not a valid coprime type")
+        check_type(p, q)
     # the closing turn of a word lays nothing out
     words = [_turn_word(p, q)[:-1] for p, q in types]
     walker = Walker(spec, *_start_crossing(spec))

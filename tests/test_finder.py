@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from pathlib import Path
@@ -238,6 +239,11 @@ def test_octa_reordered_word_has_no_geodesic():
     seq = CrossingSequence.from_edges(spec, word)
     develop(spec, seq)
     assert solve_sequence(spec, seq) is None
+    # solve_class names the word, not a closure tolerance too tight for its
+    # canonical image
+    with pytest.raises(DomainError, match=r"edge word \[.*\] does not solve at alpha=") as err:
+        finder.solve_class(spec, word)
+    assert "tol_closure" not in str(err.value)
 
 
 def test_cube_types_solve():
@@ -703,6 +709,23 @@ def test_typed_walk_rejects_bool_type(call):
         call(build_solid(SolidKind.TETRAHEDRON, 0.4 * PI))
 
 
+@pytest.mark.parametrize("p,q", [(2, 1), (2, 4), (0, 0), (True, 1), (1.0, 2)])
+@pytest.mark.parametrize("call", [
+    lambda spec, p, q: solve_tetra_type(spec, p, q),
+    lambda spec, p, q: tetra_type_sequence(spec, p, q),
+    lambda spec, p, q: counts.necessary_excluded(p, q, spec.alpha),
+    lambda spec, p, q: counts.sufficient_exists(p, q, spec.alpha),
+], ids=["solve_tetra_type", "tetra_type_sequence", "necessary_excluded",
+        "sufficient_exists"])
+def test_type_check_is_shared(call, p, q):
+    # the solver, the walk and both existence windows refuse a type with one
+    # check and one message
+    with pytest.raises(DomainError) as err:
+        call(build_solid(SolidKind.TETRAHEDRON, 0.4 * PI), p, q)
+    assert str(err.value) == (f"({p!r}, {q!r}) is not a valid coprime type: p and q must "
+                              "be integers with 0 <= p <= q and gcd(p, q) = 1")
+
+
 # ---------------------------------------------------------------------------
 # vertex loops: present on the tetrahedron only, iff the edge exceeds pi/2
 
@@ -938,8 +961,11 @@ def test_enumerate_matches_deep_golden_file():
     # data/enumerate_deep_classes.txt pins the classes at depth 40 (tetra
     # 0.34pi and 0.45pi, octa 0.42pi, cube 0.52pi and 0.6pi), where the long
     # tetra words of types up to (4, 5) give the search's least-turn-word
-    # cut the most to prune; it was written by the search that pruned only
-    # the mirror of the first turns
+    # cut the most to prune; its depth-40 rows were written by the search
+    # that pruned only the mirror of the first turns.  The depth-100 rows
+    # (tetra 0.337pi, 23 classes; cube 0.505pi, 3) were written by the
+    # search that checked a closed word's least-ness by cyclic_min, before
+    # the closure became the prefix test run on through the word
     rows, got = _golden_rows(ENUMERATE_DEEP_CLASSES_TXT)
     assert got == rows
 
@@ -977,20 +1003,43 @@ def test_search_node_counts(kind, alpha, nodes, monkeypatch):
     assert len(crossed) == nodes + sum(len(c.path.seq) for c in classes)
 
 
+def _turn_words(n):
+    """Turn words on n-gons: any word, and the proper powers u^k,
+    palindromes and one-turn words whose images tie longest."""
+    turn = st.integers(1, n - 1)
+    return st.one_of(
+        st.lists(turn, min_size=1, max_size=24),
+        st.tuples(st.lists(turn, min_size=1, max_size=8), st.integers(2, 4))
+        .map(lambda uk: uk[0] * uk[1]),
+        st.tuples(st.lists(turn, min_size=1, max_size=12), st.booleans())
+        .map(lambda ub: ub[0] + ub[0][::-1][ub[1]:]),
+        st.tuples(turn, st.integers(1, 24)).map(lambda tk: [tk[0]] * tk[1]),
+    )
+
+
+def _closes_least(word, tied, n):
+    """The search's closure call on a word of m turns whose first m - 1
+    left `tied`: the prefix test run on through a second copy of them."""
+    m = len(word)
+    return finder._extend_least(word + word[:m - 1], m - 1, tied, n) is not None
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.sampled_from((3, 4)).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), min_size=1, max_size=24))))
+@given(st.sampled_from((3, 4)).flatmap(lambda n: st.tuples(st.just(n), _turn_words(n))))
 def test_search_walks_least_turn_word_only(case):
-    # the search feeds each turn of a walk to finder._extend_least and
-    # checks the closed turn word with finder._is_least_turn_word; the
-    # oracles in util.py read every image of the word by brute force
+    # the search feeds each turn of a walk to finder._extend_least and, at
+    # closure, runs the same test on through the word's first m - 1 turns;
+    # the oracles in util.py read every image of the word by brute force
     n, word = case
     least = least_turn_image(word, n)
     for image in set(turn_images(word, n)):
         tied = ()
         cut_at = None
+        accepted = False  # unless the walk reaches the closure and passes
         for k in range(len(image)):
-            tied = finder._extend_least(image[:k + 1], tied, n)
+            if k == len(image) - 1:
+                accepted = _closes_least(image, tied, n)
+            tied = finder._extend_least(image[:k + 1], k, tied, n)
             if tied is None:
                 cut_at = k
                 break
@@ -1000,9 +1049,26 @@ def test_search_walks_least_turn_word_only(case):
                                if prefix_has_smaller_image(image[:k + 1], n)), None)
         if image == least:
             assert cut_at is None  # every prefix of the least image passes
-        # the closure check accepts exactly the least image, so every other
-        # image is cut at a prefix or at closure
-        assert finder._is_least_turn_word(image, n) == (image == least)
+        # the least image is accepted at closure and every other image is
+        # cut at a proper prefix or at closure
+        assert accepted == (image == least)
+
+
+def test_closure_decision_exhaustive():
+    # every turn word of up to 10 turns on triangles and squares: the prefix
+    # test on its first m - 1 turns and the closure call accept a word
+    # exactly when it is the least of its 4m images
+    for n in (3, 4):
+        tied_after = {(): ()}  # prefix -> forward images still tied, or None once cut
+        for m in range(1, 11):
+            grown = {}
+            for word in itertools.product(range(1, n), repeat=m):
+                tied = tied_after[word[:-1]]
+                accepted = tied is not None and _closes_least(word, tied, n)
+                assert accepted == (word == least_turn_image(word, n)), (n, word)
+                grown[word] = None if tied is None else finder._extend_least(
+                    word, m - 1, tied, n)
+            tied_after = grown
 
 
 @pytest.mark.parametrize("kind", list(SolidKind))
