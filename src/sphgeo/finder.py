@@ -3,12 +3,12 @@
 Closure of a candidate crossing sequence is solved algebraically: the closing
 rotation of the development fixes exactly one great circle (the equator of
 its axis), so a sequence either carries the unique geodesic with those
-crossings or none at all.  No shooting, no root-finding.  A pole is solved
-in one pass per stage: all edges are side-tested by two dots each; the
-crossings follow with the pole's frame built once; one loop checks each
-crossing's clearance of the vertices and its chord against its azimuth gap;
-and one loop measures each incidence angle on the exited face copy's edge
-and, independently, the entered copy's.
+crossings or none at all.  No shooting, no root-finding.  Negating the
+axis negates every dot, so only the sign that passes the first edge's side
+test is solved: every edge is side-tested by two dots; the crossings follow
+with the pole's frame built once; and one loop checks each crossing's
+clearance of the vertices, its chord against its azimuth gap and its
+incidence angle on both face copies' edge, developed independently.
 
 Simplicity is decided combinatorially.  A face is convex and each segment of
 a solved candidate is a minor chord between two points of its boundary; the
@@ -59,7 +59,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .sphtrig import (
     CONTACT_TOL,
     PI,
-    ArcCrossing,
     DomainError,
     Vec3,
     axis_angle,
@@ -194,27 +193,23 @@ def _clip(poly: List[Vec3], c: Vec3) -> List[Vec3]:
     return out
 
 
-def _narrow(
-    region: PoleRegion, arcs: Sequence[Tuple[Vec3, Vec3]], new: int
-) -> Optional[PoleRegion]:
-    """Clip a (polygon, witness) region by the last `new` arcs of `arcs`;
-    each developed edge arc (p, q) asks u.q > 0 > u.p of a pole u.
+def _narrow(region: PoleRegion, arcs: Sequence[Tuple[Vec3, Vec3]]) -> Optional[PoleRegion]:
+    """Clip a (polygon, witness) region by the last of `arcs`; each
+    developed edge arc (p, q) asks u.q > 0 > u.p of a pole u.
 
     Returns the clipped polygon with a witness pole that satisfies every
     constraint strictly, or None when there is none.  The previous witness
-    is kept while it passes the new constraints; otherwise the normalized
+    is kept while it passes the last arc's; otherwise the normalized
     vertex centroid is tried against all of them.  A polygon that clipped
     down to zero area has no strict witness and so counts as infeasible.
     """
     poly, witness = region
-    added = arcs[len(arcs) - new:]
-    for p, q in added:
-        for c in (q, neg(p)):
-            poly = _clip(poly, c)
-            if len(poly) < 3:
-                return None
-    if witness is not None and all(dot(witness, q) > 0.0 > dot(witness, p)
-                                   for p, q in added):
+    p, q = arcs[-1]
+    for c in (q, neg(p)):
+        poly = _clip(poly, c)
+        if len(poly) < 3:
+            return None
+    if witness is not None and dot(witness, q) > 0.0 > dot(witness, p):
         return poly, witness
     k = 1.0 / len(poly)
     u = normalize((sum(v[0] for v in poly) * k,
@@ -253,11 +248,11 @@ def _solve_development(
     axis, ang, near_identity = axis_angle(dev.closing)
     if near_identity:
         return None
-    for pole, theta in ((axis, ang), (neg(axis), TWO_PI - ang)):
-        path = _path_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex)
-        if path is not None:
-            return path
-    return None
+    # negation flips every dot bit for bit, so of the axis and its negation
+    # only one can pass the side test on arc 0
+    if not dot(axis, dev.arcs[0][1]) > 0.0:
+        axis, ang = neg(axis), TWO_PI - ang
+    return _path_for_pole(spec, dev, axis, ang, tol_closure, tol_vertex)
 
 
 def _path_for_pole(
@@ -268,11 +263,11 @@ def _path_for_pole(
     tol_closure: float,
     tol_vertex: float,
 ) -> Optional[GeodesicPath]:
-    # One pass per stage, each with the floats of the sphtrig helpers it
-    # writes out (dot, angle_between, normalize(cross(...)), mat_apply) in
-    # their order.  The equator must cross from the exited copy's side to
-    # the entered one; most poles fail this somewhere, so test every arc
-    # before any crossing
+    # The side test, then one pass over the crossings, with the floats of
+    # the sphtrig helpers they write out (dot, angle_between,
+    # normalize(cross(...)), mat_apply) in their order.  The equator must
+    # cross from the exited copy's side to the entered one; most poles fail
+    # this somewhere, so test every arc before any crossing
     x, y, z = pole
     dots = []
     for (p0, p1, p2), (q0, q1, q2) in dev.arcs:
@@ -286,12 +281,20 @@ def _path_for_pole(
         return None
     m = len(hits)
 
-    # Each crossing keeps tol_vertex clear of the edge's ends, and each
-    # in-face chord must equal its azimuth gap; acos gives the minor-arc
-    # length, so agreement also certifies the segment is the minor arc,
-    # which face convexity then keeps inside the face copy.
+    # One loop over the crossings.  Each keeps tol_vertex clear of the
+    # edge's ends, and each in-face chord must equal its azimuth gap; acos
+    # gives the minor-arc length, so agreement also certifies the segment is
+    # the minor arc, which face convexity then keeps inside the face copy.
+    # Each crossing also files its boundary position in the two faces it
+    # joins (see `_chords_nest`): (j, t) in face f, which it exits, and
+    # (j2, 1 - t) in face g, whose glued edge j2 runs the other way.
+    n = spec.face_size
+    local, gluing, chart = spec.face_edge_local, spec.gluing, spec.chart
     arc_lengths = []
-    for i, (t, azimuth, (a0, a1, a2)) in enumerate(hits):
+    crossings = []
+    ends: Dict[int, List[Tuple[int, float, int]]] = {}
+    for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
+        t, azimuth, (a0, a1, a2) = hits[i]
         if not tol_vertex < t < 1.0 - tol_vertex:
             return None
         if i < m - 1:
@@ -308,32 +311,23 @@ def _path_for_pole(
         if abs(seg - gap) > tol_closure:
             return None
         arc_lengths.append(seg)
-    total = math.fsum(arc_lengths)
-    residual = abs(total - theta)
-    if residual > tol_closure or not total < TWO_PI:
-        return None
 
-    n = spec.face_size
-    local, gluing, chart = spec.face_edge_local, spec.gluing, spec.chart
-    crossings = []
-    for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
         j = local[(f, e)]
-        t, _, (x0, x1, x2) = hits[i]
+        g, j2 = gluing[(f, j)]
         # the geodesic tangent at the crossing point
-        d0, d1, d2 = y * x2 - z * x1, z * x0 - x * x2, x * x1 - y * x0
+        d0, d1, d2 = y * a2 - z * a1, z * a0 - x * a2, x * a1 - y * a0
         r = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
         if r < 1e-15:
             raise DomainError("cannot normalize a (near-)zero vector")
         d0, d1, d2 = d0 / r, d1 / r, d2 / r
         # the edge as the exited copy develops it is arcs[i]; the entered
         # copy develops it again from its own placement
-        inc_exit = _edge_angle(d0, d1, d2, x0, x1, x2, *dev.arcs[i])
-        j2 = gluing[(f, j)][1]
+        inc_exit = _edge_angle(d0, d1, d2, a0, a1, a2, *dev.arcs[i])
         (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = dev.placements[i + 1]
         u0, u1, u2 = chart[j2]
         w0, w1, w2 = chart[(j2 + 1) % n]
         inc_enter = _edge_angle(
-            d0, d1, d2, x0, x1, x2,
+            d0, d1, d2, a0, a1, a2,
             (m00 * u0 + m01 * u1 + m02 * u2,
              m10 * u0 + m11 * u1 + m12 * u2,
              m20 * u0 + m21 * u1 + m22 * u2),
@@ -349,8 +343,16 @@ def _path_for_pole(
             crossings.append(Crossing(e, t, inc_exit))
         else:
             crossings.append(Crossing(e, 1.0 - t, PI - inc_exit))
+        # segment i runs from crossing i to crossing i + 1 in face g
+        ends.setdefault(f, []).append((j, t, (i - 1) % m))
+        ends.setdefault(g, []).append((j2, 1.0 - t, i))
 
-    if not _dev_is_simple(spec, dev, hits):
+    total = math.fsum(arc_lengths)
+    residual = abs(total - theta)
+    if residual > tol_closure or not total < TWO_PI:
+        return None
+    # endpoints closer than CONTACT_TOL of arc on one edge count as contact
+    if not _chords_nest(ends, CONTACT_TOL / spec.edge_length):
         return None
 
     return GeodesicPath(
@@ -385,30 +387,17 @@ def _edge_angle(d0: float, d1: float, d2: float, x0: float, x1: float, x2: float
                       d0 * t0 + d1 * t1 + d2 * t2)
 
 
-def _dev_is_simple(
-    spec: SolidSpec, dev: Development, hits: Sequence[ArcCrossing]
-) -> bool:
-    """Whether the in-face segments through `hits` are pairwise disjoint.
+def _chords_nest(ends: Dict[int, List[Tuple[int, float, int]]], tol: float) -> bool:
+    """Whether the in-face segments whose endpoints `ends` files are
+    pairwise disjoint.
 
-    Each segment is a minor chord between two boundary points of one convex
-    face (`_path_for_pole` certifies this), so two segments in one physical
-    face meet exactly when their endpoints interleave around its boundary or
-    touch.  A crossing at fraction t of face-local edge j sits at boundary
-    position (j, t) in the face it exits and (j2, 1 - t) in the face it
-    enters, where the glued edge j2 runs the other way.  Segment i runs from
-    crossing i to crossing i + 1 in the face crossing i enters.  Endpoints on
+    `ends` maps each face to the (local edge j, fraction t, segment)
+    boundary positions of the segments' endpoints in it.  Each segment is a
+    minor chord between two boundary points of one convex face, so two
+    segments in one face meet exactly when their endpoints interleave
+    around its boundary or lie within `tol` on one edge.  Endpoints on
     different edges never touch: every t keeps tol_vertex clear of a vertex.
     """
-    m = len(hits)
-    ends: Dict[int, List[Tuple[int, float, int]]] = {}
-    for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
-        t = hits[i].t
-        j = spec.face_edge_local[(f, e)]
-        g, j2 = spec.gluing[(f, j)]
-        ends.setdefault(f, []).append((j, t, (i - 1) % m))
-        ends.setdefault(g, []).append((j2, 1.0 - t, i))
-    # endpoints closer than CONTACT_TOL of arc on one edge count as contact
-    tol = CONTACT_TOL / spec.edge_length
     for face_ends in ends.values():
         face_ends.sort()
         prev_j, prev_t = -1, 0.0
@@ -689,7 +678,7 @@ def enumerate_classes(
         if turns:
             walker.cut(len(turns))
             walker.cross(turns[-1])
-        region = _narrow(region, walker.arcs, 1)
+        region = _narrow(region, walker.arcs)
         if region is None:
             continue
         face, entry = walker.entered[-1]

@@ -22,7 +22,7 @@ PI = math.pi
 ALG_TOL = 1e-12
 
 # Contact window, in radians of arc: arcs or boundary points closer than this
-# touch.  arcs_intersect and the simplicity test finder._dev_is_simple share it.
+# touch.  arcs_intersect and the simplicity test finder._chords_nest share it.
 CONTACT_TOL = 1e-10
 
 IDENTITY: Mat3 = (
@@ -357,20 +357,16 @@ def equator_crossings(
         if s_len <= 0.0:
             s_len += PI
         t = s_len / length
-        if length < 1e-15:
-            point = a
-        else:
-            sa = math.sin((1.0 - t) * length)
-            sb = math.sin(t * length)
-            x, y, z = a0 * sa + b0 * sb, a1 * sa + b1 * sb, a2 * sa + b2 * sb
-            r = math.sqrt(x * x + y * y + z * z)
-            if r < 1e-15:
-                raise DomainError("cannot normalize a (near-)zero vector")
-            point = (x / r, y / r, z / r)
-        p0, p1, p2 = point
+        sa = math.sin((1.0 - t) * length)
+        sb = math.sin(t * length)
+        x, y, z = a0 * sa + b0 * sb, a1 * sa + b1 * sb, a2 * sa + b2 * sb
+        r = math.sqrt(x * x + y * y + z * z)
+        if r < 1e-15:
+            raise DomainError("cannot normalize a (near-)zero vector")
+        p0, p1, p2 = x / r, y / r, z / r
         hits.append(ArcCrossing(
             t, math.atan2(p0 * g0 + p1 * g1 + p2 * g2, p0 * f0 + p1 * f1 + p2 * f2),
-            point))
+            (p0, p1, p2)))
     return hits
 
 

@@ -121,7 +121,6 @@ class Walker:
 
     def __init__(self, spec: SolidSpec, face: int, j: int) -> None:
         self.spec = spec
-        self.faces: List[int] = []
         self.edges: List[int] = []
         self.arcs: List[Tuple[Vec3, Vec3]] = []
         self.placements: List[Mat3] = [IDENTITY]
@@ -130,7 +129,7 @@ class Walker:
 
     def cut(self, k: int) -> None:
         """Keep the first k crossings."""
-        del self.faces[k:], self.edges[k:], self.arcs[k:]
+        del self.edges[k:], self.arcs[k:]
         del self.placements[k + 1:], self.entered[k + 1:]
 
     def cross(self, t: int) -> None:
@@ -144,7 +143,6 @@ class Walker:
         placement = (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self.placements[-1]
         p0, p1, p2 = spec.chart[j]
         q0, q1, q2 = spec.chart[(j + 1) % spec.face_size]
-        self.faces.append(face)
         self.edges.append(spec.face_edges[face][j])
         self.arcs.append(((m00 * p0 + m01 * p1 + m02 * p2,
                            m10 * p0 + m11 * p1 + m12 * p2,
@@ -157,7 +155,8 @@ class Walker:
 
     def development(self) -> Development:
         """The crossings held, as a development."""
-        return Development(CrossingSequence(tuple(self.faces), tuple(self.edges)),
+        faces = tuple(f for f, _ in self.entered[:-1])
+        return Development(CrossingSequence(faces, tuple(self.edges)),
                            tuple(self.placements), tuple(self.arcs))
 
 

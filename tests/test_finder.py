@@ -26,6 +26,7 @@ from sphgeo.unfold import CrossingSequence, develop
 
 from util import (
     canonicalize,
+    dev_is_simple,
     feasible_pole_exists,
     is_simple,
     least_turn_image,
@@ -39,6 +40,7 @@ from util import (
     sampled_is_simple,
     trace_geodesic,
     turn_images,
+    two_pole_solve,
 )
 
 OCTA_TYPE1 = ("A1A2", "A2A5", "A5A3", "A3A4", "A4A6", "A6A1")
@@ -426,18 +428,26 @@ def test_figure_eight_rejected():
 
 @pytest.fixture
 def simplicity_verdicts(monkeypatch):
-    """Check every simplicity decision against the pairwise reference and
-    record the verdicts."""
+    """Check every nesting verdict of the solver against the pairwise
+    reference and record the verdicts."""
     verdicts = []
-    chords = finder._dev_is_simple
+    solving = []  # the (spec, dev, pole) being solved
+    path_for_pole, chords_nest = finder._path_for_pole, finder._chords_nest
 
-    def checked(spec, dev, hits):
-        got = chords(spec, dev, hits)
+    def solve(spec, dev, pole, *args):
+        solving[:] = [(spec, dev, pole)]
+        return path_for_pole(spec, dev, pole, *args)
+
+    def checked(ends, tol):
+        got = chords_nest(ends, tol)
+        spec, dev, pole = solving[0]
+        hits = sphtrig.equator_crossings(pole, dev.arcs)
         assert got == pairwise_is_simple(spec, dev, hits), dev.seq.edges
         verdicts.append(got)
         return got
 
-    monkeypatch.setattr(finder, "_dev_is_simple", checked)
+    monkeypatch.setattr(finder, "_path_for_pole", solve)
+    monkeypatch.setattr(finder, "_chords_nest", checked)
     return verdicts
 
 
@@ -480,7 +490,7 @@ def test_chord_nesting_agrees_on_random_chords(kind, alpha):
         for p, q in dev.arcs:
             t = rng.choice((0.25, 0.5, 0.75)) if trial % 2 else rng.uniform(0.01, 0.99)
             hits.append(sphtrig.ArcCrossing(t, 0.0, sphtrig.slerp(p, q, t)))
-        got = finder._dev_is_simple(spec, dev, hits)
+        got = dev_is_simple(spec, dev, hits)
         assert got == pairwise_is_simple(spec, dev, hits), dev.seq.edges
         verdicts.append(got)
     assert True in verdicts and False in verdicts
@@ -917,6 +927,42 @@ def test_path_for_pole_matches_reference(monkeypatch):
     outcomes = set()
     for args, path in calls:
         assert repr(path) == repr(reference_path_for_pole(*args))
+        outcomes.add(path is None)
+    assert outcomes == {True, False}
+
+
+def test_solve_tries_one_pole(monkeypatch):
+    # the pole on the wrong side of arc 0 fails the side test there, so the
+    # solver tries only the other one, and finds what trying both finds
+    solved = []
+    solve, path_for_pole = finder._solve_development, finder._path_for_pole
+
+    def recorded(spec, dev, tol_closure, tol_vertex):
+        solved.append([spec, dev, tol_closure, tol_vertex, 0])
+        path = solve(spec, dev, tol_closure, tol_vertex)
+        solved[-1].append(path)
+        return path
+
+    def counted(*args):
+        solved[-1][4] += 1
+        return path_for_pole(*args)
+
+    monkeypatch.setattr(finder, "_solve_development", recorded)
+    monkeypatch.setattr(finder, "_path_for_pole", counted)
+    for kind, alphas in [
+        (SolidKind.TETRAHEDRON, (0.36, 0.5, 0.6)),
+        (SolidKind.OCTAHEDRON, (0.36, 0.42, 0.48)),
+        (SolidKind.CUBE, (0.54, 0.6, 0.65)),
+    ]:
+        for alpha in alphas:
+            enumerate_classes(build_solid(kind, alpha * PI), 16)
+    for alpha in (0.336, 0.45):
+        counts.count_tetra(alpha * PI)
+    monkeypatch.undo()
+    outcomes = set()
+    for spec, dev, tol_closure, tol_vertex, calls, path in solved:
+        assert calls <= 1, dev.seq.edges
+        assert repr(path) == repr(two_pole_solve(spec, dev, tol_closure, tol_vertex))
         outcomes.add(path is None)
     assert outcomes == {True, False}
 

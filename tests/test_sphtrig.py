@@ -378,6 +378,26 @@ def test_pole_crossing_vs_bisection_bulk():
 
 
 @settings(max_examples=300, derandomize=True)
+@given(st.integers(0, 10_000), st.floats(0.0, 1e-7, exclude_max=True), st.booleans())
+def test_equator_misses_short_arcs(seed, length, through_midpoint):
+    # a strict crossing needs (pole.a)(pole.b) < -1e-14 with opposite signs,
+    # so |pole.a - pole.b| > 2e-7; but |pole.a - pole.b| <= |a - b| <= length
+    rng = random.Random(seed)
+    from util import random_unit
+
+    a = random_unit(rng)
+    u = sphtrig.normalize(sphtrig.cross(a, random_unit(rng)))  # tangent at a
+    b = sphtrig.normalize(sphtrig.add(sphtrig.scale(a, math.cos(length)),
+                                      sphtrig.scale(u, math.sin(length))))
+    pole = random_unit(rng)
+    if through_midpoint:
+        # the equator through the arc's midpoint, the nearest to crossing it
+        pole = sphtrig.add(sphtrig.scale(a, -math.sin(length / 2)),
+                           sphtrig.scale(u, math.cos(length / 2)))
+    assert sphtrig.equator_crossings(pole, [(a, b)]) is None
+
+
+@settings(max_examples=300, derandomize=True)
 @given(
     st.floats(0.05, PI - 0.05),
     st.floats(0.05, PI - 0.05),

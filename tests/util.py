@@ -102,7 +102,11 @@ def feasible_pole_exists(arcs: Iterable) -> bool:
     if not dev_arcs:
         return True
     region = (finder._pole_box(sphtrig.normalize(dev_arcs[0][1])), None)
-    return finder._narrow(region, dev_arcs, len(dev_arcs)) is not None
+    for k in range(1, len(dev_arcs) + 1):
+        region = finder._narrow(region, dev_arcs[:k])
+        if region is None:
+            return False
+    return True
 
 
 def is_simple(spec: SolidSpec, path) -> bool:
@@ -112,7 +116,28 @@ def is_simple(spec: SolidSpec, path) -> bool:
     hits = sphtrig.equator_crossings(path.pole, dev.arcs)
     if hits is None:
         return False
-    return finder._dev_is_simple(spec, dev, hits)
+    return dev_is_simple(spec, dev, hits)
+
+
+def dev_is_simple(spec: SolidSpec, dev: unfold.Development, hits) -> bool:
+    """Whether the in-face segments through `hits` are pairwise disjoint,
+    decided by `finder._chords_nest` on their endpoints filed as
+    `finder._path_for_pole` files them.
+
+    A crossing at fraction t of face-local edge j sits at boundary
+    position (j, t) in the face it exits and (j2, 1 - t) in the face it
+    enters, where the glued edge j2 runs the other way.  Segment i runs from
+    crossing i to crossing i + 1 in the face crossing i enters.
+    """
+    m = len(hits)
+    ends = {}
+    for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
+        t = hits[i].t
+        j = spec.face_edge_local[(f, e)]
+        g, j2 = spec.gluing[(f, j)]
+        ends.setdefault(f, []).append((j, t, (i - 1) % m))
+        ends.setdefault(g, []).append((j2, 1.0 - t, i))
+    return finder._chords_nest(ends, sphtrig.CONTACT_TOL / spec.edge_length)
 
 
 def canonicalize(spec: SolidSpec, seq: CrossingSequence) -> CrossingSequence:
@@ -274,7 +299,7 @@ def pairwise_is_simple(spec: SolidSpec, dev: unfold.Development, hits) -> bool:
     """Reference simplicity check: every pair of in-face segments that lie in
     one physical face is tested with the great-circle arc predicate, O(m^2).
 
-    Takes the same arguments as `finder._dev_is_simple`: the development and
+    Takes the same arguments as `dev_is_simple`: the development and
     the pole's crossing with each developed edge arc.
     """
     pts = [h.point for h in hits]
@@ -575,7 +600,7 @@ def reference_path_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex):
             t, inc = 1.0 - hits[i].t, PI - inc_exit
         crossings.append(finder.Crossing(e, t, inc))
 
-    if not finder._dev_is_simple(spec, dev, hits):
+    if not dev_is_simple(spec, dev, hits):
         return None
 
     return finder.GeodesicPath(
@@ -586,6 +611,19 @@ def reference_path_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex):
         pole=pole,
         closure_residual=residual,
     )
+
+
+def two_pole_solve(spec, dev, tol_closure, tol_vertex):
+    """`finder._solve_development` by trying both signs of the closing
+    rotation's axis, the axis first: the reference for its one-pole rule."""
+    axis, ang, near_identity = sphtrig.axis_angle(dev.closing)
+    if near_identity:
+        return None
+    for pole, theta in ((axis, ang), (sphtrig.neg(axis), finder.TWO_PI - ang)):
+        path = finder._path_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex)
+        if path is not None:
+            return path
+    return None
 
 
 def _reference_incidence(spec, placement, local_edge, point, pole):
