@@ -7,8 +7,8 @@ crossings or none at all.  No shooting, no root-finding.  Negating the
 axis negates every dot, so only the sign that passes the first edge's side
 test is solved: every edge is side-tested by two dots; the crossings follow
 with the pole's frame built once; and one loop checks each crossing's
-clearance of the vertices, its chord against its azimuth gap and its
-incidence angle on both face copies' edge, developed independently.
+clearance of the vertices and its chord against its azimuth gap, and
+measures its incidence on the edge as the exited face copy develops it.
 
 Simplicity is decided combinatorially.  A face is convex and each segment of
 a solved candidate is a minor chord between two points of its boundary; the
@@ -289,7 +289,7 @@ def _path_for_pole(
     # joins (see `_chords_nest`): (j, t) in face f, which it exits, and
     # (j2, 1 - t) in face g, whose glued edge j2 runs the other way.
     n = spec.face_size
-    local, gluing, chart = spec.face_edge_local, spec.gluing, spec.chart
+    local, gluing = spec.face_edge_local, spec.gluing
     arc_lengths = []
     crossings = []
     ends: Dict[int, List[Tuple[int, float, int]]] = {}
@@ -314,35 +314,16 @@ def _path_for_pole(
 
         j = local[(f, e)]
         g, j2 = gluing[(f, j)]
-        # the geodesic tangent at the crossing point
+        # the geodesic tangent at the crossing point, on the pole's equator,
+        # and its angle with the edge as the exited copy develops it
         d0, d1, d2 = y * a2 - z * a1, z * a0 - x * a2, x * a1 - y * a0
         r = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-        if r < 1e-15:
-            raise DomainError("cannot normalize a (near-)zero vector")
-        d0, d1, d2 = d0 / r, d1 / r, d2 / r
-        # the edge as the exited copy develops it is arcs[i]; the entered
-        # copy develops it again from its own placement
-        inc_exit = _edge_angle(d0, d1, d2, a0, a1, a2, *dev.arcs[i])
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = dev.placements[i + 1]
-        u0, u1, u2 = chart[j2]
-        w0, w1, w2 = chart[(j2 + 1) % n]
-        inc_enter = _edge_angle(
-            d0, d1, d2, a0, a1, a2,
-            (m00 * u0 + m01 * u1 + m02 * u2,
-             m10 * u0 + m11 * u1 + m12 * u2,
-             m20 * u0 + m21 * u1 + m22 * u2),
-            (m00 * w0 + m01 * w1 + m02 * w2,
-             m10 * w0 + m11 * w1 + m12 * w2,
-             m20 * w0 + m21 * w1 + m22 * w2))
-        # the two face copies develop the edge independently; the angles they
-        # see must agree (edge orientations oppose, hence the pi flip)
-        if abs(inc_exit - (PI - inc_enter)) > 1e-10:
-            return None
+        inc = _edge_angle(d0 / r, d1 / r, d2 / r, a0, a1, a2, *dev.arcs[i])
         face = spec.faces[f]
         if face[j] < face[(j + 1) % n]:
-            crossings.append(Crossing(e, t, inc_exit))
+            crossings.append(Crossing(e, t, inc))
         else:
-            crossings.append(Crossing(e, 1.0 - t, PI - inc_exit))
+            crossings.append(Crossing(e, 1.0 - t, PI - inc))
         # segment i runs from crossing i to crossing i + 1 in face g
         ends.setdefault(f, []).append((j, t, (i - 1) % m))
         ends.setdefault(g, []).append((j2, 1.0 - t, i))
@@ -374,13 +355,9 @@ def _edge_angle(d0: float, d1: float, d2: float, x0: float, x1: float, x2: float
     q0, q1, q2 = q
     n0, n1, n2 = p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0
     r = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
-    if r < 1e-15:
-        raise DomainError("cannot normalize a (near-)zero vector")
     n0, n1, n2 = n0 / r, n1 / r, n2 / r        # edge pole
     t0, t1, t2 = n1 * x2 - n2 * x1, n2 * x0 - n0 * x2, n0 * x1 - n1 * x0
     r = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
-    if r < 1e-15:
-        raise DomainError("cannot normalize a (near-)zero vector")
     t0, t1, t2 = t0 / r, t1 / r, t2 / r        # edge tangent
     c0, c1, c2 = d1 * t2 - d2 * t1, d2 * t0 - d0 * t2, d0 * t1 - d1 * t0
     return math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2),

@@ -39,6 +39,16 @@ ADMISSIBLE: Dict[SolidKind, Tuple[float, float]] = {
     SolidKind.CUBE: (PI / 2, 2 * PI / 3),
 }
 
+# Near the flat limit, the left end, the float model fails before the
+# geometry does.  One or two ulps above it the transfer rotations cannot be
+# built, and up to about 1e-14 above it (edges of 2e-7 to 2.6e-7)
+# `enumerate` at depth 12 finds too few classes: 1 of 2 on the octahedron,
+# 0 of 3 on the cube, only (0,1) on the tetrahedron.  From 1e-13 above it
+# (edges from 6.3e-7) all three find every class, and with edges near 1e-5
+# the octahedron and the cube still find theirs at depth 40.  Shorter edges
+# are refused.
+MIN_EDGE_LENGTH = 1e-5
+
 _FACES: Dict[SolidKind, Tuple[Tuple[int, ...], ...]] = {
     SolidKind.TETRAHEDRON: (
         (0, 1, 2),
@@ -124,7 +134,7 @@ class SolidSpec:
 def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
     """Construct a solid at the given facet angle.
 
-    Raises DomainError when alpha is outside the open admissible interval.
+    Raises DomainError when alpha is inadmissible or edges < MIN_EDGE_LENGTH.
     The latest spec is kept, so a caller that asks for the solid just built
     (`count_tetra` after `enumerate`, `export` after either) shares it.
     """
@@ -176,6 +186,11 @@ def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
         for k in range(n)
     )
     edge_length = sphtrig.angle_between(chart[0], chart[1])
+    if edge_length < MIN_EDGE_LENGTH:
+        raise DomainError(
+            f"alpha={alpha!r} is too close to the flat limit {lo!r} for {kind.value}: "
+            f"its edge length {edge_length!r} is below {MIN_EDGE_LENGTH!r}"
+        )
 
     # transfer rotation across each directed edge: glue the neighbour's chart
     # copy of the shared edge onto this face's copy, endpoints matched

@@ -290,19 +290,34 @@ def test_sweep_grid_at_cap(tmp_path, monkeypatch):
     (["sweep", "--solid", "tetra", "--alpha", "0.3pi",
       "--alpha-stop", "0.4pi", "--alpha-step", "0.05pi"],
      "error: alpha=0.9424777960769379 outside the admissible interval "),
-    # near pi/3 the count refuses its candidate types before listing them
+    # 1e-9 above pi/3 the count refuses its candidate types before listing them
+    (["solve", "--solid", "tetra", "--alpha", "1.0471975521965977", "--type", "0,1"],
+     "error: s < "),
+    (["enumerate", "--solid", "tetra", "--alpha", "1.0471975521965977", "--depth", "3"],
+     "error: s < "),
+    # 1e-12 above pi/3 an edge is 2.6e-6 long, and the solid refuses itself
     (["solve", "--solid", "tetra", "--alpha", "1.0471975511975979", "--type", "0,1"],
-     "error: s < "),
+     "error: alpha=1.047197551197598 is too close to the flat limit "),
     (["enumerate", "--solid", "tetra", "--alpha", "1.0471975511975979", "--depth", "3"],
-     "error: s < "),
+     "error: alpha=1.047197551197598 is too close to the flat limit "),
 ], ids=["enumerate-depth-2", "enumerate-alpha", "solve-alpha", "sweep-start-alpha",
-        "solve-near-flat", "enumerate-near-flat"])
+        "solve-near-flat", "enumerate-near-flat", "solve-flat-limit", "enumerate-flat-limit"])
 def test_domain_error_one_line(capsys, argv, message):
     # the solid and the search check their own inputs; main prints one line
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", list(SolidKind))
+def test_enumerate_flat_limit_one_line(capsys, kind):
+    lo, _ = solids.ADMISSIBLE[kind]
+    for alpha in (lo + math.ulp(lo), lo + 1e-14):
+        assert main(["enumerate", "--solid", kind.value, "--alpha", repr(alpha)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: alpha={alpha!r} is too close to the flat limit ")
+        assert err.count("\n") == 1
 
 
 def test_enumerate_depth_bounded(capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,8 @@ from sphgeo.solids import SolidKind, build_solid
 from sphgeo.sphtrig import PI, DomainError, tetra_edge
 
 PI2 = PI * PI
+
+COUNT_TETRA_TXT = Path(__file__).parent / "data" / "count_tetra.txt"
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +182,18 @@ def test_psi_bounds_bracket_candidates():
 
 # ---------------------------------------------------------------------------
 # full reports
+
+
+def test_count_tetra_pinned_across_interval():
+    # data/count_tetra.txt pins count_tetra at alpha = pi/3 + (pi/3)(k + 0.5)/60
+    # for k = 0..59: N and the sha256 of the whole report's repr
+    rows = COUNT_TETRA_TXT.read_text().splitlines()[1:]
+    assert len(rows) == 60
+    for k, row in enumerate(rows):
+        alpha = PI / 3 + (PI / 3) * (k + 0.5) / 60
+        rep = count_tetra(alpha)
+        digest = hashlib.sha256(repr(rep).encode()).hexdigest()
+        assert f"{alpha!r} {rep.n} {digest}" == row
 
 
 def test_count_tetra_uniqueness_band():

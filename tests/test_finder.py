@@ -20,13 +20,14 @@ from sphgeo.finder import (
     solve_tetra_type,
     tetra_type_sequence,
 )
-from sphgeo.solids import ADMISSIBLE, SolidKind, build_solid, symmetry_group
+from sphgeo.solids import ADMISSIBLE, MIN_EDGE_LENGTH, SolidKind, build_solid, symmetry_group
 from sphgeo.sphtrig import PI, DomainError, dot, neg, normalize
 from sphgeo.unfold import CrossingSequence, develop
 
 from util import (
     canonicalize,
     dev_is_simple,
+    edge_copies_coincide,
     feasible_pole_exists,
     is_simple,
     least_turn_image,
@@ -886,19 +887,45 @@ def test_side_test_precedes_crossings(monkeypatch):
 
 def test_incidence_sides_developed_independently():
     # the entered face copy develops the crossed edge from its own placement;
-    # a copy that is off by 1e-6 rad makes the two incidence angles disagree
+    # a copy that is off by 1e-6 rad no longer shares the edge, which the
+    # shared-edge check flags, and the reference, which measures the
+    # incidence on both copies, sees the two angles disagree and refuses
     spec = build_solid(SolidKind.CUBE, 0.59 * PI)
     cls = enumerate_classes(spec, 8)[0]
     dev = develop(spec, cls.path.seq)
     pole, theta = cls.path.pole, cls.path.total_length
+    assert edge_copies_coincide(spec, dev, 1e-14)
     assert finder._path_for_pole(spec, dev, pole, theta, 1e-9, 1e-9) is not None
+    assert reference_path_for_pole(spec, dev, pole, theta, 1e-9, 1e-9) is not None
     for k in range(1, len(dev.arcs)):
         tilt = sphtrig.rot_about(normalize(dev.arcs[k - 1][0]), 1e-6)
         placements = list(dev.placements)
         placements[k] = sphtrig.mat_compose(tilt, placements[k])
         bent = dataclasses.replace(dev, placements=tuple(placements))
+        assert not edge_copies_coincide(spec, bent, 1e-14)
         assert reference_path_for_pole(spec, bent, pole, theta, 1e-9, 1e-9) is None
-        assert finder._path_for_pole(spec, bent, pole, theta, 1e-9, 1e-9) is None
+
+
+def test_incidence_measured_once(monkeypatch):
+    # each incidence is measured on the edge as the exited copy develops it:
+    # one _edge_angle call per crossing, and no placement but the closing
+    # rotation is read
+    spec = build_solid(SolidKind.CUBE, 0.59 * PI)
+    cls = enumerate_classes(spec, 8)[0]
+    dev = develop(spec, cls.path.seq)
+    args = (cls.path.pole, cls.path.total_length, 1e-9, 1e-9)
+    path = finder._path_for_pole(spec, dev, *args)
+    calls = []
+    edge_angle = finder._edge_angle
+
+    def counted(*a):
+        calls.append(None)
+        return edge_angle(*a)
+
+    monkeypatch.setattr(finder, "_edge_angle", counted)
+    blind = dataclasses.replace(dev, placements=(None,) * len(dev.arcs) + (dev.closing,))
+    assert repr(finder._path_for_pole(spec, blind, *args)) == repr(path) != "None"
+    assert len(calls) == len(dev.arcs)
 
 
 def test_path_for_pole_matches_reference(monkeypatch):
@@ -1014,6 +1041,29 @@ def test_enumerate_matches_deep_golden_file():
     # the closure became the prefix test run on through the word
     rows, got = _golden_rows(ENUMERATE_DEEP_CLASSES_TXT)
     assert got == rows
+
+
+def _smallest_accepted(kind):
+    """The least alpha above the flat limit that build_solid accepts."""
+    lo, _ = ADMISSIBLE[kind]
+    refused, accepted = 1, 1 << 20  # ulps above lo
+    while accepted - refused > 1:
+        mid = (refused + accepted) // 2
+        try:
+            build_solid(kind, lo + mid * math.ulp(lo))
+            accepted = mid
+        except DomainError:
+            refused = mid
+    return lo + accepted * math.ulp(lo)
+
+
+@pytest.mark.parametrize("kind,n_classes", [(SolidKind.OCTAHEDRON, 2), (SolidKind.CUBE, 3)])
+def test_smallest_accepted_alpha_finds_every_class(kind, n_classes):
+    # the edge-length floor keeps every class in reach: at the least alpha
+    # the solid accepts, its edges ~1e-5 long, the search finds them all
+    spec = build_solid(kind, _smallest_accepted(kind))
+    assert spec.edge_length < 1.01 * MIN_EDGE_LENGTH
+    assert len(enumerate_classes(spec, 20)) == n_classes
 
 
 @pytest.mark.parametrize("kind,alpha,nodes", [

@@ -58,6 +58,17 @@ def test_admissibility_open_interval(kind):
     build_solid(kind, 0.5 * (lo + hi))
 
 
+@pytest.mark.parametrize("kind", list(SolidKind))
+def test_flat_limit_refused(kind):
+    # one ulp above the flat limit no transfer rotation can be built, and
+    # 1e-14 above it the search would miss classes
+    lo, _ = ADMISSIBLE[kind]
+    for alpha in (lo + math.ulp(lo), lo + 1e-14):
+        with pytest.raises(DomainError, match=f"alpha={alpha!r} is too close to the "
+                           f"flat limit {lo!r} for {kind.value}: its edge length"):
+            build_solid(kind, alpha)
+
+
 def test_octahedron_boundary_is_rejected():
     with pytest.raises(DomainError) as exc:
         build_solid(SolidKind.OCTAHEDRON, PI / 2)

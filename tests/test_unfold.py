@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphgeo import sphtrig
-from sphgeo.solids import SolidKind, build_solid, cone_angle, symmetry_group
+from sphgeo.solids import ADMISSIBLE, SolidKind, build_solid, cone_angle, symmetry_group
 from sphgeo.sphtrig import (
     IDENTITY,
     PI,
@@ -19,6 +19,7 @@ from sphgeo.sphtrig import (
 from sphgeo.unfold import CrossingSequence, Walker, develop
 
 from util import (
+    edge_copies_coincide,
     holonomy,
     mat_transpose,
     orthonormality_residual,
@@ -150,22 +151,16 @@ def test_step_across_and_back_is_identity(kind):
 @pytest.mark.parametrize("kind", list(SolidKind))
 def test_developed_edge_copies_coincide(kind):
     # the exiting copy and the entering copy place the shared edge on the
-    # same arc, endpoints swapped
-    spec = build_solid(kind, MIDPOINTS[kind])
-    n = spec.face_size
+    # same arc, endpoints swapped, across the interval and 1e-3 pi from its
+    # ends; the solver measures each incidence on the exiting copy alone
+    lo, hi = ADMISSIBLE[kind]
+    alphas = [lo + 1e-3 * PI] + [lo + (hi - lo) * k / 9 for k in range(1, 9)] + [hi - 1e-3 * PI]
     rng = random.Random(99)
-    for _ in range(50):
-        seq = random_sequence(spec, rng)
-        dev = develop(spec, seq)
-        for i, (f, e) in enumerate(zip(seq.faces, seq.edges)):
-            j = spec.face_edge_local[(f, e)]
-            gi, j2 = spec.gluing[(f, j)]
-            p = mat_apply(dev.placements[i], spec.chart[j])
-            q = mat_apply(dev.placements[i], spec.chart[(j + 1) % n])
-            p2 = mat_apply(dev.placements[i + 1], spec.chart[j2])
-            q2 = mat_apply(dev.placements[i + 1], spec.chart[(j2 + 1) % n])
-            assert max(abs(p[k] - q2[k]) for k in range(3)) < 1e-12
-            assert max(abs(q[k] - p2[k]) for k in range(3)) < 1e-12
+    for alpha in alphas:
+        spec = build_solid(kind, alpha)
+        for _ in range(50):
+            dev = develop(spec, random_sequence(spec, rng))
+            assert edge_copies_coincide(spec, dev, 1e-14), (alpha, dev.seq.edges)
 
 
 def test_step_rotation_rejects_mismatched_crossing():

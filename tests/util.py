@@ -81,6 +81,24 @@ def reference_develop(spec: SolidSpec, seq: CrossingSequence) -> unfold.Developm
     return unfold.Development(seq=seq, placements=tuple(placements), arcs=tuple(arcs))
 
 
+def edge_copies_coincide(spec: SolidSpec, dev: unfold.Development, tol: float) -> bool:
+    """Whether the two face copies of a development's every crossing place
+    the shared edge on one arc, endpoints swapped, within `tol` per
+    coordinate: the exited copy from its placement, the entered copy from
+    its own."""
+    n = spec.face_size
+    for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
+        j = spec.face_edge_local[(f, e)]
+        j2 = spec.gluing[(f, j)][1]
+        p = sphtrig.mat_apply(dev.placements[i], spec.chart[j])
+        q = sphtrig.mat_apply(dev.placements[i], spec.chart[(j + 1) % n])
+        p2 = sphtrig.mat_apply(dev.placements[i + 1], spec.chart[j2])
+        q2 = sphtrig.mat_apply(dev.placements[i + 1], spec.chart[(j2 + 1) % n])
+        if max(abs(a - b) for a, b in zip(p + q, q2 + p2)) >= tol:
+            return False
+    return True
+
+
 def holonomy(spec: SolidSpec, seq: CrossingSequence):
     """Closing rotation of the development of `seq`."""
     return unfold.develop(spec, seq).closing
