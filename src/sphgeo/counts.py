@@ -113,11 +113,12 @@ def totient_sum(x: int) -> Tuple[int, float]:
     return total, total / ((3.0 / _PI2) * x * x)
 
 
-# The most candidate types a count lists.  Below s < T lie about
-# T / (pi sqrt 3) coprime pairs (a twelfth of the ellipse s < T at density
-# 6 / pi^2), and g(alpha) grows without bound as alpha nears pi/3: at
-# pi/3 + 1e-9 it asks for 2.6e8.  2,000 admits 0.3334pi, the tightest angle
-# in use (1,252 types); README gives the timings.
+# A threshold T above MAX_CANDIDATES sqrt(3) pi is refused: below s < T lie
+# about T / (pi sqrt 3) coprime pairs (a twelfth of the ellipse s < T at
+# density 6 / pi^2).  The largest admitted T holds 2,001 pairs, so a count
+# lists at most 2,002 types with (0, 1).  g(alpha) grows without bound as
+# alpha nears pi/3: at pi/3 + 1e-9 it asks for 2.6e8.  The bound admits
+# 0.3334pi, the tightest angle in use (1,252 types); README gives timings.
 MAX_CANDIDATES = 2000
 
 

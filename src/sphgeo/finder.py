@@ -765,28 +765,12 @@ def tetra_type_sequence(spec: SolidSpec, p: int, q: int) -> CrossingSequence:
     i, for i < 2(p + q), is upper iff floor((i + 1) p / (p + q)) >
     floor(i p / (p + q)), and each lower letter turns 2 then 1, each upper
     letter 1 then 2.  The walk closes on the start crossing after exactly
-    4(p + q) crossings
-    (`test_tetra_type_sequence_structure` checks it, with the pair counts
-    and the class, against a straight line traced across the developing
-    triangular lattice, for every type with q <= 30).
+    4(p + q) crossings (`test_tetra_type_sequence_structure` checks this and
+    the pair counts for every type a count can list, and the class against
+    a line traced across the triangular lattice for q <= 30).
     """
     ((_, dev),) = _type_walks(spec, ((p, q),))
     return dev.seq
-
-
-def _solve_typed(
-    spec: SolidSpec, p: int, q: int, dev: Development, tol_closure: float,
-    tol_vertex: float,
-) -> Optional[GeodesicPath]:
-    """Solve the walk of type (p, q) and check that the path has that type."""
-    path = _solve_development(spec, dev, tol_closure, tol_vertex)
-    if path is not None:
-        got = classify_tetra_type(spec, path)
-        if got != (p, q):
-            raise ClassificationError(
-                f"targeted ({p}, {q}) sequence solved as type {got}"
-            )
-    return path
 
 
 def solve_tetra_type(
@@ -800,7 +784,7 @@ def solve_tetra_type(
     walk; None when no such geodesic exists at this facet angle."""
     check_tolerances(tol_closure, tol_vertex)
     ((_, dev),) = _type_walks(spec, ((p, q),))
-    return _solve_typed(spec, p, q, dev, tol_closure, tol_vertex)
+    return _solve_development(spec, dev, tol_closure, tol_vertex)
 
 
 def _types_found(
@@ -814,5 +798,5 @@ def _types_found(
     path at a time."""
     found = [False] * len(types)
     for i, dev in _type_walks(spec, types):
-        found[i] = _solve_typed(spec, *types[i], dev, tol_closure, tol_vertex) is not None
+        found[i] = _solve_development(spec, dev, tol_closure, tol_vertex) is not None
     return found

@@ -186,11 +186,12 @@ def test_psi_bounds_bracket_candidates():
 
 def test_count_tetra_pinned_across_interval():
     # data/count_tetra.txt pins count_tetra at alpha = pi/3 + (pi/3)(k + 0.5)/60
-    # for k = 0..59: N and the sha256 of the whole report's repr
+    # for k = 0..59, then at 0.3334pi, the tightest angle in use, where it
+    # solves the longest typed walks: N and the sha256 of the whole report's repr
     rows = COUNT_TETRA_TXT.read_text().splitlines()[1:]
-    assert len(rows) == 60
-    for k, row in enumerate(rows):
-        alpha = PI / 3 + (PI / 3) * (k + 0.5) / 60
+    alphas = [PI / 3 + (PI / 3) * (k + 0.5) / 60 for k in range(60)] + [0.3334 * PI]
+    assert len(rows) == len(alphas)
+    for alpha, row in zip(alphas, rows):
         rep = count_tetra(alpha)
         digest = hashlib.sha256(repr(rep).encode()).hexdigest()
         assert f"{alpha!r} {rep.n} {digest}" == row

@@ -652,13 +652,44 @@ def test_classify_rejects_vertex_loop_pattern():
     assert class_tag(spec, path) == "vertex-loop"
 
 
+def test_typed_solves_classify_nothing(monkeypatch):
+    # a typed walk fixes its type (test_tetra_type_sequence_structure checks
+    # every type a count can list), so counts and typed solves classify no
+    # path; the search's classes, whose types are not known in advance, are
+    # still classified by class_tag
+    calls = []
+    classify = finder.classify_tetra_type
+
+    def counted(spec, path):
+        calls.append(path.seq.edges)
+        return classify(spec, path)
+
+    monkeypatch.setattr(finder, "classify_tetra_type", counted)
+    for api in (0.336, 0.45):
+        assert counts.count_tetra(api * PI).n >= 1
+    spec = build_solid(SolidKind.TETRAHEDRON, 0.34 * PI)
+    for p, q in ((0, 1), (1, 2), (3, 4)):
+        assert solve_tetra_type(spec, p, q) is not None
+    assert calls == []
+    classes = enumerate_classes(spec, 12)
+    calls.clear()
+    assert [class_tag(spec, c.path) for c in classes] == [c.tag for c in classes]
+    assert calls == [c.path.seq.edges for c in classes]
+
+
 def test_tetra_type_sequence_structure():
+    # every type a count can list: (0, 1) and the pairs below the largest
+    # threshold _coprime_pairs_below admits.  A typed solve trusts its walk
+    # to have its type, so no count classifies what it solves
     spec = build_solid(SolidKind.TETRAHEDRON, 0.4 * PI)
     start_face = spec.edge_faces[0][0]
-    types = [(p, q) for q in range(1, 31) for p in range(q + 1) if math.gcd(p, q) == 1]
-    assert len(types) == 279
-    for p, q in types:
-        seq = tetra_type_sequence(spec, p, q)
+    types = [(0, 1)] + counts._coprime_pairs_below(
+        counts.MAX_CANDIDATES * math.sqrt(3.0) * PI)
+    assert len(types) == 2002 and max(q for _, q in types) == 103
+    traced = 0
+    for i, dev in finder._type_walks(spec, types):
+        p, q = types[i]
+        seq = dev.seq
         assert len(seq.edges) == 4 * (p + q)
         seq.validate(spec)
         # pair counts (p, q, p+q), each edge of a pair crossed equally
@@ -678,8 +709,14 @@ def test_tetra_type_sequence_structure():
         last = seq.faces[-1]
         assert spec.gluing[(last, spec.face_edge_local[(last, seq.edges[-1])])][0] \
             == start_face
-        assert finder.canonical_word(spec, seq.edges) == finder.canonical_word(
-            spec, reference_tetra_type_sequence(spec, p, q).edges), (p, q)
+        # the class, against a line traced across the lattice (slow, so short
+        # types only)
+        if q <= 30:
+            assert tetra_type_sequence(spec, p, q).edges == seq.edges
+            assert finder.canonical_word(spec, seq.edges) == finder.canonical_word(
+                spec, reference_tetra_type_sequence(spec, p, q).edges), (p, q)
+            traced += 1
+    assert traced == 279
 
 
 # coprime types with q <= 14, and the run (1, 1), ..., (1, 14), whose turn
@@ -704,7 +741,7 @@ def test_shared_prefix_walk_matches_one_type_walks(alpha, types, run, rnd):
         p, q = types[i]
         ((_, alone),) = finder._type_walks(spec, [(p, q)])
         assert repr(dev) == repr(alone), (p, q)
-        path = finder._solve_typed(spec, p, q, dev, finder.SOLVE_TOL, finder.SOLVE_TOL)
+        path = finder._solve_development(spec, dev, finder.SOLVE_TOL, finder.SOLVE_TOL)
         assert repr(path) == repr(solve_tetra_type(spec, p, q)), (p, q)
     found = finder._types_found(spec, types, finder.SOLVE_TOL, finder.SOLVE_TOL)
     assert found == [solve_tetra_type(spec, p, q) is not None for p, q in types]
