@@ -7,8 +7,10 @@ crossings or none at all.  No shooting, no root-finding.  Negating the
 axis negates every dot, so only the sign that passes the first edge's side
 test is solved: every edge is side-tested by two dots; the crossings follow
 with the pole's frame built once; and one loop checks each crossing's
-clearance of the vertices and its chord against its azimuth gap, and
-measures its incidence on the edge as the exited face copy develops it.
+clearance of the vertices and its chord against its azimuth gap.  That
+closure stage decides; the path stage, which measures each incidence on
+the edge as the exited face copy develops it, runs only where a path is
+kept, not in a count or in the search's closure test.
 
 Simplicity is decided combinatorially.  A face is convex and each segment of
 a solved candidate is a minor chord between two points of its boundary; the
@@ -59,6 +61,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .sphtrig import (
     CONTACT_TOL,
     PI,
+    ArcCrossing,
     DomainError,
     Vec3,
     axis_angle,
@@ -245,6 +248,20 @@ def _solve_development(
     spec: SolidSpec, dev: Development, tol_closure: float, tol_vertex: float
 ) -> Optional[GeodesicPath]:
     """`solve_sequence` on a development that is already laid out."""
+    closure = _closure(spec, dev, tol_closure, tol_vertex)
+    return None if closure is None else _build_path(spec, dev, closure)
+
+
+# what the closure stage hands the path stage: the pole, the crossings, the
+# in-face arc lengths, their sum and its residual against the closing angle
+_Closure = Tuple[Vec3, List[ArcCrossing], List[float], float, float]
+
+
+def _closure(
+    spec: SolidSpec, dev: Development, tol_closure: float, tol_vertex: float
+) -> Optional[_Closure]:
+    """The closure stage of `_solve_development`: whether `dev` closes,
+    decided on the one pole that can, without building its path."""
     axis, ang, near_identity = axis_angle(dev.closing)
     if near_identity:
         return None
@@ -252,22 +269,22 @@ def _solve_development(
     # only one can pass the side test on arc 0
     if not dot(axis, dev.arcs[0][1]) > 0.0:
         axis, ang = neg(axis), TWO_PI - ang
-    return _path_for_pole(spec, dev, axis, ang, tol_closure, tol_vertex)
+    return _closure_for_pole(spec, dev, axis, ang, tol_closure, tol_vertex)
 
 
-def _path_for_pole(
+def _closure_for_pole(
     spec: SolidSpec,
     dev: Development,
     pole: Vec3,
     theta: float,
     tol_closure: float,
     tol_vertex: float,
-) -> Optional[GeodesicPath]:
+) -> Optional[_Closure]:
     # The side test, then one pass over the crossings, with the floats of
-    # the sphtrig helpers they write out (dot, angle_between,
-    # normalize(cross(...)), mat_apply) in their order.  The equator must
-    # cross from the exited copy's side to the entered one; most poles fail
-    # this somewhere, so test every arc before any crossing
+    # the sphtrig helpers they write out (dot, angle_between, mat_apply) in
+    # their order.  The equator must cross from the exited copy's side to
+    # the entered one; most poles fail this somewhere, so test every arc
+    # before any crossing
     x, y, z = pole
     dots = []
     for (p0, p1, p2), (q0, q1, q2) in dev.arcs:
@@ -288,10 +305,8 @@ def _path_for_pole(
     # Each crossing also files its boundary position in the two faces it
     # joins (see `_chords_nest`): (j, t) in face f, which it exits, and
     # (j2, 1 - t) in face g, whose glued edge j2 runs the other way.
-    n = spec.face_size
     local, gluing = spec.face_edge_local, spec.gluing
     arc_lengths = []
-    crossings = []
     ends: Dict[int, List[Tuple[int, float, int]]] = {}
     for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
         t, azimuth, (a0, a1, a2) = hits[i]
@@ -314,16 +329,6 @@ def _path_for_pole(
 
         j = local[(f, e)]
         g, j2 = gluing[(f, j)]
-        # the geodesic tangent at the crossing point, on the pole's equator,
-        # and its angle with the edge as the exited copy develops it
-        d0, d1, d2 = y * a2 - z * a1, z * a0 - x * a2, x * a1 - y * a0
-        r = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-        inc = _edge_angle(d0 / r, d1 / r, d2 / r, a0, a1, a2, *dev.arcs[i])
-        face = spec.faces[f]
-        if face[j] < face[(j + 1) % n]:
-            crossings.append(Crossing(e, t, inc))
-        else:
-            crossings.append(Crossing(e, 1.0 - t, PI - inc))
         # segment i runs from crossing i to crossing i + 1 in face g
         ends.setdefault(f, []).append((j, t, (i - 1) % m))
         ends.setdefault(g, []).append((j2, 1.0 - t, i))
@@ -335,7 +340,28 @@ def _path_for_pole(
     # endpoints closer than CONTACT_TOL of arc on one edge count as contact
     if not _chords_nest(ends, CONTACT_TOL / spec.edge_length):
         return None
+    return pole, hits, arc_lengths, total, residual
 
+
+def _build_path(spec: SolidSpec, dev: Development, closure: _Closure) -> GeodesicPath:
+    """The path stage of `_solve_development`: each crossing of a closure,
+    with its incidence measured on the edge as the exited copy develops it."""
+    pole, hits, arc_lengths, total, residual = closure
+    x, y, z = pole
+    n, local = spec.face_size, spec.face_edge_local
+    crossings = []
+    for f, e, (t, _, (a0, a1, a2)), arc in zip(dev.seq.faces, dev.seq.edges, hits, dev.arcs):
+        # the geodesic tangent at the crossing point, on the pole's equator,
+        # and its angle with the edge, with the floats of normalize(cross(...))
+        d0, d1, d2 = y * a2 - z * a1, z * a0 - x * a2, x * a1 - y * a0
+        r = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+        inc = _edge_angle(d0 / r, d1 / r, d2 / r, a0, a1, a2, *arc)
+        face = spec.faces[f]
+        j = local[(f, e)]
+        if face[j] < face[(j + 1) % n]:
+            crossings.append(Crossing(e, t, inc))
+        else:
+            crossings.append(Crossing(e, 1.0 - t, PI - inc))
     return GeodesicPath(
         seq=dev.seq,
         crossings=tuple(crossings),
@@ -669,7 +695,7 @@ def enumerate_classes(
                             for d in range(1, m // 2 + 1))
                 and _extend_least(turns + (closing,) + turns, m - 1, tied, n) is not None):
             dev = walker.development()
-            if _solve_development(spec, dev, tol_closure, tol_vertex) is not None:
+            if _closure(spec, dev, tol_closure, tol_vertex) is not None:
                 found.append(dev.seq.edges)
         if m == max_crossings:
             continue
@@ -793,10 +819,9 @@ def _types_found(
 ) -> List[bool]:
     """Whether `solve_tetra_type` finds each of `types`, in their order.
 
-    The types are walked along one shared-prefix walk (`_type_walks`) and
-    each path is dropped once its verdict is read, so a count holds one
-    path at a time."""
+    The types are walked along one shared-prefix walk (`_type_walks`), and
+    each is decided by the closure stage alone: no path is built."""
     found = [False] * len(types)
     for i, dev in _type_walks(spec, types):
-        found[i] = _solve_development(spec, dev, tol_closure, tol_vertex) is not None
+        found[i] = _closure(spec, dev, tol_closure, tol_vertex) is not None
     return found

@@ -25,6 +25,15 @@ ALG_TOL = 1e-12
 # touch.  arcs_intersect and the simplicity test finder._chords_nest share it.
 CONTACT_TOL = 1e-10
 
+# Crossing floor: an arc crosses a pole's equator only if its end dots da, db
+# have da*db < -CROSSING_FLOOR.  A dot of unit vectors is off by a few 1e-16,
+# so the floor, about 45 ulps of 1, counts an end whose dot rounding could
+# flip as lying on the equator: the arc meets it at a vertex, or may.  For an
+# edge of length L crossed at angle phi it refuses fractions t with t(1 - t)
+# below about CROSSING_FLOOR / (L sin phi)^2, inside the default tol_vertex
+# of 1e-9 unless L sin phi < ~3e-3.
+CROSSING_FLOOR = 1e-14
+
 IDENTITY: Mat3 = (
     (1.0, 0.0, 0.0),
     (0.0, 1.0, 0.0),
@@ -334,18 +343,18 @@ def equator_crossings(
     (a, b) of `arcs`, in order.
 
     Returns None as soon as one arc does not strictly cross the equator, i.e.
-    when (pole.a)(pole.b) >= -1e-14.  `dots` holds those two products per arc
-    when the caller has them already.  The pole frame is built once and each
-    arc's length once; the point's floats are those of `slerp` at the root
-    fraction t, and its azimuth, in (-pi, pi], is atan2 of its components
-    along the frame (e2, e1).
+    when (pole.a)(pole.b) >= -CROSSING_FLOOR.  `dots` holds those two
+    products per arc when the caller has them already.  The pole frame is
+    built once and each arc's length once; the point's floats are those of
+    `slerp` at the root fraction t, and its azimuth, in (-pi, pi], is atan2
+    of its components along the frame (e2, e1).
     """
     if dots is None:
         dots = [(dot(pole, a), dot(pole, b)) for a, b in arcs]
     (f0, f1, f2), (g0, g1, g2) = pole_frame(pole)
     hits = []
     for (a, b), (da, db) in zip(arcs, dots):
-        if da * db >= -1e-14:
+        if da * db >= -CROSSING_FLOOR:
             return None
         a0, a1, a2 = a
         b0, b1, b2 = b
@@ -374,7 +383,7 @@ def pole_edge_crossing(pole: Vec3, a: Vec3, b: Vec3) -> Optional[ArcCrossing]:
     """Interior intersection of the equator of `pole` with the minor arc (a, b).
 
     Returns None when the arc does not strictly cross the equator, i.e. when
-    (pole.a)(pole.b) >= -1e-14.
+    (pole.a)(pole.b) >= -CROSSING_FLOOR.
     """
     hits = equator_crossings(pole, ((a, b),))
     return None if hits is None else hits[0]

@@ -31,6 +31,7 @@ from util import (
     feasible_pole_exists,
     is_simple,
     least_turn_image,
+    path_for_pole,
     pairwise_is_simple,
     prefix_has_smaller_image,
     random_sequence,
@@ -433,11 +434,11 @@ def simplicity_verdicts(monkeypatch):
     reference and record the verdicts."""
     verdicts = []
     solving = []  # the (spec, dev, pole) being solved
-    path_for_pole, chords_nest = finder._path_for_pole, finder._chords_nest
+    closure_for_pole, chords_nest = finder._closure_for_pole, finder._chords_nest
 
     def solve(spec, dev, pole, *args):
         solving[:] = [(spec, dev, pole)]
-        return path_for_pole(spec, dev, pole, *args)
+        return closure_for_pole(spec, dev, pole, *args)
 
     def checked(ends, tol):
         got = chords_nest(ends, tol)
@@ -447,7 +448,7 @@ def simplicity_verdicts(monkeypatch):
         verdicts.append(got)
         return got
 
-    monkeypatch.setattr(finder, "_path_for_pole", solve)
+    monkeypatch.setattr(finder, "_closure_for_pole", solve)
     monkeypatch.setattr(finder, "_chords_nest", checked)
     return verdicts
 
@@ -854,13 +855,13 @@ def test_proper_powers_never_simple(kind, alphas, monkeypatch):
     # a closed geodesic traversed twice retraces itself, so the search may
     # skip every word that is a proper power without solving it
     closures = []
-    solve = finder._solve_development
+    solve = finder._closure
 
     def recorded(spec, dev, tol_closure, tol_vertex):
         closures.append(dev.seq.edges)
         return solve(spec, dev, tol_closure, tol_vertex)
 
-    monkeypatch.setattr(finder, "_solve_development", recorded)
+    monkeypatch.setattr(finder, "_closure", recorded)
     for alpha in alphas:
         spec = build_solid(kind, alpha)
         classes = enumerate_classes(spec, 16)
@@ -878,13 +879,13 @@ def test_search_lays_out_closures_as_develop(monkeypatch):
     # solves it without developing again, so its faces, placements and arcs
     # must be develop's, float for float
     devs = []
-    solve = finder._solve_development
+    solve = finder._closure
 
     def recorded(spec, dev, tol_closure, tol_vertex):
         devs.append(dev)
         return solve(spec, dev, tol_closure, tol_vertex)
 
-    monkeypatch.setattr(finder, "_solve_development", recorded)
+    monkeypatch.setattr(finder, "_closure", recorded)
     for kind in SolidKind:
         lo, hi = ADMISSIBLE[kind]
         for k in (1, 2, 3):
@@ -913,12 +914,12 @@ def test_side_test_precedes_crossings(monkeypatch):
         return hits
 
     monkeypatch.setattr(finder, "equator_crossings", counted)
-    assert finder._path_for_pole(spec, dev, pole, theta, 1e-9, 1e-9) is not None
+    assert finder._closure_for_pole(spec, dev, pole, theta, 1e-9, 1e-9) is not None
     assert computed == [len(dev.arcs)]
     computed.clear()
     p, q = dev.arcs[-1]
     flipped = dataclasses.replace(dev, arcs=dev.arcs[:-1] + ((q, p),))
-    assert finder._path_for_pole(spec, flipped, pole, theta, 1e-9, 1e-9) is None
+    assert finder._closure_for_pole(spec, flipped, pole, theta, 1e-9, 1e-9) is None
     assert computed == []
 
 
@@ -932,7 +933,7 @@ def test_incidence_sides_developed_independently():
     dev = develop(spec, cls.path.seq)
     pole, theta = cls.path.pole, cls.path.total_length
     assert edge_copies_coincide(spec, dev, 1e-14)
-    assert finder._path_for_pole(spec, dev, pole, theta, 1e-9, 1e-9) is not None
+    assert path_for_pole(spec, dev, pole, theta, 1e-9, 1e-9) is not None
     assert reference_path_for_pole(spec, dev, pole, theta, 1e-9, 1e-9) is not None
     for k in range(1, len(dev.arcs)):
         tilt = sphtrig.rot_about(normalize(dev.arcs[k - 1][0]), 1e-6)
@@ -951,7 +952,7 @@ def test_incidence_measured_once(monkeypatch):
     cls = enumerate_classes(spec, 8)[0]
     dev = develop(spec, cls.path.seq)
     args = (cls.path.pole, cls.path.total_length, 1e-9, 1e-9)
-    path = finder._path_for_pole(spec, dev, *args)
+    path = path_for_pole(spec, dev, *args)
     calls = []
     edge_angle = finder._edge_angle
 
@@ -961,22 +962,49 @@ def test_incidence_measured_once(monkeypatch):
 
     monkeypatch.setattr(finder, "_edge_angle", counted)
     blind = dataclasses.replace(dev, placements=(None,) * len(dev.arcs) + (dev.closing,))
-    assert repr(finder._path_for_pole(spec, blind, *args)) == repr(path) != "None"
+    assert repr(path_for_pole(spec, blind, *args)) == repr(path) != "None"
     assert len(calls) == len(dev.arcs)
 
 
+def test_count_builds_no_path(monkeypatch):
+    # a count reads only each closure's verdict, so it measures no incidence
+    # and builds no crossing; solve_tetra_type keeps its path, so it does
+    # both once per crossing
+    measured, built = [], []
+    edge_angle, crossing = finder._edge_angle, finder.Crossing
+
+    def counted_angle(*a):
+        measured.append(None)
+        return edge_angle(*a)
+
+    def counted_crossing(*a):
+        built.append(None)
+        return crossing(*a)
+
+    monkeypatch.setattr(finder, "_edge_angle", counted_angle)
+    monkeypatch.setattr(finder, "Crossing", counted_crossing)
+    report = counts.count_tetra(0.336 * PI)
+    assert report.n > 20
+    assert measured == built == []
+    p, q = max(report.realizable, key=sum)
+    path = solve_tetra_type(build_solid(SolidKind.TETRAHEDRON, 0.336 * PI), p, q)
+    assert len(measured) == len(built) == len(path.crossings) == 4 * (p + q)
+
+
 def test_path_for_pole_matches_reference(monkeypatch):
-    # the one-pass solver must give the arc-by-arc reference's floats exactly,
-    # on every pole that count_tetra and enumerate_classes try
+    # the two-stage solver must give the arc-by-arc reference's verdict on
+    # every pole that count_tetra and enumerate_classes try, and where one
+    # closes, the path built from its closure must have the reference's floats
     calls = []
-    solve = finder._path_for_pole
+    solve = finder._closure_for_pole
 
     def recorded(*args):
-        path = solve(*args)
-        calls.append((args, path))
-        return path
+        closure = solve(*args)
+        spec, dev = args[:2]
+        calls.append((args, None if closure is None else finder._build_path(spec, dev, closure)))
+        return closure
 
-    monkeypatch.setattr(finder, "_path_for_pole", recorded)
+    monkeypatch.setattr(finder, "_closure_for_pole", recorded)
     for k in range(13):
         counts.count_tetra((0.334 + 0.0005 * k) * PI)
     for k in range(12):
@@ -999,20 +1027,20 @@ def test_solve_tries_one_pole(monkeypatch):
     # the pole on the wrong side of arc 0 fails the side test there, so the
     # solver tries only the other one, and finds what trying both finds
     solved = []
-    solve, path_for_pole = finder._solve_development, finder._path_for_pole
+    solve, closure_for_pole = finder._closure, finder._closure_for_pole
 
     def recorded(spec, dev, tol_closure, tol_vertex):
         solved.append([spec, dev, tol_closure, tol_vertex, 0])
-        path = solve(spec, dev, tol_closure, tol_vertex)
-        solved[-1].append(path)
-        return path
+        closure = solve(spec, dev, tol_closure, tol_vertex)
+        solved[-1].append(None if closure is None else finder._build_path(spec, dev, closure))
+        return closure
 
     def counted(*args):
         solved[-1][4] += 1
-        return path_for_pole(*args)
+        return closure_for_pole(*args)
 
-    monkeypatch.setattr(finder, "_solve_development", recorded)
-    monkeypatch.setattr(finder, "_path_for_pole", counted)
+    monkeypatch.setattr(finder, "_closure", recorded)
+    monkeypatch.setattr(finder, "_closure_for_pole", counted)
     for kind, alphas in [
         (SolidKind.TETRAHEDRON, (0.36, 0.5, 0.6)),
         (SolidKind.OCTAHEDRON, (0.36, 0.42, 0.48)),

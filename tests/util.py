@@ -140,7 +140,7 @@ def is_simple(spec: SolidSpec, path) -> bool:
 def dev_is_simple(spec: SolidSpec, dev: unfold.Development, hits) -> bool:
     """Whether the in-face segments through `hits` are pairwise disjoint,
     decided by `finder._chords_nest` on their endpoints filed as
-    `finder._path_for_pole` files them.
+    `finder._closure_for_pole` files them.
 
     A crossing at fraction t of face-local edge j sits at boundary
     position (j, t) in the face it exits and (j2, 1 - t) in the face it
@@ -530,8 +530,9 @@ def reference_render_svg(spec: SolidSpec, cls_doc) -> str:
 # Reference closure solver for one pole: the crossing and incidence work done
 # arc by arc through the sphtrig helpers, each crossing computed on its own
 # (a fresh pole frame, the arc length twice) and each incidence developed from
-# its placement.  `finder._path_for_pole` must return a path with the same
-# repr, or None exactly when this does.
+# its placement.  `finder._closure_for_pole` must return None exactly when
+# this does, and `finder._build_path` must build a path with the same repr
+# from any closure it returns (see `path_for_pole`).
 
 
 def reference_pole_edge_crossing(pole, a, b):
@@ -631,6 +632,13 @@ def reference_path_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex):
     )
 
 
+def path_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex):
+    """`finder._solve_development`'s two stages on a given pole: the path
+    of the closure `finder._closure_for_pole` decides, or None."""
+    closure = finder._closure_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex)
+    return None if closure is None else finder._build_path(spec, dev, closure)
+
+
 def two_pole_solve(spec, dev, tol_closure, tol_vertex):
     """`finder._solve_development` by trying both signs of the closing
     rotation's axis, the axis first: the reference for its one-pole rule."""
@@ -638,7 +646,7 @@ def two_pole_solve(spec, dev, tol_closure, tol_vertex):
     if near_identity:
         return None
     for pole, theta in ((axis, ang), (sphtrig.neg(axis), finder.TWO_PI - ang)):
-        path = finder._path_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex)
+        path = path_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex)
         if path is not None:
             return path
     return None
