@@ -180,12 +180,7 @@ def render_svg(
     otherwise DomainError is raised and nothing is drawn.
     """
     finder.check_tolerances(tol_closure, tol_vertex)
-    word = cls_doc["canonical_sequence"]
-    # an edge id is a JSON integer: true would index as edge 1, and true or
-    # 1.0 in a stored crossing would compare equal to it
-    if not all(type(e) is int for e in word):
-        raise DomainError("canonical_sequence holds an edge id that is not an integer")
-    seq = unfold.CrossingSequence.from_edges(spec, word)
+    seq = unfold.CrossingSequence.from_edges(spec, cls_doc["canonical_sequence"])
     dev = unfold.develop(spec, seq)
     path = finder._solve_development(spec, dev, tol_closure, tol_vertex)
     if path is None:
@@ -204,16 +199,11 @@ def render_svg(
     fracs = [k / _SVG_SAMPLES for k in range(_SVG_SAMPLES)]
 
     # each face outline samples sphtrig.slerp along each edge, written out
-    # with its float operations in their order; its guards never fire, as a
-    # face edge is longer than 0 and shorter than pi
+    # with its float operations in their order, as this loop runs hot; its
+    # guards never fire, as a face edge is longer than 0 and shorter than pi
     face_paths = []
-    for (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) in dev.placements[:-1]:
-        corners = [
-            (m00 * v0 + m01 * v1 + m02 * v2,
-             m10 * v0 + m11 * v1 + m12 * v2,
-             m20 * v0 + m21 * v1 + m22 * v2)
-            for v0, v1, v2 in spec.chart
-        ]
+    for placement in dev.placements[:-1]:
+        corners = [sphtrig.mat_apply(placement, v) for v in spec.chart]
         pts: List[Vec3] = []
         for j in range(n):
             a0, a1, a2 = corners[j]

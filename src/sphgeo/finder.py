@@ -49,6 +49,13 @@ tetrahedron sequence is the walk of its turn word too, and `count_tetra`
 walks all its candidate types on one walker, in the lexicographic order of
 their turn words, each cut back to the prefix it shares with the word
 before (see `_type_walks`).
+
+A hand-fused copy of a `sphtrig` helper, its float operations written out
+in the helper's order, is kept only in a loop that a workload runs hot:
+the closure stage's pass over the crossings, `_clip`,
+`sphtrig.equator_crossings`, `unfold.Walker.cross` and `cli.render_svg`'s
+sample and projection loops.  Elsewhere, the path stage and the pole box
+included, the helpers are called.
 """
 
 from __future__ import annotations
@@ -64,13 +71,17 @@ from .sphtrig import (
     ArcCrossing,
     DomainError,
     Vec3,
+    add,
+    angle_between,
     axis_angle,
+    cross,
     dot,
     equator_crossings,
     mat_apply,
     neg,
     normalize,
     pole_frame,
+    scale,
 )
 from .solids import SolidKind, SolidSpec, cyclic_min, symmetry_group
 from .unfold import CrossingSequence, Development, Walker, develop
@@ -169,12 +180,8 @@ def _pole_box(q0: Vec3) -> List[Vec3]:
     """
     e1, e2 = pole_frame(q0)
     b = 1.0 / FEAS_MARGIN
-    return [
-        (q0[0] + sx * e1[0] + sy * e2[0],
-         q0[1] + sx * e1[1] + sy * e2[1],
-         q0[2] + sx * e1[2] + sy * e2[2])
-        for sx, sy in ((b, b), (-b, b), (-b, -b), (b, -b))
-    ]
+    return [add(add(q0, scale(e1, sx)), scale(e2, sy))
+            for sx, sy in ((b, b), (-b, b), (-b, -b), (b, -b))]
 
 
 def _clip(poly: List[Vec3], c: Vec3) -> List[Vec3]:
@@ -347,15 +354,11 @@ def _build_path(spec: SolidSpec, dev: Development, closure: _Closure) -> Geodesi
     """The path stage of `_solve_development`: each crossing of a closure,
     with its incidence measured on the edge as the exited copy develops it."""
     pole, hits, arc_lengths, total, residual = closure
-    x, y, z = pole
     n, local = spec.face_size, spec.face_edge_local
     crossings = []
-    for f, e, (t, _, (a0, a1, a2)), arc in zip(dev.seq.faces, dev.seq.edges, hits, dev.arcs):
-        # the geodesic tangent at the crossing point, on the pole's equator,
-        # and its angle with the edge, with the floats of normalize(cross(...))
-        d0, d1, d2 = y * a2 - z * a1, z * a0 - x * a2, x * a1 - y * a0
-        r = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-        inc = _edge_angle(d0 / r, d1 / r, d2 / r, a0, a1, a2, *arc)
+    for f, e, (t, _, point), (p, q) in zip(dev.seq.faces, dev.seq.edges, hits, dev.arcs):
+        # the geodesic's tangent at the crossing runs along the pole's equator
+        inc = _edge_angle(normalize(cross(pole, point)), point, p, q)
         face = spec.faces[f]
         j = local[(f, e)]
         if face[j] < face[(j + 1) % n]:
@@ -372,22 +375,10 @@ def _build_path(spec: SolidSpec, dev: Development, closure: _Closure) -> Geodesi
     )
 
 
-def _edge_angle(d0: float, d1: float, d2: float, x0: float, x1: float, x2: float,
-                p: Vec3, q: Vec3) -> float:
-    """Angle between the direction (d0, d1, d2) and the tangent at the point
-    (x0, x1, x2) of the edge arc (p, q), oriented p -> q: the floats of
-    angle_between(direction, normalize(cross(normalize(cross(p, q)), point)))."""
-    p0, p1, p2 = p
-    q0, q1, q2 = q
-    n0, n1, n2 = p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0
-    r = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
-    n0, n1, n2 = n0 / r, n1 / r, n2 / r        # edge pole
-    t0, t1, t2 = n1 * x2 - n2 * x1, n2 * x0 - n0 * x2, n0 * x1 - n1 * x0
-    r = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
-    t0, t1, t2 = t0 / r, t1 / r, t2 / r        # edge tangent
-    c0, c1, c2 = d1 * t2 - d2 * t1, d2 * t0 - d0 * t2, d0 * t1 - d1 * t0
-    return math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
-                      d0 * t0 + d1 * t1 + d2 * t2)
+def _edge_angle(direction: Vec3, point: Vec3, p: Vec3, q: Vec3) -> float:
+    """Angle between `direction` and the tangent at `point` of the edge arc
+    (p, q), oriented p -> q."""
+    return angle_between(direction, normalize(cross(normalize(cross(p, q)), point)))
 
 
 def _chords_nest(ends: Dict[int, List[Tuple[int, float, int]]], tol: float) -> bool:
@@ -722,11 +713,11 @@ def solve_class(
     """The class of `word`, any edge word of a sequence that solved: its
     path is solved on the class's canonical word (see `canonical_word`)."""
     check_tolerances(tol_closure, tol_vertex)
+    own = CrossingSequence.from_edges(spec, word)
     orbit = _orbit(spec, word)
     seq = CrossingSequence.from_edges(spec, min(orbit))
     path = solve_sequence(spec, seq, tol_closure, tol_vertex)
     if path is None:
-        own = CrossingSequence.from_edges(spec, word)
         if solve_sequence(spec, own, tol_closure, tol_vertex) is None:
             raise DomainError(f"edge word {list(word)} does not solve at alpha={spec.alpha!r}")
         # `word` solves on its own floats; its canonical image differs from

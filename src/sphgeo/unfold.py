@@ -25,6 +25,16 @@ from .sphtrig import IDENTITY, DomainError, Mat3, Vec3, mat_compose
 from .solids import SolidSpec
 
 
+def _check_edge_ids(spec: SolidSpec, edges: Sequence[int]) -> None:
+    """Raise DomainError unless every edge id is an int (not a bool) in
+    range(len(spec.edges)), before any lookup: a negative id would index
+    another edge, and True or 1.0 would look up edge 1."""
+    count = len(spec.edges)
+    for e in edges:
+        if type(e) is not int or not 0 <= e < count:
+            raise DomainError(f"edge id {e!r} is not an integer in range({count})")
+
+
 @dataclass(frozen=True)
 class CrossingSequence:
     """Cyclic list of directed edge crossings; the combinatorial identity of
@@ -41,13 +51,15 @@ class CrossingSequence:
     def from_edges(spec: SolidSpec, edges: Sequence[int]) -> "CrossingSequence":
         """Build the sequence from a cyclic edge-id list.
 
-        Consecutive edges must share exactly one face (which becomes the face
-        traversed between the two crossings), and the faces must chain into a
-        closed face walk (see `validate`); raises DomainError otherwise.
+        Every edge id must be an int in range(len(spec.edges)), consecutive
+        edges must share exactly one face (which becomes the face traversed
+        between the two crossings), and the faces must chain into a closed
+        face walk (see `validate`); raises DomainError otherwise.
         """
         m = len(edges)
         if m < 3:
             raise DomainError("a crossing sequence needs at least 3 crossings")
+        _check_edge_ids(spec, edges)
         mids = []
         for i in range(m):
             e1, e2 = edges[i], edges[(i + 1) % m]
@@ -67,13 +79,15 @@ class CrossingSequence:
         return seq
 
     def validate(self, spec: SolidSpec) -> None:
-        """Raise DomainError unless the sequence is a closed face walk:
-        crossing i leaves face faces[i] over an edge of it and enters
-        faces[(i + 1) % m], and no two consecutive crossings share an edge."""
+        """Raise DomainError unless the sequence is a closed face walk of
+        edge ids in range(len(spec.edges)): crossing i leaves face faces[i]
+        over an edge of it and enters faces[(i + 1) % m], and no two
+        consecutive crossings share an edge."""
         m = len(self.edges)
         if m < 3 or len(self.faces) != m:
             raise DomainError("a crossing sequence needs at least 3 crossings "
                               "and one face for each")
+        _check_edge_ids(spec, self.edges)
         for i, e in enumerate(self.edges):
             f, g = self.faces[i], self.faces[(i + 1) % m]
             j = spec.face_edge_local.get((f, e))

@@ -212,6 +212,34 @@ def test_count_tetra_envelope_mid():
     assert rep.c1 < rep.n < rep.c2
 
 
+# The strict envelope c1 < N < c2 fails on two bands of alpha.  Each
+# starts where c2 falls to N (c2 = 6 at 2 asin(sqrt(5/18)), c2 = 3 at
+# 2 asin(1/sqrt 3)) and ends where the band's type stops closing:
+# (1, 4) near 0.35509pi, (1, 2) near 0.4pi, the found type of largest s
+# there.  (left end, right end, N, type)
+ENVELOPE_BANDS = (
+    (2 * math.asin(math.sqrt(5 / 18)), 0.35509 * PI, 6, (1, 4)),
+    (2 * math.asin(1 / math.sqrt(3)), 0.4 * PI, 3, (1, 2)),
+)
+
+
+def test_envelope_fails_on_two_bands():
+    # every angle k*pi/2000 from 0.335pi to 0.665pi; a band that appears,
+    # disappears, moves by a grid step or changes its N fails the test
+    failing = {}
+    for k in range(670, 1331):
+        rep = count_tetra(k * PI / 2000)
+        assert rep.c1 < rep.n, k
+        if not rep.n < rep.c2:
+            failing[k] = (rep.n, rep.realizable[-1])
+    expected = {k: (n, pq) for k in range(670, 1331)
+                for lo, hi, n, pq in ENVELOPE_BANDS if lo < k * PI / 2000 < hi}
+    assert failing == expected
+    assert sorted(failing) == [*range(707, 711), *range(784, 800)]
+    for lo, _, n, _ in ENVELOPE_BANDS:
+        assert c2_alpha(lo) == pytest.approx(n, abs=1e-12)
+
+
 def test_count_tetra_two_types_at_035():
     rep = count_tetra(0.35 * PI)
     assert rep.n >= 2

@@ -428,6 +428,36 @@ def test_figure_eight_rejected():
             call()
 
 
+# an octahedron class's word, with one edge id replaced: -12 indexes as
+# edge 0, True and 1.0 look up edge 1, and 999 is past the last edge
+_OCTA_WORD = (0, 2, 1, 11, 7, 8, 4, 6)
+
+
+@pytest.mark.parametrize("word", [
+    (-12,) + _OCTA_WORD[1:],
+    _OCTA_WORD[:2] + (True,) + _OCTA_WORD[3:],
+    _OCTA_WORD[:2] + (1.0,) + _OCTA_WORD[3:],
+    (999,) + _OCTA_WORD[1:],
+    (1.0,) + _OCTA_WORD[1:],
+], ids=["negative", "bool", "float", "past-last", "float-first"])
+def test_edge_ids_refused_before_lookup(word):
+    # every caller that takes an edge word or an undeveloped sequence refuses
+    # an id that is not an int in range(len(spec.edges)) with one message
+    spec = build_solid(SolidKind.OCTAHEDRON, 0.4 * PI)
+    faces = CrossingSequence.from_edges(spec, _OCTA_WORD).faces
+    seq = CrossingSequence(faces, word)
+    for call in (lambda: CrossingSequence.from_edges(spec, word),
+                 lambda: seq.validate(spec),
+                 lambda: develop(spec, seq),
+                 lambda: solve_sequence(spec, seq),
+                 lambda: finder.orbit_size(spec, seq),
+                 lambda: finder.canonical_word(spec, word),
+                 lambda: finder.solve_class(spec, word)):
+        with pytest.raises(DomainError, match=r"edge id .* is not an integer in range\(12\)"):
+            call()
+    assert finder.solve_class(spec, _OCTA_WORD).tag == "type2"
+
+
 @pytest.fixture
 def simplicity_verdicts(monkeypatch):
     """Check every nesting verdict of the solver against the pairwise
