@@ -315,7 +315,7 @@ def _closure_for_pole(
     local, gluing = spec.face_edge_local, spec.gluing
     arc_lengths = []
     ends: Dict[int, List[Tuple[int, float, int]]] = {}
-    for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
+    for i, (f, e) in enumerate(zip(dev.faces, dev.seq.edges)):
         t, azimuth, (a0, a1, a2) = hits[i]
         if not tol_vertex < t < 1.0 - tol_vertex:
             return None
@@ -356,7 +356,7 @@ def _build_path(spec: SolidSpec, dev: Development, closure: _Closure) -> Geodesi
     pole, hits, arc_lengths, total, residual = closure
     n, local = spec.face_size, spec.face_edge_local
     crossings = []
-    for f, e, (t, _, point), (p, q) in zip(dev.seq.faces, dev.seq.edges, hits, dev.arcs):
+    for f, e, (t, _, point), (p, q) in zip(dev.faces, dev.seq.edges, hits, dev.arcs):
         # the geodesic's tangent at the crossing runs along the pole's equator
         inc = _edge_angle(normalize(cross(pole, point)), point, p, q)
         face = spec.faces[f]
@@ -715,7 +715,7 @@ def solve_class(
     check_tolerances(tol_closure, tol_vertex)
     own = CrossingSequence.from_edges(spec, word)
     orbit = _orbit(spec, word)
-    seq = CrossingSequence.from_edges(spec, min(orbit))
+    seq = CrossingSequence(min(orbit))
     path = solve_sequence(spec, seq, tol_closure, tol_vertex)
     if path is None:
         if solve_sequence(spec, own, tol_closure, tol_vertex) is None:

@@ -1,7 +1,8 @@
 """Development of face sequences onto the unit sphere.
 
-A crossing sequence is the faces a candidate geodesic passes through and the
-edges it crosses between them.
+A crossing sequence is the word of edges a candidate geodesic crosses; the
+faces it passes through between them follow from the edges by one face walk
+(`CrossingSequence.validate`), and its development carries them.
 Developing the sequence lays consecutive face copies onto the sphere so the
 candidate becomes a single great-circle arc; the composition of all the
 per-edge transfer rotations around the cycle is the closing rotation
@@ -37,11 +38,10 @@ def _check_edge_ids(spec: SolidSpec, edges: Sequence[int]) -> None:
 
 @dataclass(frozen=True)
 class CrossingSequence:
-    """Cyclic list of directed edge crossings; the combinatorial identity of
-    a closed geodesic candidate.  Crossing i leaves face ``faces[i]`` over
-    edge ``edges[i]`` into face ``faces[(i + 1) % m]``."""
+    """Cyclic word of the edges a closed geodesic candidate crosses, in
+    order; its combinatorial identity.  The faces between the crossings
+    follow from the edges (see `validate`)."""
 
-    faces: Tuple[int, ...]
     edges: Tuple[int, ...]
 
     def __len__(self) -> int:
@@ -49,67 +49,59 @@ class CrossingSequence:
 
     @staticmethod
     def from_edges(spec: SolidSpec, edges: Sequence[int]) -> "CrossingSequence":
-        """Build the sequence from a cyclic edge-id list.
+        """The sequence of a cyclic edge-id list, checked by `validate`."""
+        seq = CrossingSequence(tuple(edges))
+        seq.validate(spec)
+        return seq
 
-        Every edge id must be an int in range(len(spec.edges)), consecutive
-        edges must share exactly one face (which becomes the face traversed
-        between the two crossings), and the faces must chain into a closed
-        face walk (see `validate`); raises DomainError otherwise.
+    def validate(self, spec: SolidSpec) -> Tuple[int, ...]:
+        """The faces of the closed face walk that crosses the edges in turn:
+        crossing i leaves face faces[i] over edges[i] into faces[(i + 1) % m].
+
+        The walk starts on the face that the last and first edges share, and
+        each crossing must enter a face that holds the next, different, edge;
+        every edge id must be an int in range(len(spec.edges)).  Raises
+        DomainError otherwise: a tetrahedron word such as (0, 4, 3, 1, 2, 4)
+        has a face for each pair of consecutive edges, yet its crossing 0
+        leads out of the face that holds the next edge.
         """
+        edges = self.edges
         m = len(edges)
         if m < 3:
             raise DomainError("a crossing sequence needs at least 3 crossings")
         _check_edge_ids(spec, edges)
-        mids = []
-        for i in range(m):
-            e1, e2 = edges[i], edges[(i + 1) % m]
-            if e1 == e2:
-                raise DomainError("consecutive crossings reuse one edge")
-            f = spec.common_face(e1, e2)
-            if f is None:
-                raise DomainError(
-                    f"edges {e1} and {e2} do not bound a common face"
-                )
-            mids.append(f)
-        seq = CrossingSequence(tuple(mids[-1:] + mids[:-1]), tuple(edges))
-        # each pair of consecutive edges bounds a face, yet a crossing can
-        # still lead from a face back into it, as in the tetrahedron word
-        # (0, 4, 3, 1, 2, 4)
-        seq.validate(spec)
-        return seq
-
-    def validate(self, spec: SolidSpec) -> None:
-        """Raise DomainError unless the sequence is a closed face walk of
-        edge ids in range(len(spec.edges)): crossing i leaves face faces[i]
-        over an edge of it and enters faces[(i + 1) % m], and no two
-        consecutive crossings share an edge."""
-        m = len(self.edges)
-        if m < 3 or len(self.faces) != m:
-            raise DomainError("a crossing sequence needs at least 3 crossings "
-                              "and one face for each")
-        _check_edge_ids(spec, self.edges)
-        for i, e in enumerate(self.edges):
-            f, g = self.faces[i], self.faces[(i + 1) % m]
-            j = spec.face_edge_local.get((f, e))
-            if j is None or spec.gluing[(f, j)][0] != g:
-                raise DomainError(f"crossing {i} over edge {e} does not lead "
-                                  f"from face {f} into face {g}")
-            if e == self.edges[(i + 1) % m]:
-                raise DomainError("consecutive crossings reuse one edge")
+        local, gluing = spec.face_edge_local, spec.gluing
+        faces = []
+        face = spec.common_face(edges[-1], edges[0])
+        # step m checks that the last crossing enters the start face again
+        for i in range(m + 1):
+            prev, e = edges[i - 1], edges[i % m]
+            if face is None or e == prev or (face, e) not in local:
+                if e == prev:
+                    raise DomainError("consecutive crossings reuse one edge")
+                if spec.common_face(prev, e) is None:
+                    raise DomainError(f"edges {prev} and {e} do not bound a common face")
+                raise DomainError(f"crossing {i - 1} over edge {prev} does not lead "
+                                  f"from face {faces[i - 1]} into a face of edge {e}")
+            faces.append(face)
+            face = gluing[(face, local[(face, e)])][0]
+        return tuple(faces[:m])
 
 
 @dataclass(frozen=True)
 class Development:
     """Face placements and developed edge arcs of one crossing sequence.
 
-    ``placements[i]`` carries face ``seq.faces[i % m]`` for m crossings;
-    ``arcs[i]`` is the developed copy of crossing i's edge, directed as the
-    boundary of the face copy being exited (the entered copy traverses it
-    backwards).  ``closing`` is the holonomy: placements[-1] relative to the
-    identity start.
+    ``faces[i]`` is the face crossing i leaves, and ``placements[i]``
+    carries face ``faces[i % m]`` for m crossings; ``arcs[i]`` is the
+    developed copy of crossing i's edge, directed as the boundary of the
+    face copy being exited (the entered copy traverses it backwards).
+    ``closing`` is the holonomy: placements[-1] relative to the identity
+    start.
     """
 
     seq: CrossingSequence
+    faces: Tuple[int, ...]
     placements: Tuple[Mat3, ...]
     arcs: Tuple[Tuple[Vec3, Vec3], ...]
 
@@ -169,17 +161,17 @@ class Walker:
 
     def development(self) -> Development:
         """The crossings held, as a development."""
-        faces = tuple(f for f, _ in self.entered[:-1])
-        return Development(CrossingSequence(faces, tuple(self.edges)),
+        return Development(CrossingSequence(tuple(self.edges)),
+                           tuple(f for f, _ in self.entered[:-1]),
                            tuple(self.placements), tuple(self.arcs))
 
 
 def develop(spec: SolidSpec, seq: CrossingSequence) -> Development:
     """Lay out the face copies traversed by `seq`, starting from the identity."""
-    seq.validate(spec)
+    faces = seq.validate(spec)
     local = spec.face_edge_local
-    walker = Walker(spec, seq.faces[0], local[(seq.faces[0], seq.edges[0])])
+    walker = Walker(spec, faces[0], local[(faces[0], seq.edges[0])])
     # crossing i enters g = faces[i + 1] over edge e and leaves it over e2 = edges[i + 1]
-    for e, g, e2 in zip(seq.edges, seq.faces[1:], seq.edges[1:]):
+    for e, g, e2 in zip(seq.edges, faces[1:], seq.edges[1:]):
         walker.cross((local[(g, e2)] - local[(g, e)]) % spec.face_size)
     return walker.development()

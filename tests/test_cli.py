@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphgeo import cli, counts, finder, solids
+from sphgeo import cli, counts, finder, solids, unfold
 from sphgeo.cli import main, parse_alpha
 from sphgeo.finder import enumerate_classes
 from sphgeo.solids import SolidKind, build_solid
@@ -635,6 +635,30 @@ def test_export_deeply_nested_document(tmp_path, capsys):
     assert main(["export", "--in", str(deep)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cannot read result document") and err.count("\n") == 1
+
+
+def test_each_entry_point_checks_a_word_once(monkeypatch):
+    # solve_class checks the word it is given and then its canonical image,
+    # and render_svg checks the document's sequence, each once
+    spec = build_solid(SolidKind.TETRAHEDRON, 0.34 * PI)
+    classes = [c for c in enumerate_classes(spec, 20) if len(c.path.seq) == 20]
+    assert classes
+    calls = []
+    check = unfold._check_edge_ids
+
+    def counted(spec, edges):
+        calls.append(edges)
+        check(spec, edges)
+
+    monkeypatch.setattr(unfold, "_check_edge_ids", counted)
+    for cls in classes:
+        doc = cli.class_to_doc(cls)
+        calls.clear()
+        finder.solve_class(spec, cls.path.seq.edges)
+        assert len(calls) == 2
+        calls.clear()
+        cli.render_svg(spec, doc)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["solve", "enumerate", "sweep", "export"])

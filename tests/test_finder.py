@@ -227,8 +227,8 @@ def test_octa_type2_right_angles():
 
 def test_octa_reordered_word_has_no_geodesic():
     spec = build_solid(SolidKind.OCTAHEDRON, 0.4 * PI)
-    # from_edges gives this word faces whose crossing 0 leads from face 4
-    # back into face 4, so it is no face walk
+    # crossing 0 of this word leaves face 4 for a face that does not hold
+    # the next edge, so it is no face walk
     word = word_of(
         spec, ("A1A2", "A2A6", "A2A3", "A3A5", "A3A4", "A4A6", "A6A1")
     )
@@ -409,14 +409,14 @@ def test_self_crossing_band_rejected():
 
 
 def test_figure_eight_rejected():
-    # its faces would be (2, 2, 3, 0, 1, 2): crossing 0 would lead from
-    # face 2 back into face 2, so no face walk traces it, and from_edges
-    # refuses it before anything takes it for a sequence
+    # each pair of consecutive edges bounds a face, yet crossing 0 leaves
+    # face 2 for a face that does not hold edge 4, so no face walk traces
+    # it, and from_edges refuses it before anything takes it for a sequence
     spec = build_solid(SolidKind.TETRAHEDRON, 0.42 * PI)
     word = (0, 4, 3, 1, 2, 4)
     with pytest.raises(DomainError, match="crossing 0 over edge 0"):
         CrossingSequence.from_edges(spec, word)
-    seq = CrossingSequence((2, 2, 3, 0, 1, 2), word)
+    seq = CrossingSequence(word)
     with pytest.raises(DomainError, match="crossing 0 over edge 0"):
         solve_sequence(spec, seq)
     # nor does any caller that takes the word or the sequence undeveloped
@@ -444,8 +444,7 @@ def test_edge_ids_refused_before_lookup(word):
     # every caller that takes an edge word or an undeveloped sequence refuses
     # an id that is not an int in range(len(spec.edges)) with one message
     spec = build_solid(SolidKind.OCTAHEDRON, 0.4 * PI)
-    faces = CrossingSequence.from_edges(spec, _OCTA_WORD).faces
-    seq = CrossingSequence(faces, word)
+    seq = CrossingSequence(word)
     for call in (lambda: CrossingSequence.from_edges(spec, word),
                  lambda: seq.validate(spec),
                  lambda: develop(spec, seq),
@@ -722,7 +721,7 @@ def test_tetra_type_sequence_structure():
         p, q = types[i]
         seq = dev.seq
         assert len(seq.edges) == 4 * (p + q)
-        seq.validate(spec)
+        assert seq.validate(spec) == dev.faces
         # pair counts (p, q, p+q), each edge of a pair crossed equally
         per_edge = [0] * 6
         for e in seq.edges:
@@ -736,8 +735,8 @@ def test_tetra_type_sequence_structure():
         # the walk starts on the search's start crossing and closes on it:
         # its last crossing enters the start face, which the first leaves
         # over edge 0
-        assert (seq.faces[0], seq.edges[0]) == (start_face, 0)
-        last = seq.faces[-1]
+        assert (dev.faces[0], seq.edges[0]) == (start_face, 0)
+        last = dev.faces[-1]
         assert spec.gluing[(last, spec.face_edge_local[(last, seq.edges[-1])])][0] \
             == start_face
         # the class, against a line traced across the lattice (slow, so short

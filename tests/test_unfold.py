@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -26,6 +28,7 @@ from util import (
     random_closed_word,
     random_sequence,
     reference_develop,
+    reference_face_walk,
     step_rotation,
 )
 
@@ -67,12 +70,45 @@ def test_validate_checks_face_chain():
     spec = build_solid(SolidKind.TETRAHEDRON, 0.5 * PI)
     seq = CrossingSequence.from_edges(spec, [0, 1, 2])
     seq.validate(spec)
-    broken = CrossingSequence(
-        (seq.faces[0], seq.faces[2], seq.faces[1]),
-        (seq.edges[0], seq.edges[2], seq.edges[1]),
-    )
+    # the figure-eight word: each pair of consecutive edges bounds a face,
+    # yet crossing 0 leads out of the face that holds edge 4
     with pytest.raises(DomainError):
-        broken.validate(spec)
+        CrossingSequence((0, 4, 3, 1, 2, 4)).validate(spec)
+
+
+def test_crossing_sequence_is_its_edge_word():
+    # the faces follow from the edges, so a sequence holds only its edges
+    # and its development carries the faces, each an int
+    assert tuple(f.name for f in dataclasses.fields(CrossingSequence)) == ("edges",)
+    spec = build_solid(SolidKind.OCTAHEDRON, 0.4 * PI)
+    faces = develop(spec, CrossingSequence((0, 2, 1, 11, 7, 8, 4, 6))).faces
+    assert faces == (4, 0, 3, 7, 6, 2, 1, 5)
+    assert all(type(f) is int for f in faces)
+
+
+@pytest.mark.parametrize("kind,max_len", [
+    (SolidKind.TETRAHEDRON, 6),
+    (SolidKind.OCTAHEDRON, 4),
+    (SolidKind.CUBE, 4),
+])
+def test_validate_matches_reference_face_walk(kind, max_len):
+    # the one face walk accepts and refuses every short word as the
+    # two-pass reference does, and gives the same faces
+    spec = build_solid(kind, MIDPOINTS[kind])
+    accepted = 0
+    for m in range(max_len + 1):
+        for word in itertools.product(range(len(spec.edges)), repeat=m):
+            try:
+                want = reference_face_walk(spec, word)
+            except DomainError:
+                want = None
+            try:
+                got = CrossingSequence(word).validate(spec)
+            except DomainError:
+                got = None
+            assert got == want, word
+            accepted += got is not None
+    assert accepted > 0
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -80,17 +116,23 @@ def test_validate_checks_face_chain():
 def test_develop_walks_the_reference_layout(kind, seed, data):
     # develop walks a sequence's turns on an unfold.Walker; a
     # closed face walk must come out as the per-crossing lookup lays it out,
-    # float for float, and a sequence with one face label changed is no walk
+    # float for float, and a word with one edge replaced must be a walk
+    # exactly when the reference face walk says so
     spec = build_solid(kind, MIDPOINTS[kind])
     word = random_closed_word(spec, random.Random(seed), max_len=16)
     seq = CrossingSequence.from_edges(spec, word)
     assert develop(spec, seq) == reference_develop(spec, seq)
     i = data.draw(st.integers(0, len(seq) - 1))
-    f = data.draw(st.sampled_from([g for g in range(len(spec.faces))
-                                   if g != seq.faces[i]]))
-    faces = seq.faces[:i] + (f,) + seq.faces[i + 1:]
-    with pytest.raises(DomainError):
-        develop(spec, CrossingSequence(faces, seq.edges))
+    e = data.draw(st.sampled_from([g for g in range(len(spec.edges))
+                                   if g != word[i]]))
+    changed = CrossingSequence(word[:i] + (e,) + word[i + 1:])
+    try:
+        reference_face_walk(spec, changed.edges)
+    except DomainError:
+        with pytest.raises(DomainError):
+            develop(spec, changed)
+    else:
+        assert develop(spec, changed) == reference_develop(spec, changed)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -284,8 +326,9 @@ def test_symmetry_conjugates_holonomy(kind):
         )
         # the image sequence starts on the image face; conjugate by the
         # chart-level rotation relating the two start placements
-        assert image.faces[0] == op.face_perm[seq.faces[0]]
-        w = _ambient_rotation(spec, op, seq.faces[0])
+        start = seq.validate(spec)[0]
+        assert image.validate(spec)[0] == op.face_perm[start]
+        w = _ambient_rotation(spec, op, start)
         lhs = holonomy(spec, image)
         rhs = mat_compose(w, mat_compose(holonomy(spec, seq), mat_transpose(w)))
         assert max(
@@ -334,7 +377,7 @@ def test_cube_type1_axis_is_symmetry_axis():
     axis, ang, near = axis_angle(r)
     assert not near
     rho = {0: 1, 1: 2, 2: 3, 3: 0, 4: 5, 5: 6, 6: 7, 7: 4}
-    f0, f1 = dev.seq.faces[0], dev.seq.faces[1]
+    f0, f1 = dev.faces[0], dev.faces[1]
 
     def pos(copy, face, v):
         idx = spec.faces[face].index(v)

@@ -63,22 +63,54 @@ def step_rotation(spec: SolidSpec, placement, from_face: int, edge: int, to_face
     return sphtrig.mat_compose(placement, spec.steps[(from_face, j)])
 
 
+def reference_face_walk(spec: SolidSpec, edges: Sequence[int]) -> Tuple[int, ...]:
+    """Slow oracle for `CrossingSequence.validate`, in two passes: first the
+    common face of each pair of consecutive edges, then the gluing chain
+    those faces must form.  Returns the face each crossing leaves, or raises
+    DomainError."""
+    m = len(edges)
+    if m < 3:
+        raise DomainError("a crossing sequence needs at least 3 crossings")
+    for e in edges:
+        if type(e) is not int or not 0 <= e < len(spec.edges):
+            raise DomainError(f"edge id {e!r} is not an integer in range({len(spec.edges)})")
+    # the face between crossings i - 1 and i, which crossing i leaves
+    faces = []
+    for i in range(m):
+        e1, e2 = edges[i - 1], edges[i]
+        if e1 == e2:
+            raise DomainError("consecutive crossings reuse one edge")
+        f = spec.common_face(e1, e2)
+        if f is None:
+            raise DomainError(f"edges {e1} and {e2} do not bound a common face")
+        faces.append(f)
+    for i, e in enumerate(edges):
+        f, g = faces[i], faces[(i + 1) % m]
+        if spec.gluing[(f, spec.face_edge_local[(f, e)])][0] != g:
+            raise DomainError(f"crossing {i} over edge {e} does not lead "
+                              f"from face {f} into face {g}")
+    return tuple(faces)
+
+
 def reference_develop(spec: SolidSpec, seq: CrossingSequence) -> unfold.Development:
-    """Slow oracle for `unfold.develop` on a valid sequence: it looks up
-    each crossing's local edge from its face and edge id, where `develop`
-    walks its turns on the crossing stack `unfold.Walker`."""
+    """Slow oracle for `unfold.develop` on a valid sequence: it takes the
+    faces from `reference_face_walk` and looks up each crossing's local edge
+    from its face and edge id, where `develop` walks its turns on the
+    crossing stack `unfold.Walker`."""
     n = spec.face_size
+    faces = reference_face_walk(spec, seq.edges)
     placements = [sphtrig.IDENTITY]
     arcs = []
     r = sphtrig.IDENTITY
-    for f, e in zip(seq.faces, seq.edges):
+    for f, e in zip(faces, seq.edges):
         j = spec.face_edge_local[(f, e)]
         p = sphtrig.mat_apply(r, spec.chart[j])
         q = sphtrig.mat_apply(r, spec.chart[(j + 1) % n])
         arcs.append((p, q))
         r = sphtrig.mat_compose(r, spec.steps[(f, j)])
         placements.append(r)
-    return unfold.Development(seq=seq, placements=tuple(placements), arcs=tuple(arcs))
+    return unfold.Development(seq=seq, faces=faces, placements=tuple(placements),
+                              arcs=tuple(arcs))
 
 
 def edge_copies_coincide(spec: SolidSpec, dev: unfold.Development, tol: float) -> bool:
@@ -87,7 +119,7 @@ def edge_copies_coincide(spec: SolidSpec, dev: unfold.Development, tol: float) -
     coordinate: the exited copy from its placement, the entered copy from
     its own."""
     n = spec.face_size
-    for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
+    for i, (f, e) in enumerate(zip(dev.faces, dev.seq.edges)):
         j = spec.face_edge_local[(f, e)]
         j2 = spec.gluing[(f, j)][1]
         p = sphtrig.mat_apply(dev.placements[i], spec.chart[j])
@@ -149,7 +181,7 @@ def dev_is_simple(spec: SolidSpec, dev: unfold.Development, hits) -> bool:
     """
     m = len(hits)
     ends = {}
-    for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
+    for i, (f, e) in enumerate(zip(dev.faces, dev.seq.edges)):
         t = hits[i].t
         j = spec.face_edge_local[(f, e)]
         g, j2 = spec.gluing[(f, j)]
@@ -224,7 +256,7 @@ def sampled_segments(
         a = sphtrig.mat_apply(inv, pts[i])
         b = sphtrig.mat_apply(inv, pts[i + 1] if i < m - 1 else closing)
         samples = [sphtrig.slerp(a, b, k / n_samples) for k in range(n_samples + 1)]
-        out.append((dev.seq.faces[(i + 1) % m], samples))
+        out.append((dev.faces[(i + 1) % m], samples))
     return out
 
 
@@ -239,7 +271,7 @@ def trace_geodesic(spec: SolidSpec, path) -> Tuple[Tuple[int, ...], float, float
     """
     n = spec.face_size
     m = len(path.crossings)
-    face = path.seq.faces[1]
+    face = path.seq.validate(spec)[1]
     j = spec.face_edge_local[(face, path.seq.edges[0])]
     a, b = spec.chart[j], spec.chart[(j + 1) % n]
     va = spec.faces[face][j]
@@ -328,7 +360,7 @@ def pairwise_is_simple(spec: SolidSpec, dev: unfold.Development, hits) -> bool:
         inv = mat_transpose(dev.placements[i + 1])
         a = sphtrig.mat_apply(inv, pts[i])
         b = sphtrig.mat_apply(inv, pts[i + 1] if i < m - 1 else closing)
-        by_face.setdefault(dev.seq.faces[(i + 1) % m], []).append((a, b))
+        by_face.setdefault(dev.faces[(i + 1) % m], []).append((a, b))
     for segs in by_face.values():
         # segments in one physical face belong to distinct visits, so any
         # contact at all is a self-intersection
@@ -602,7 +634,7 @@ def reference_path_for_pole(spec, dev, pole, theta, tol_closure, tol_vertex):
 
     n = spec.face_size
     crossings = []
-    for i, (f, e) in enumerate(zip(dev.seq.faces, dev.seq.edges)):
+    for i, (f, e) in enumerate(zip(dev.faces, dev.seq.edges)):
         j = spec.face_edge_local[(f, e)]
         v1 = spec.faces[f][j]
         v2 = spec.faces[f][(j + 1) % n]
