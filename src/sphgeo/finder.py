@@ -5,8 +5,8 @@ rotation of the development fixes exactly one great circle (the equator of
 its axis), so a sequence either carries the unique geodesic with those
 crossings or none at all.  No shooting, no root-finding.  Negating the
 axis negates every dot, so only the sign that passes the first edge's side
-test is solved: every edge is side-tested by two dots; the crossings follow
-with the pole's frame built once; and one loop checks each crossing's
+test is solved: every edge is side-tested by two dots, and then, with the
+pole's frame built once, one loop computes each crossing and checks its
 clearance of the vertices and its chord against its azimuth gap.  That
 closure stage decides; the path stage, which measures each incidence on
 the edge as the exited face copy develops it, runs only where a path is
@@ -52,10 +52,10 @@ before (see `_type_walks`).
 
 A hand-fused copy of a `sphtrig` helper, its float operations written out
 in the helper's order, is kept only in a loop that a workload runs hot:
-the closure stage's pass over the crossings, `_clip`,
-`sphtrig.equator_crossings`, `unfold.Walker.cross` and `cli.render_svg`'s
-sample and projection loops.  Elsewhere, the path stage and the pole box
-included, the helpers are called.
+the closure stage's pass over the crossings (`sphtrig.equator_crossings`'
+floats among them), `_clip`, `unfold.Walker.cross` (its placement product
+too) and `cli.render_svg`'s sample and projection loops.  Elsewhere, the
+path stage and the pole box included, the helpers are called.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .sphtrig import (
     CONTACT_TOL,
+    CROSSING_FLOOR,
     PI,
-    ArcCrossing,
     DomainError,
     Vec3,
     add,
@@ -76,7 +76,6 @@ from .sphtrig import (
     axis_angle,
     cross,
     dot,
-    equator_crossings,
     mat_apply,
     neg,
     normalize,
@@ -261,7 +260,7 @@ def _solve_development(
 
 # what the closure stage hands the path stage: the pole, the crossings, the
 # in-face arc lengths, their sum and its residual against the closing angle
-_Closure = Tuple[Vec3, List[ArcCrossing], List[float], float, float]
+_Closure = Tuple[Vec3, List[Tuple[float, float, Vec3]], List[float], float, float]
 
 
 def _closure(
@@ -288,10 +287,10 @@ def _closure_for_pole(
     tol_vertex: float,
 ) -> Optional[_Closure]:
     # The side test, then one pass over the crossings, with the floats of
-    # the sphtrig helpers they write out (dot, angle_between, mat_apply) in
-    # their order.  The equator must cross from the exited copy's side to
-    # the entered one; most poles fail this somewhere, so test every arc
-    # before any crossing
+    # the sphtrig helpers they write out (dot, equator_crossings,
+    # angle_between, mat_apply) in their order.  The equator must cross
+    # from the exited copy's side to the entered one; most poles fail this
+    # somewhere, so test every arc before any crossing
     x, y, z = pole
     dots = []
     for (p0, p1, p2), (q0, q1, q2) in dev.arcs:
@@ -300,45 +299,73 @@ def _closure_for_pole(
         if not dq > 0.0 > dp:
             return None
         dots.append((dp, dq))
-    hits = equator_crossings(pole, dev.arcs, dots)
-    if hits is None:
-        return None
-    m = len(hits)
 
-    # One loop over the crossings.  Each keeps tol_vertex clear of the
-    # edge's ends, and each in-face chord must equal its azimuth gap; acos
-    # gives the minor-arc length, so agreement also certifies the segment is
-    # the minor arc, which face convexity then keeps inside the face copy.
+    # One loop computes each crossing and checks it.  Each keeps tol_vertex
+    # clear of the edge's ends, and each in-face chord, from the crossing
+    # before to this one, must equal its azimuth gap; acos gives the
+    # minor-arc length, so agreement also certifies the segment is the
+    # minor arc, which face convexity then keeps inside the face copy.
     # Each crossing also files its boundary position in the two faces it
     # joins (see `_chords_nest`): (j, t) in face f, which it exits, and
     # (j2, 1 - t) in face g, whose glued edge j2 runs the other way.
+    (f0, f1, f2), (g0, g1, g2) = pole_frame(pole)
     local, gluing = spec.face_edge_local, spec.gluing
+    m = len(dots)
+    hits = []
     arc_lengths = []
-    ends: Dict[int, List[Tuple[int, float, int]]] = {}
-    for i, (f, e) in enumerate(zip(dev.faces, dev.seq.edges)):
-        t, azimuth, (a0, a1, a2) = hits[i]
-        if not tol_vertex < t < 1.0 - tol_vertex:
-            return None
-        if i < m - 1:
-            _, nxt_azimuth, (b0, b1, b2) = hits[i + 1]
-            gap = (nxt_azimuth - azimuth) % TWO_PI
-        else:
-            gap = (hits[0].azimuth + theta - azimuth) % TWO_PI
-            b0, b1, b2 = mat_apply(dev.closing, hits[0].point)
-        if gap <= 0.0:
+    ends: Dict[int, List[Tuple[int, float, int]]] = {f: [] for f in range(len(spec.faces))}
+    for i, (((a0, a1, a2), (b0, b1, b2)), (da, db), f, e) in enumerate(
+            zip(dev.arcs, dots, dev.faces, dev.seq.edges)):
+        if da * db >= -CROSSING_FLOOR:
             return None
         c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-        seg = math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
-                         a0 * b0 + a1 * b1 + a2 * b2)
-        if abs(seg - gap) > tol_closure:
+        length = math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
+                            a0 * b0 + a1 * b1 + a2 * b2)
+        s_len = math.atan2(da * math.sin(length), da * math.cos(length) - db)
+        if s_len <= 0.0:
+            s_len += PI
+        t = s_len / length
+        sa = math.sin((1.0 - t) * length)
+        sb = math.sin(t * length)
+        u0, u1, u2 = a0 * sa + b0 * sb, a1 * sa + b1 * sb, a2 * sa + b2 * sb
+        r = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+        if r < 1e-15:
+            raise DomainError("cannot normalize a (near-)zero vector")
+        p0, p1, p2 = u0 / r, u1 / r, u2 / r
+        azimuth = math.atan2(p0 * g0 + p1 * g1 + p2 * g2, p0 * f0 + p1 * f1 + p2 * f2)
+        if not tol_vertex < t < 1.0 - tol_vertex:
             return None
-        arc_lengths.append(seg)
+        if i:
+            gap = (azimuth - prev_azimuth) % TWO_PI
+            if gap <= 0.0:
+                return None
+            c0, c1, c2 = o1 * p2 - o2 * p1, o2 * p0 - o0 * p2, o0 * p1 - o1 * p0
+            seg = math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
+                             o0 * p0 + o1 * p1 + o2 * p2)
+            if abs(seg - gap) > tol_closure:
+                return None
+            arc_lengths.append(seg)
+        hits.append((t, azimuth, (p0, p1, p2)))
+        o0, o1, o2, prev_azimuth = p0, p1, p2, azimuth
 
         j = local[(f, e)]
         g, j2 = gluing[(f, j)]
         # segment i runs from crossing i to crossing i + 1 in face g
-        ends.setdefault(f, []).append((j, t, (i - 1) % m))
-        ends.setdefault(g, []).append((j2, 1.0 - t, i))
+        ends[f].append((j, t, (i - 1) % m))
+        ends[g].append((j2, 1.0 - t, i))
+
+    # the closing segment runs from the last crossing to the closing
+    # rotation's image of the first
+    _, azimuth, point = hits[0]
+    gap = (azimuth + theta - prev_azimuth) % TWO_PI
+    if gap <= 0.0:
+        return None
+    p0, p1, p2 = mat_apply(dev.closing, point)
+    c0, c1, c2 = o1 * p2 - o2 * p1, o2 * p0 - o0 * p2, o0 * p1 - o1 * p0
+    seg = math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), o0 * p0 + o1 * p1 + o2 * p2)
+    if abs(seg - gap) > tol_closure:
+        return None
+    arc_lengths.append(seg)
 
     total = math.fsum(arc_lengths)
     residual = abs(total - theta)

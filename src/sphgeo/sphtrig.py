@@ -335,25 +335,23 @@ class ArcCrossing(NamedTuple):
 
 
 def equator_crossings(
-    pole: Vec3,
-    arcs: Sequence[Tuple[Vec3, Vec3]],
-    dots: Optional[Sequence[Tuple[float, float]]] = None,
+    pole: Vec3, arcs: Sequence[Tuple[Vec3, Vec3]]
 ) -> Optional[List[ArcCrossing]]:
     """Interior intersections of the equator of `pole` with each minor arc
     (a, b) of `arcs`, in order.
 
     Returns None as soon as one arc does not strictly cross the equator, i.e.
-    when (pole.a)(pole.b) >= -CROSSING_FLOOR.  `dots` holds those two
-    products per arc when the caller has them already.  The pole frame is
-    built once and each arc's length once; the point's floats are those of
-    `slerp` at the root fraction t, and its azimuth, in (-pi, pi], is atan2
-    of its components along the frame (e2, e1).
+    when (pole.a)(pole.b) >= -CROSSING_FLOOR.  The pole frame is built once
+    and each arc's length once; the point's floats are those of `slerp` at
+    the root fraction t, and its azimuth, in (-pi, pi], is atan2 of its
+    components along the frame (e2, e1).  The closure stage,
+    `finder._closure_for_pole`, writes these float operations out in its
+    loop over the crossings.
     """
-    if dots is None:
-        dots = [(dot(pole, a), dot(pole, b)) for a, b in arcs]
     (f0, f1, f2), (g0, g1, g2) = pole_frame(pole)
     hits = []
-    for (a, b), (da, db) in zip(arcs, dots):
+    for a, b in arcs:
+        da, db = dot(pole, a), dot(pole, b)
         if da * db >= -CROSSING_FLOOR:
             return None
         a0, a1, a2 = a

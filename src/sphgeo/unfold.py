@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .sphtrig import IDENTITY, DomainError, Mat3, Vec3, mat_compose
+from .sphtrig import IDENTITY, DomainError, Mat3, Vec3
 from .solids import SolidSpec
 
 
@@ -142,11 +142,13 @@ class Walker:
         """Cross one more edge: leave the face the last crossing entered by
         the exit turn t.  The arc (p, q) is the crossed edge as the exited
         copy's boundary runs, the floats of mat_apply(placement, chart[j])
-        and of the next chart vertex."""
+        and of the next chart vertex, where placement is the exited copy's;
+        the entered copy's placement holds the floats of
+        mat_compose(placement, spec.steps[(face, j)])."""
         spec = self.spec
         face, entry = self.entered[-1]
         j = (entry + t) % spec.face_size
-        placement = (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self.placements[-1]
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self.placements[-1]
         p0, p1, p2 = spec.chart[j]
         q0, q1, q2 = spec.chart[(j + 1) % spec.face_size]
         self.edges.append(spec.face_edges[face][j])
@@ -157,7 +159,17 @@ class Walker:
                            m10 * q0 + m11 * q1 + m12 * q2,
                            m20 * q0 + m21 * q1 + m22 * q2)))
         self.entered.append(spec.gluing[(face, j)])
-        self.placements.append(mat_compose(placement, spec.steps[(face, j)]))
+        (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = spec.steps[(face, j)]
+        self.placements.append((
+            (m00 * s00 + m01 * s10 + m02 * s20,
+             m00 * s01 + m01 * s11 + m02 * s21,
+             m00 * s02 + m01 * s12 + m02 * s22),
+            (m10 * s00 + m11 * s10 + m12 * s20,
+             m10 * s01 + m11 * s11 + m12 * s21,
+             m10 * s02 + m11 * s12 + m12 * s22),
+            (m20 * s00 + m21 * s10 + m22 * s20,
+             m20 * s01 + m21 * s11 + m22 * s21,
+             m20 * s02 + m21 * s12 + m22 * s22)))
 
     def development(self) -> Development:
         """The crossings held, as a development."""

@@ -934,17 +934,17 @@ def test_side_test_precedes_crossings(monkeypatch):
     cls = enumerate_classes(spec, 8)[0]
     dev = develop(spec, cls.path.seq)
     pole, theta = cls.path.pole, cls.path.total_length
+    # the crossings need the pole's equator frame, built once per pole
     computed = []
-    crossings = finder.equator_crossings
+    frame = finder.pole_frame
 
-    def counted(pole, arcs, dots=None):
-        hits = crossings(pole, arcs, dots)
-        computed.append(0 if hits is None else len(hits))
-        return hits
+    def counted(pole):
+        computed.append(pole)
+        return frame(pole)
 
-    monkeypatch.setattr(finder, "equator_crossings", counted)
+    monkeypatch.setattr(finder, "pole_frame", counted)
     assert finder._closure_for_pole(spec, dev, pole, theta, 1e-9, 1e-9) is not None
-    assert computed == [len(dev.arcs)]
+    assert computed == [pole]
     computed.clear()
     p, q = dev.arcs[-1]
     flipped = dataclasses.replace(dev, arcs=dev.arcs[:-1] + ((q, p),))
@@ -1191,6 +1191,60 @@ def test_search_node_counts(kind, alpha, nodes, monkeypatch):
     classes = enumerate_classes(build_solid(kind, alpha), 20)
     assert len(calls) == nodes
     assert len(crossed) == nodes + sum(len(c.path.seq) for c in classes)
+
+
+@pytest.mark.parametrize("alpha,crossed,closures,decided,closed", [
+    (0.336 * PI, 705, 33, 1240, 33),
+    (0.34 * PI, 191, 14, 324, 14),
+    (0.45 * PI, 9, 2, 12, 2),
+])
+def test_count_work_counts(alpha, crossed, closures, decided, closed, monkeypatch):
+    # count_tetra's work: the crossings its typed walks lay out, the
+    # closures it decides and their crossings.  Pinned like the search's
+    # node counts, so a faster count is cheaper per unit and not less work
+    calls = []
+    decisions = []
+    cross = unfold.Walker.cross
+    closure = finder._closure
+
+    def crossing(walker, t):
+        calls.append(None)
+        cross(walker, t)
+
+    def deciding(spec, dev, *tols):
+        result = closure(spec, dev, *tols)
+        decisions.append((len(dev.arcs), result is not None))
+        return result
+
+    monkeypatch.setattr(unfold.Walker, "cross", crossing)
+    monkeypatch.setattr(finder, "_closure", deciding)
+    counts.count_tetra(alpha)
+    assert len(calls) == crossed
+    assert len(decisions) == closures
+    assert sum(m for m, _ in decisions) == decided
+    assert sum(ok for _, ok in decisions) == closed
+
+
+def test_closure_crossings_match_helper(monkeypatch):
+    # the closure stage writes equator_crossings' float operations out in
+    # its loop; every crossing it returns has the helper's floats
+    checked = []
+    for_pole = finder._closure_for_pole
+
+    def checking(spec, dev, pole, *args):
+        closure = for_pole(spec, dev, pole, *args)
+        if closure is not None:
+            hits = sphtrig.equator_crossings(pole, dev.arcs)
+            assert repr(tuple(closure[1])) == repr(tuple(tuple(h) for h in hits))
+            checked.append(None)
+        return closure
+
+    monkeypatch.setattr(finder, "_closure_for_pole", checking)
+    for alpha in (0.336 * PI, 0.45 * PI):
+        counts.count_tetra(alpha)
+    for kind, (lo, hi) in ADMISSIBLE.items():
+        enumerate_classes(build_solid(kind, (lo + hi) / 2), 16)
+    assert len(checked) == 47  # 35 closures in the counts, 12 in the searches
 
 
 def _turn_words(n):
