@@ -128,7 +128,7 @@ def _svg_path(points: Sequence[Vec3], pole: Vec3, frame: Tuple[Vec3, Vec3],
     `points` about `pole`, whose equator frame (e1, e2) is `frame`.
 
     A point p lands at distance r = angle_between(pole, p) from the centre,
-    at the azimuth atan2(p.e2, p.e1) that sphtrig.equator_crossings uses;
+    at the azimuth atan2(p.e2, p.e1) that sphtrig.pole_edge_crossing uses;
     both are written out with the float operations of those helpers, in
     their order, so the bytes are theirs.
     """
@@ -218,7 +218,7 @@ def render_svg(
         pts.append(pts[0])
         face_paths.append(_svg_path(pts, pole, frame, half))
 
-    az0 = sphtrig.equator_crossings(pole, dev.arcs[:1])[0].azimuth
+    az0 = sphtrig.pole_edge_crossing(pole, *dev.arcs[0]).azimuth
     theta = path.total_length
     steps = 10 * _SVG_SAMPLES
     geo_pts = []

@@ -85,8 +85,8 @@ def sufficient_exists(p: int, q: int, alpha: float) -> bool:
 
 def phi_table(n: int) -> List[int]:
     """Euler's totient for 0..n by a linear sieve."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    if not finder.is_int(n) or n < 0:
+        raise DomainError(f"n={n!r} is not a nonnegative integer")
     phi = list(range(n + 1))
     primes: List[int] = []
     is_comp = [False] * (n + 1)
@@ -107,8 +107,8 @@ def phi_table(n: int) -> List[int]:
 
 def totient_sum(x: int) -> Tuple[int, float]:
     """Exact sum of phi(1..x) and its ratio to the asymptotic (3/pi^2) x^2."""
-    if x < 1:
-        raise DomainError("x must be positive")
+    if not finder.is_int(x) or x < 1:
+        raise DomainError(f"x={x!r} is not a positive integer")
     total = sum(phi_table(x)[1:])
     return total, total / ((3.0 / _PI2) * x * x)
 

@@ -52,10 +52,11 @@ before (see `_type_walks`).
 
 A hand-fused copy of a `sphtrig` helper, its float operations written out
 in the helper's order, is kept only in a loop that a workload runs hot:
-the closure stage's pass over the crossings (`sphtrig.equator_crossings`'
+the closure stage's pass over the crossings (`sphtrig.pole_edge_crossing`'s
 floats among them), `_clip`, `unfold.Walker.cross` (its placement product
 too) and `cli.render_svg`'s sample and projection loops.  Elsewhere, the
-path stage and the pole box included, the helpers are called.
+path stage, the pole box and the SVG's first crossing included, the
+helpers are called.
 """
 
 from __future__ import annotations
@@ -287,10 +288,12 @@ def _closure_for_pole(
     tol_vertex: float,
 ) -> Optional[_Closure]:
     # The side test, then one pass over the crossings, with the floats of
-    # the sphtrig helpers they write out (dot, equator_crossings,
-    # angle_between, mat_apply) in their order.  The equator must cross
-    # from the exited copy's side to the entered one; most poles fail this
-    # somewhere, so test every arc before any crossing
+    # the sphtrig helpers they write out (dot, pole_edge_crossing with its
+    # angle_between and slerp, and angle_between and mat_apply for the
+    # chords) in their order; the pole frame is built once, not per
+    # crossing.  The equator must cross from the exited copy's side to the
+    # entered one; most poles fail this somewhere, so test every arc before
+    # any crossing
     x, y, z = pole
     dots = []
     for (p0, p1, p2), (q0, q1, q2) in dev.arcs:

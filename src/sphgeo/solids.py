@@ -221,8 +221,8 @@ def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
 
 def cone_angle(spec: SolidSpec, vertex: int) -> float:
     """Total facet angle glued at a vertex; < 2*pi on the admissible range."""
-    if not 0 <= vertex < spec.n_vertices:
-        raise DomainError(f"vertex {vertex!r} out of range")
+    if type(vertex) is not int or not 0 <= vertex < spec.n_vertices:
+        raise DomainError(f"vertex {vertex!r} is not an integer in range({spec.n_vertices})")
     return sum(vertex in f for f in spec.faces) * spec.alpha
 
 

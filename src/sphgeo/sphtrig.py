@@ -10,7 +10,7 @@ its inputs; nothing mutates.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 Vec3 = Tuple[float, float, float]
 Mat3 = Tuple[Vec3, Vec3, Vec3]
@@ -334,57 +334,28 @@ class ArcCrossing(NamedTuple):
     point: Vec3
 
 
-def equator_crossings(
-    pole: Vec3, arcs: Sequence[Tuple[Vec3, Vec3]]
-) -> Optional[List[ArcCrossing]]:
-    """Interior intersections of the equator of `pole` with each minor arc
-    (a, b) of `arcs`, in order.
-
-    Returns None as soon as one arc does not strictly cross the equator, i.e.
-    when (pole.a)(pole.b) >= -CROSSING_FLOOR.  The pole frame is built once
-    and each arc's length once; the point's floats are those of `slerp` at
-    the root fraction t, and its azimuth, in (-pi, pi], is atan2 of its
-    components along the frame (e2, e1).  The closure stage,
-    `finder._closure_for_pole`, writes these float operations out in its
-    loop over the crossings.
-    """
-    (f0, f1, f2), (g0, g1, g2) = pole_frame(pole)
-    hits = []
-    for a, b in arcs:
-        da, db = dot(pole, a), dot(pole, b)
-        if da * db >= -CROSSING_FLOOR:
-            return None
-        a0, a1, a2 = a
-        b0, b1, b2 = b
-        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-        length = math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
-                            a0 * b0 + a1 * b1 + a2 * b2)
-        # da*sin((1-s)L) + db*sin(sL) = 0 with the root in (0, L)
-        s_len = math.atan2(da * math.sin(length), da * math.cos(length) - db)
-        if s_len <= 0.0:
-            s_len += PI
-        t = s_len / length
-        sa = math.sin((1.0 - t) * length)
-        sb = math.sin(t * length)
-        x, y, z = a0 * sa + b0 * sb, a1 * sa + b1 * sb, a2 * sa + b2 * sb
-        r = math.sqrt(x * x + y * y + z * z)
-        if r < 1e-15:
-            raise DomainError("cannot normalize a (near-)zero vector")
-        p0, p1, p2 = x / r, y / r, z / r
-        hits.append(ArcCrossing(
-            t, math.atan2(p0 * g0 + p1 * g1 + p2 * g2, p0 * f0 + p1 * f1 + p2 * f2),
-            (p0, p1, p2)))
-    return hits
-
-
 def pole_edge_crossing(pole: Vec3, a: Vec3, b: Vec3) -> Optional[ArcCrossing]:
     """Interior intersection of the equator of `pole` with the minor arc (a, b).
 
     Returns None when the arc does not strictly cross the equator, i.e. when
-    (pole.a)(pole.b) >= -CROSSING_FLOOR.
+    (pole.a)(pole.b) >= -CROSSING_FLOOR.  The point is `slerp` at the root
+    fraction t, and its azimuth, in (-pi, pi], is atan2 of its components
+    along `pole_frame(pole)`'s (e2, e1).  The closure stage,
+    `finder._closure_for_pole`, writes these float operations out in its
+    loop over the crossings.
     """
-    hits = equator_crossings(pole, ((a, b),))
-    return None if hits is None else hits[0]
+    da, db = dot(pole, a), dot(pole, b)
+    if da * db >= -CROSSING_FLOOR:
+        return None
+    length = angle_between(a, b)
+    # da*sin((1-s)L) + db*sin(sL) = 0 with the root in (0, L)
+    s_len = math.atan2(da * math.sin(length), da * math.cos(length) - db)
+    if s_len <= 0.0:
+        s_len += PI
+    t = s_len / length
+    point = slerp(a, b, t)
+    e1, e2 = pole_frame(pole)
+    return ArcCrossing(t, math.atan2(dot(point, e2), dot(point, e1)), point)
 
 
 def point_on_arc(p: Vec3, a: Vec3, b: Vec3) -> bool:

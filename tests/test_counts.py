@@ -21,7 +21,7 @@ from sphgeo.counts import (
     totient_sum,
 )
 from sphgeo.finder import solve_tetra_type
-from sphgeo.solids import SolidKind, build_solid
+from sphgeo.solids import SolidKind, build_solid, cone_angle
 from sphgeo.sphtrig import PI, DomainError, tetra_edge
 
 PI2 = PI * PI
@@ -143,6 +143,23 @@ def test_phi_values():
     assert phi[1:] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
+@pytest.mark.parametrize("call", [
+    lambda spec: cone_angle(spec, 1.5),
+    lambda spec: cone_angle(spec, True),
+    lambda spec: cone_angle(spec, 1.0),
+    lambda spec: totient_sum(True),
+    lambda spec: totient_sum(2.5),
+    lambda spec: phi_table(True),
+    lambda spec: phi_table(2.5),
+], ids=["cone-1.5", "cone-True", "cone-1.0", "totient-True", "totient-2.5",
+        "phi-True", "phi-2.5"])
+def test_non_integer_ids_and_counts_refused(call):
+    # a bool counts as 0 or 1 and a float indexes nothing: both are refused,
+    # not read as vertex 1 or as a count
+    with pytest.raises(DomainError):
+        call(build_solid(SolidKind.CUBE, 0.6 * PI))
+
+
 # ---------------------------------------------------------------------------
 # lattice counts
 
@@ -195,6 +212,20 @@ def test_count_tetra_pinned_across_interval():
         rep = count_tetra(alpha)
         digest = hashlib.sha256(repr(rep).encode()).hexdigest()
         assert f"{alpha!r} {rep.n} {digest}" == row
+        # psi1 reads f(alpha); each verdict reads the edge-length form
+        assert rep.psi1 == sum(v.verdict == "sufficient-guaranteed" and v.p > 0
+                               for v in rep.verdicts)
+
+
+def test_sufficiency_threshold_forms_agree():
+    # s < f(alpha), which psi1 counts, and sufficient_exists' arcsine form
+    # of the edge length pick the same coprime pairs 0 < p <= q, all of them
+    # candidates (s < g), at 2000 angles across the interval
+    for k in range(2000):
+        alpha = PI / 3 + (PI / 3) * (k + 0.5) / 2000
+        guaranteed = sum(sufficient_exists(p, q, alpha)
+                         for p, q in candidate_types(alpha) if p > 0)
+        assert psi_count(f_alpha(alpha)) == guaranteed, alpha
 
 
 def test_count_tetra_uniqueness_band():

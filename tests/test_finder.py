@@ -472,7 +472,7 @@ def simplicity_verdicts(monkeypatch):
     def checked(ends, tol):
         got = chords_nest(ends, tol)
         spec, dev, pole = solving[0]
-        hits = sphtrig.equator_crossings(pole, dev.arcs)
+        hits = [sphtrig.pole_edge_crossing(pole, a, b) for a, b in dev.arcs]
         assert got == pairwise_is_simple(spec, dev, hits), dev.seq.edges
         verdicts.append(got)
         return got
@@ -1226,15 +1226,15 @@ def test_count_work_counts(alpha, crossed, closures, decided, closed, monkeypatc
 
 
 def test_closure_crossings_match_helper(monkeypatch):
-    # the closure stage writes equator_crossings' float operations out in
-    # its loop; every crossing it returns has the helper's floats
+    # the closure stage writes pole_edge_crossing's float operations out
+    # in its loop; every crossing it returns has the helper's floats
     checked = []
     for_pole = finder._closure_for_pole
 
     def checking(spec, dev, pole, *args):
         closure = for_pole(spec, dev, pole, *args)
         if closure is not None:
-            hits = sphtrig.equator_crossings(pole, dev.arcs)
+            hits = [sphtrig.pole_edge_crossing(pole, a, b) for a, b in dev.arcs]
             assert repr(tuple(closure[1])) == repr(tuple(tuple(h) for h in hits))
             checked.append(None)
         return closure

@@ -394,7 +394,7 @@ def test_equator_misses_short_arcs(seed, length, through_midpoint):
         # the equator through the arc's midpoint, the nearest to crossing it
         pole = sphtrig.add(sphtrig.scale(a, -math.sin(length / 2)),
                            sphtrig.scale(u, math.cos(length / 2)))
-    assert sphtrig.equator_crossings(pole, [(a, b)]) is None
+    assert sphtrig.pole_edge_crossing(pole, a, b) is None
 
 
 @settings(max_examples=300, derandomize=True)

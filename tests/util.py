@@ -163,8 +163,8 @@ def is_simple(spec: SolidSpec, path) -> bool:
     """Whether the path's in-face segments are pairwise disjoint on the surface
     (consecutive segments touch only at their shared edge crossing)."""
     dev = unfold.develop(spec, path.seq)
-    hits = sphtrig.equator_crossings(path.pole, dev.arcs)
-    if hits is None:
+    hits = [sphtrig.pole_edge_crossing(path.pole, a, b) for a, b in dev.arcs]
+    if None in hits:
         return False
     return dev_is_simple(spec, dev, hits)
 
@@ -244,8 +244,8 @@ def sampled_segments(
     """Face-local sample points of every in-face segment of the path with
     the given pole, or None when the pole misses an edge."""
     dev = unfold.develop(spec, seq)
-    hits = sphtrig.equator_crossings(pole, dev.arcs)
-    if hits is None:
+    hits = [sphtrig.pole_edge_crossing(pole, a, b) for a, b in dev.arcs]
+    if None in hits:
         return None
     pts = [h.point for h in hits]
     closing = sphtrig.mat_apply(dev.closing, pts[0])
