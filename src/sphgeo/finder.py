@@ -24,8 +24,9 @@ The search over sequences is a depth-first walk over faces, run as one loop
 over a stack of immutable walk nodes.  It is pruned by a pole-feasibility
 test (does any great circle cross all developed edges the right way?) and
 by a running lower bound on length against the 2*pi cap: the straight turn
-across a square adds one edge length, every other turn nothing (see
-`enumerate_classes`).
+across a square adds one edge length, and a run of r equal turns that
+are not straight, which winds r*alpha about one vertex, adds
+pi*floor(r*alpha/pi) (see `enumerate_classes`).
 The feasible poles form a convex polygon in the gnomonic chart about the first
 edge's entry vertex; each crossing clips it by its two half-planes
 (Sutherland-Hodgman), and a branch survives while a witness pole meets every
@@ -93,8 +94,10 @@ SOLVE_TOL = 1e-9
 
 FEAS_MARGIN = 1e-12  # poles closer than this to a chart's horizon are ignored
 
-# the repeats u^k of a closed word stay least and feasible, so they walk to
-# the crossing bound: capping it caps the search's run time
+# the repeats u^k of a closed word stay least and feasible, and where no run
+# of u's turns winds pi about a vertex (the tetrahedron's (1, 2)^k) the length
+# bound never grows, so they walk to the crossing bound: capping it caps the
+# search's run time
 MAX_SEARCH_DEPTH = 200
 
 
@@ -599,6 +602,29 @@ def _extend_least(
     return tied
 
 
+def _turn_bound(
+    spec: SolidSpec, closed: float, run: int, last: int, t: int
+) -> Tuple[float, float, int]:
+    """The search's length bound (see `enumerate_classes`) after exit turn
+    t of a walk whose last turn is `last` (0 for none).  `closed` bounds
+    the walk's straight turns and closed runs, and `run` counts the turns of
+    its open run of equal turns that are not straight; returns the bound,
+    `closed` and `run` after turn t.  A run of r turns earns
+    pi * floor(r * alpha / pi * (1 - 1e-9)): the slack keeps rounding from
+    crediting a winding just below k*pi, as for r = 2 at the float
+    alpha = 0.5 * PI, which lies below the true pi/2."""
+    wind = spec.alpha / PI * (1.0 - 1e-9)
+    straight = 2 * t == spec.face_size
+    if straight or t != last:
+        closed += PI * math.floor(run * wind)
+        run = 0
+    if straight:
+        closed += spec.edge_length
+    else:
+        run += 1
+    return closed + PI * math.floor(run * wind), closed, run
+
+
 def _start_crossing(spec: SolidSpec) -> Tuple[int, int]:
     """The search's start crossing: face edge_faces[0][0] and the local
     index on it of edge 0, which the walk crosses first."""
@@ -657,23 +683,25 @@ def enumerate_classes(
     "Generating bracelets in constant amortized time", SIAM J. Comput. 31,
     2001), whose comparisons `_extend_least` states.
 
-    Length bound by turns.  The geodesic's segment in a face copy runs
-    from a point of the entry edge to a point of the exit edge, so it is
-    at least as long as the distance between the two edges.  Every face
-    copy is a rotated copy of one regular chart, whose rotation by 2*pi/n
-    about its centre carries local edge j to j + 1, so that distance
-    depends on the exit turn t alone.  Edges with a common vertex (every
-    turn on a triangle, t = 1 or 3 on a square) are at distance 0.  The
+    Length bound by turns.  The geodesic's segment in a face copy joins
+    its entry and exit edges, so it is at least their distance, which
+    depends on the exit turn alone: every copy is a rotated copy of one
+    regular chart.  Edges with a common vertex are at distance 0.  The
     opposite sides of a square (the straight turn, 2t = n) are one edge
-    length apart.  Two disjoint arcs are nearest at the feet of their
-    common perpendicular, at a corner and its foot on the other arc, or at
-    two corners.  Here the common perpendicular is the midline, longer
-    than a side (a spherical Saccheri quadrilateral's summit is shorter
-    than its base); the corner angle alpha exceeds pi/2, so no corner's
-    foot lands inside the far side; and a diagonal, opposite an obtuse
-    corner, is longer than a side.  So the walk adds one edge length per
-    straight turn and nothing otherwise, and cuts a branch once the sum
-    reaches the 2*pi cap.
+    length apart: the nearest points of two disjoint arcs are the feet of a
+    common perpendicular (here the midline, longer than a side, since a
+    spherical Saccheri quadrilateral's summit is shorter than its base), a
+    corner and its foot (none lands inside the far side, as alpha > pi/2)
+    or two corners (a diagonal, opposite an obtuse corner, is longer than a
+    side).  A run of r equal turns that are not straight makes r + 1
+    crossings on edges that share one vertex v, in face copies that fan
+    around one copy of v, so the geodesic's azimuth about v moves by
+    r*alpha from the first to the last.  A great circle that misses +-v
+    moves its azimuth about v monotonically, by exactly pi per length pi,
+    and a convex face copy that holds v never holds -v, so that piece is at
+    least pi*floor(r*alpha/pi) long.  Runs and straight turns do not
+    overlap, so the walk sums their bounds (`_turn_bound`) and cuts a
+    branch once the sum reaches the 2*pi cap.
     """
     # a float bound would never equal the depth, and NaN passes both range
     # checks, so either would let the walk run without end
@@ -689,16 +717,17 @@ def enumerate_classes(
     found: List[Tuple[int, ...]] = []
     # A node is the walk of the start crossing and its `turns`, with the
     # pole region of its parent's crossings (the root's is the chart about
-    # its entry vertex), its length bound and the forward images of `turns`
-    # that `_extend_least` has not yet decided.  Nodes are popped in
-    # preorder, so the walker always holds the parent's crossings, perhaps
-    # followed by those of an earlier sibling's subtree: the root is the
-    # walker's first crossing, and any other node costs one cut and one
-    # crossing.
+    # its entry vertex), its length bound as `_turn_bound` keeps it (the
+    # bound of its closed runs and the length of its open run) and the
+    # forward images of `turns` that `_extend_least` has not yet decided.
+    # Nodes are popped in preorder, so the walker always holds the parent's
+    # crossings, perhaps followed by those of an earlier sibling's subtree:
+    # the root is the walker's first crossing, and any other node costs one
+    # cut and one crossing.
     walker = Walker(spec, start_face, start_j)
-    stack = [((), (_pole_box(walker.arcs[0][1]), None), 0.0, ())]
+    stack = [((), (_pole_box(walker.arcs[0][1]), None), 0.0, 0, ())]
     while stack:
-        turns, region, lb, tied = stack.pop()
+        turns, region, closed, run, tied = stack.pop()
         if turns:
             walker.cut(len(turns))
             walker.cross(turns[-1])
@@ -721,13 +750,14 @@ def enumerate_classes(
         if m == max_crossings:
             continue
         # pushed last turn first, so the walk visits turns in increasing order
+        last = turns[-1] if turns else 0
         for t in range(n - 1, 0, -1):
-            lb2 = lb + spec.edge_length if 2 * t == n else lb
-            if lb2 < TWO_PI - 1e-12:
+            lb, closed2, run2 = _turn_bound(spec, closed, run, last, t)
+            if lb < TWO_PI - 1e-12:
                 grown = turns + (t,)
                 still = _extend_least(grown, len(turns), tied, n)
                 if still is not None:
-                    stack.append((grown, region, lb2, still))
+                    stack.append((grown, region, closed2, run2, still))
 
     classes = [solve_class(spec, word, tol_closure, tol_vertex) for word in found]
     classes.sort(key=lambda c: c.path.seq.edges)

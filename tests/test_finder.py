@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from sphgeo.unfold import CrossingSequence, develop
 
 from util import (
     canonicalize,
+    cyclic_turn_word,
     dev_is_simple,
     edge_copies_coincide,
     feasible_pole_exists,
@@ -1132,7 +1134,10 @@ def test_enumerate_matches_deep_golden_file():
     # that pruned only the mirror of the first turns.  The depth-100 rows
     # (tetra 0.337pi, 23 classes; cube 0.505pi, 3) were written by the
     # search that checked a closed word's least-ness by cyclic_min, before
-    # the closure became the prefix test run on through the word
+    # the closure became the prefix test run on through the word.  The
+    # depth-100 rows above pi/2 (tetra 0.52pi and 0.6pi, 2 classes each),
+    # where the winding length bound cuts, were written by the search
+    # before that bound, which walked their repeats to the depth
     rows, got = _golden_rows(ENUMERATE_DEEP_CLASSES_TXT)
     assert got == rows
 
@@ -1165,6 +1170,8 @@ def test_smallest_accepted_alpha_finds_every_class(kind, n_classes):
     (SolidKind.OCTAHEDRON, 0.42 * PI, 153),
     (SolidKind.CUBE, 0.52 * PI, 508),
     (SolidKind.CUBE, 0.6 * PI, 228),
+    (SolidKind.TETRAHEDRON, 0.52 * PI, 43),
+    (SolidKind.TETRAHEDRON, 0.6 * PI, 55),
 ])
 def test_search_node_counts(kind, alpha, nodes, monkeypatch):
     # the DFS makes one _narrow call per node; the counts at depth 20 pin
@@ -1313,6 +1320,91 @@ def test_closure_decision_exhaustive():
                 grown[word] = None if tied is None else finder._extend_least(
                     word, m - 1, tied, n)
             tied_after = grown
+
+
+def _turn_bounds(spec, turns):
+    """finder._turn_bound folded over `turns` from the search's root, as
+    the search calls it: (bound, closed, run) after each turn."""
+    closed, run, last, out = 0.0, 0, 0, []
+    for t in turns:
+        lb, closed, run = finder._turn_bound(spec, closed, run, last, t)
+        out.append((lb, closed, run))
+        last = t
+    return out
+
+
+@pytest.mark.parametrize("kind", list(SolidKind))
+def test_winding_runs_share_one_vertex(kind):
+    # the length bound credits an open run of `run` turns with the winding
+    # of its run + 1 crossings about one vertex: on every turn word of up
+    # to 8 turns, those crossings' edges share exactly one vertex, and a
+    # straight turn ends every run
+    lo, hi = ADMISSIBLE[kind]
+    spec = build_solid(kind, (lo + hi) / 2)
+    n = spec.face_size
+    walker = unfold.Walker(spec, *finder._start_crossing(spec))
+    for m in range(1, 9):
+        for word in itertools.product(range(1, n), repeat=m):
+            walker.cut(1)
+            for t in word:
+                walker.cross(t)
+            for k, (_, _, run) in enumerate(_turn_bounds(spec, word)):
+                assert (run == 0) == (2 * word[k] == n), word
+                if run:
+                    shared = set.intersection(
+                        *(set(spec.edges[e]) for e in walker.edges[k + 1 - run:k + 2]))
+                    assert len(shared) == 1, (word, k, run)
+
+
+def test_length_bound_below_class_lengths():
+    # each prefix of a class's least turn word, the walk the search takes
+    # to it, traces a piece of its geodesic, so the bound of every prefix,
+    # the closing turn included, stays below the class's solved length
+    credited = 0
+    for kind, (lo, hi) in ADMISSIBLE.items():
+        for k in range(8):
+            spec = build_solid(kind, lo + (hi - lo) * (k + 0.5) / 8)
+            for c in enumerate_classes(spec, 16):
+                least = least_turn_image(cyclic_turn_word(spec, c.path.seq.edges),
+                                         spec.face_size)
+                walker = unfold.Walker(spec, *finder._start_crossing(spec))
+                for t in least[:-1]:
+                    walker.cross(t)
+                assert finder.canonical_word(spec, tuple(walker.edges)) == c.path.seq.edges
+                steps = _turn_bounds(spec, least)
+                assert max(lb for lb, _, _ in steps) < c.path.total_length, (
+                    kind, spec.alpha, c.tag)
+                credited += any(run * spec.alpha > PI for _, _, run in steps)
+    assert credited == 4  # the vertex loops at the 4 angles above pi/2
+
+
+# an upper bound on pi: a credit of k*pi is sound when k*PI_ABOVE <= r*alpha
+PI_ABOVE = Fraction("3.14159265358979323847")
+
+
+@pytest.mark.parametrize("kind", list(SolidKind))
+def test_winding_credit_rounds_down(kind):
+    # a run of r turns winds exactly r*alpha, with alpha the float the
+    # solid is built on, and earns k*pi only if k*pi <= r*alpha holds
+    # exactly.  Where r*alpha lies at k*pi within rounding (float alpha =
+    # k*PI/r and its neighbours; 0.5*PI lies below the true pi/2), the
+    # credit is (k - 1)*pi
+    lo, hi = ADMISSIBLE[kind]
+    checked = 0
+    for r in range(2, 9):
+        for k in range(1, r):
+            if not lo < k * PI / r < hi:
+                continue
+            for alpha in (math.nextafter(k * PI / r, 0.0), k * PI / r,
+                          math.nextafter(k * PI / r, 4.0)):
+                spec = build_solid(kind, alpha)
+                lb, _, _ = _turn_bounds(spec, (1,) * r)[-1]
+                credit = round(lb / PI)
+                assert lb == PI * credit
+                assert credit * PI_ABOVE <= r * Fraction(alpha), (alpha, r)
+                assert credit == k - 1, (alpha, r)
+                checked += 1
+    assert checked >= 9
 
 
 @pytest.mark.parametrize("kind", list(SolidKind))

@@ -371,6 +371,18 @@ def pairwise_is_simple(spec: SolidSpec, dev: unfold.Development, hits) -> bool:
     return True
 
 
+def cyclic_turn_word(spec: SolidSpec, edges: Sequence[int]) -> Tuple[int, ...]:
+    """The cyclic turn word of a closed edge word: turn i leaves the face
+    that crossing i enters, over edges[i + 1], as (exit - entry) mod n in
+    that face's local edges."""
+    faces = CrossingSequence(tuple(edges)).validate(spec)
+    m, local = len(edges), spec.face_edge_local
+    return tuple(
+        (local[(faces[(i + 1) % m], edges[(i + 1) % m])]
+         - local[(faces[(i + 1) % m], edges[i])]) % spec.face_size
+        for i in range(m))
+
+
 def turn_images(word: Sequence[int], n: int) -> List[Tuple[int, ...]]:
     """Every rotation of a cyclic turn word T, of its mirror n - T, and of
     both read backwards: the turn words of one class's walks from the
