@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from . import counts, finder, solids, sphtrig, unfold
 from .solids import SolidKind, SolidSpec
@@ -383,9 +383,18 @@ def cmd_export(in_path: str, class_index: int, tol_closure: float,
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and so each of its subparsers, that reports an
+    error in one stderr line: argparse's own last line, without the usage
+    block before it."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache  # one parser per process, built by the first main call
 def _make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sphgeo",
         description="Simple closed geodesics on regular spherical tetrahedra, "
         "octahedra and cubes.",

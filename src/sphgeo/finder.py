@@ -24,9 +24,12 @@ The search over sequences is a depth-first walk over faces, run as one loop
 over a stack of immutable walk nodes.  It is pruned by a pole-feasibility
 test (does any great circle cross all developed edges the right way?) and
 by a running lower bound on length against the 2*pi cap: the straight turn
-across a square adds one edge length, and a run of r equal turns that
-are not straight, which winds r*alpha about one vertex, adds
-pi*floor(r*alpha/pi) (see `enumerate_classes`).
+across a square adds one edge length, a run of r equal turns that are not
+straight, which winds r*alpha about one vertex, adds pi*floor(r*alpha/pi),
+and every two crossings add at least the distance between their developed
+edges, a closed form in the two turns between them (see `enumerate_classes`).
+The cap closes every branch, so with no crossing bound the search ends on
+its own.
 The feasible poles form a convex polygon in the gnomonic chart about the first
 edge's entry vertex; each crossing clips it by its two half-planes
 (Sutherland-Hodgman), and a branch survives while a witness pole meets every
@@ -62,6 +65,7 @@ helpers are called.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -76,6 +80,7 @@ from .sphtrig import (
     add,
     angle_between,
     axis_angle,
+    cos_side,
     cross,
     dot,
     mat_apply,
@@ -94,10 +99,8 @@ SOLVE_TOL = 1e-9
 
 FEAS_MARGIN = 1e-12  # poles closer than this to a chart's horizon are ignored
 
-# the repeats u^k of a closed word stay least and feasible, and where no run
-# of u's turns winds pi about a vertex (the tetrahedron's (1, 2)^k) the length
-# bound never grows, so they walk to the crossing bound: capping it caps the
-# search's run time
+# the largest explicit crossing bound `enumerate_classes` accepts; None
+# searches until the length cap closes every branch
 MAX_SEARCH_DEPTH = 200
 
 
@@ -625,6 +628,47 @@ def _turn_bound(
     return closed + PI * math.floor(run * wind), closed, run
 
 
+def _window_table(spec: SolidSpec) -> List[List[float]]:
+    """D[s][t], less 1e-9 and floored at 0: the distance between the
+    developed edge arcs two crossings apart, across exit turns s and t (see
+    `enumerate_classes`); row 0, no turn before t, is 0.
+
+    Equal turns that are not straight cross two edges with a common vertex.
+    On triangles the others are opposite sides of a two-triangle rhombus:
+    the altitude asin(sin a sin alpha) while alpha <= pi/2, whose foot lies
+    inside the far side, else two corners an edge length a apart.  On the
+    square the two straight turns cross the far sides of a domino, nearest
+    at two corners across its long side's middle vertex, where the outer
+    angle is 2*pi - 2*alpha; the others are a apart."""
+    a, alpha = spec.edge_length, spec.alpha
+    if spec.face_size == 3:
+        d = max(0.0, (math.asin(math.sin(a) * math.sin(alpha)) if alpha <= PI / 2 else a)
+                - 1e-9)
+        return [[0.0, 0.0, 0.0], [0.0, 0.0, d], [0.0, d, 0.0]]
+    d = max(0.0, a - 1e-9)
+    far = max(0.0, cos_side(a, a, TWO_PI - 2.0 * alpha) - 1e-9)
+    return [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, d, d], [0.0, d, far, d], [0.0, d, d, 0.0]]
+
+
+@functools.lru_cache(maxsize=None)
+def _power_shifts(m: int) -> Tuple[int, ...]:
+    """m // p for each prime p dividing m: a word of m letters is a proper
+    power exactly when one of these shifts maps it to itself, since every
+    proper divisor of m divides one of them, and a word that a shift maps
+    to itself is mapped to itself by the shift's multiples."""
+    shifts = []
+    k, p = m, 2
+    while p * p <= k:
+        if k % p == 0:
+            shifts.append(m // p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    if k > 1:
+        shifts.append(m // k)
+    return tuple(shifts)
+
+
 def _start_crossing(spec: SolidSpec) -> Tuple[int, int]:
     """The search's start crossing: face edge_faces[0][0] and the local
     index on it of edge 0, which the walk crosses first."""
@@ -634,15 +678,17 @@ def _start_crossing(spec: SolidSpec) -> Tuple[int, int]:
 
 def enumerate_classes(
     spec: SolidSpec,
-    max_crossings: int,
+    max_crossings: Optional[int],
     tol_closure: float = SOLVE_TOL,
     tol_vertex: float = SOLVE_TOL,
 ) -> List[GeodesicClass]:
     """All simple closed geodesics with at most `max_crossings` crossings,
-    one canonical representative per symmetry class, in canonical order.
+    or all of them when it is None, one canonical representative per
+    symmetry class, in canonical order.
 
     Exhaustive up to the crossing bound: every class whose representative
-    crosses <= max_crossings edges is found.  The symmetry group is
+    crosses <= max_crossings edges is found.  With None the search runs
+    until the length bound below closes every branch.  The symmetry group is
     transitive on (face, edge) incidences, so every class has a word that
     starts by crossing edge 0 out of face A = edge_faces[0][0], and the
     search walks only from there.
@@ -700,34 +746,53 @@ def enumerate_classes(
     moves its azimuth about v monotonically, by exactly pi per length pi,
     and a convex face copy that holds v never holds -v, so that piece is at
     least pi*floor(r*alpha/pi) long.  Runs and straight turns do not
-    overlap, so the walk sums their bounds (`_turn_bound`) and cuts a
-    branch once the sum reaches the 2*pi cap.
+    overlap, so the walk sums their bounds (`_turn_bound`).
+
+    Window bound.  The geodesic's piece from crossing i - 2 to crossing i,
+    unfolded into the two face copies between them, is one great-circle arc
+    from a point of developed edge arc i - 2 to a point of arc i, so it is
+    at least the distance between the two arcs.  Two disjoint minor arcs
+    are nearest at an endpoint of one of them: a pair of interior points
+    joined perpendicular to both great circles is no local minimum, as
+    moving both toward the circles' intersection shortens it.  The two
+    copies are laid out by the turns t_{i-2} and t_{i-1} alone, so the
+    distance is a closed form in them (`_window_table`).  Each node keeps best[i], a
+    bound on the piece from crossing 0 to crossing i: the maximum of the
+    sum above, best[i - 1], and best[i - 2] plus the window's distance.
+    best[i - 2] bounds a piece that ends where the window starts, so the
+    two add, and the others bound the same piece or a shorter one.  On the
+    tetrahedron's alternating repeats, such as (1, 2)^k, the runs earn
+    nothing but every window earns a rhombus width.  A child is cut when
+    it is pushed, once its bound reaches the 2*pi cap.
     """
     # a float bound would never equal the depth, and NaN passes both range
     # checks, so either would let the walk run without end
-    if not is_int(max_crossings):
-        raise DomainError(f"max_crossings={max_crossings!r} is not an integer")
-    if max_crossings < 3:
-        raise DomainError("max_crossings must be at least 3")
-    if max_crossings > MAX_SEARCH_DEPTH:
-        raise DomainError(f"max_crossings must be at most {MAX_SEARCH_DEPTH}")
+    if max_crossings is not None:
+        if not is_int(max_crossings):
+            raise DomainError(f"max_crossings={max_crossings!r} is not an integer")
+        if max_crossings < 3:
+            raise DomainError("max_crossings must be at least 3")
+        if max_crossings > MAX_SEARCH_DEPTH:
+            raise DomainError(f"max_crossings must be at most {MAX_SEARCH_DEPTH}")
     check_tolerances(tol_closure, tol_vertex)
     n = spec.face_size
+    window = _window_table(spec)
     start_face, start_j = _start_crossing(spec)
     found: List[Tuple[int, ...]] = []
     # A node is the walk of the start crossing and its `turns`, with the
     # pole region of its parent's crossings (the root's is the chart about
     # its entry vertex), its length bound as `_turn_bound` keeps it (the
-    # bound of its closed runs and the length of its open run) and the
-    # forward images of `turns` that `_extend_least` has not yet decided.
+    # bound of its closed runs and the length of its open run), the bounds
+    # of its parent and of itself, and the forward images of `turns` that
+    # `_extend_least` has not yet decided.
     # Nodes are popped in preorder, so the walker always holds the parent's
     # crossings, perhaps followed by those of an earlier sibling's subtree:
     # the root is the walker's first crossing, and any other node costs one
     # cut and one crossing.
     walker = Walker(spec, start_face, start_j)
-    stack = [((), (_pole_box(walker.arcs[0][1]), None), 0.0, 0, ())]
+    stack = [((), (_pole_box(walker.arcs[0][1]), None), 0.0, 0, 0.0, 0.0, ())]
     while stack:
-        turns, region, closed, run, tied = stack.pop()
+        turns, region, closed, run, before, bound, tied = stack.pop()
         if turns:
             walker.cut(len(turns))
             walker.cross(turns[-1])
@@ -741,8 +806,7 @@ def enumerate_classes(
         # a closed word is solved unless it is a proper power, which retraces
         # a shorter closed geodesic and so is never simple, or not least
         if (m >= 3 and face == start_face and closing
-                and not any(m % d == 0 and edges[d:] + edges[:d] == edges
-                            for d in range(1, m // 2 + 1))
+                and not any(edges[d:] + edges[:d] == edges for d in _power_shifts(m))
                 and _extend_least(turns + (closing,) + turns, m - 1, tied, n) is not None):
             dev = walker.development()
             if _closure(spec, dev, tol_closure, tol_vertex) is not None:
@@ -751,13 +815,15 @@ def enumerate_classes(
             continue
         # pushed last turn first, so the walk visits turns in increasing order
         last = turns[-1] if turns else 0
+        gaps = window[last]
         for t in range(n - 1, 0, -1):
             lb, closed2, run2 = _turn_bound(spec, closed, run, last, t)
+            lb = max(lb, bound, before + gaps[t])
             if lb < TWO_PI - 1e-12:
                 grown = turns + (t,)
                 still = _extend_least(grown, len(turns), tied, n)
                 if still is not None:
-                    stack.append((grown, region, closed2, run2, still))
+                    stack.append((grown, region, closed2, run2, bound, lb, still))
 
     classes = [solve_class(spec, word, tol_closure, tol_vertex) for word in found]
     classes.sort(key=lambda c: c.path.seq.edges)

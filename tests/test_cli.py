@@ -300,10 +300,17 @@ def test_sweep_grid_at_cap(tmp_path, monkeypatch):
      "error: alpha=1.047197551197598 is too close to the flat limit "),
     (["enumerate", "--solid", "tetra", "--alpha", "1.0471975511975979", "--depth", "3"],
      "error: alpha=1.047197551197598 is too close to the flat limit "),
+    # argparse's own errors lose the usage block before them
+    (["enumerate", "--solid", "tetra", "--alpha", "0.4pi", "--depth", "1e3"],
+     "sphgeo enumerate: error: argument --depth: invalid int value: '1e3'\n"),
+    (["enumerate", "--solid", "dodeca", "--alpha", "0.4pi"],
+     "sphgeo enumerate: error: argument --solid: invalid choice: 'dodeca' "),
 ], ids=["enumerate-depth-2", "enumerate-alpha", "solve-alpha", "sweep-start-alpha",
-        "solve-near-flat", "enumerate-near-flat", "solve-flat-limit", "enumerate-flat-limit"])
+        "solve-near-flat", "enumerate-near-flat", "solve-flat-limit", "enumerate-flat-limit",
+        "enumerate-depth-float", "enumerate-solid-unknown"])
 def test_domain_error_one_line(capsys, argv, message):
-    # the solid and the search check their own inputs; main prints one line
+    # the parser, the solid and the search check their own inputs; main
+    # prints one line
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(message)

@@ -45,6 +45,7 @@ from util import (
     trace_geodesic,
     turn_images,
     two_pole_solve,
+    window_distance,
 )
 
 OCTA_TYPE1 = ("A1A2", "A2A5", "A5A3", "A3A4", "A4A6", "A6A1")
@@ -1165,21 +1166,9 @@ def test_smallest_accepted_alpha_finds_every_class(kind, n_classes):
     assert len(enumerate_classes(spec, 20)) == n_classes
 
 
-@pytest.mark.parametrize("kind,alpha,nodes", [
-    (SolidKind.TETRAHEDRON, 0.45 * PI, 154),
-    (SolidKind.OCTAHEDRON, 0.42 * PI, 153),
-    (SolidKind.CUBE, 0.52 * PI, 508),
-    (SolidKind.CUBE, 0.6 * PI, 228),
-    (SolidKind.TETRAHEDRON, 0.52 * PI, 43),
-    (SolidKind.TETRAHEDRON, 0.6 * PI, 55),
-])
-def test_search_node_counts(kind, alpha, nodes, monkeypatch):
-    # the DFS makes one _narrow call per node; the counts at depth 20 pin
-    # how much the feasibility, least-turn-word and length-bound pruning
-    # cut.  They rest on the same float determinism as
-    # data/enumerate_classes.txt: a change to the pruning updates them.
-    # The walker lays out one crossing per node, and only solve_class lays
-    # out a closure again, so a search that re-walks a closure fails here.
+def _search_work(spec, depth, monkeypatch):
+    """enumerate_classes(spec, depth) with its nodes (_narrow calls) and
+    the crossings its walker lays out counted."""
     calls = []
     crossed = []
     narrow = finder._narrow
@@ -1195,9 +1184,122 @@ def test_search_node_counts(kind, alpha, nodes, monkeypatch):
 
     monkeypatch.setattr(finder, "_narrow", counting)
     monkeypatch.setattr(unfold.Walker, "cross", crossing)
-    classes = enumerate_classes(build_solid(kind, alpha), 20)
-    assert len(calls) == nodes
-    assert len(crossed) == nodes + sum(len(c.path.seq) for c in classes)
+    classes = enumerate_classes(spec, depth)
+    return len(calls), len(crossed), classes
+
+
+@pytest.mark.parametrize("kind,alpha,nodes", [
+    (SolidKind.TETRAHEDRON, 0.45 * PI, 44),
+    (SolidKind.OCTAHEDRON, 0.42 * PI, 62),
+    (SolidKind.CUBE, 0.52 * PI, 475),
+    (SolidKind.CUBE, 0.6 * PI, 106),
+    (SolidKind.TETRAHEDRON, 0.52 * PI, 15),
+    (SolidKind.TETRAHEDRON, 0.6 * PI, 15),
+])
+def test_search_node_counts(kind, alpha, nodes, monkeypatch):
+    # the DFS makes one _narrow call per node; the counts at depth 20 pin
+    # how much the feasibility, least-turn-word and length-bound pruning
+    # cut.  They rest on the same float determinism as
+    # data/enumerate_classes.txt: a change to the pruning updates them.
+    # The walker lays out one crossing per node, and only solve_class lays
+    # out a closure again, so a search that re-walks a closure fails here.
+    calls, crossed, classes = _search_work(build_solid(kind, alpha), 20, monkeypatch)
+    assert calls == nodes
+    assert crossed == nodes + sum(len(c.path.seq) for c in classes)
+
+
+def test_exhaustive_search_node_count(monkeypatch):
+    # with no crossing bound the length cap alone ends the search; pinned
+    # like the depth-20 counts.  Its deepest class has 48 crossings
+    calls, crossed, classes = _search_work(
+        build_solid(SolidKind.TETRAHEDRON, 0.337 * PI), None, monkeypatch)
+    assert (calls, len(classes)) == (2207, 23)
+    assert max(len(c.path.seq) for c in classes) == 48
+    assert crossed == calls + sum(len(c.path.seq) for c in classes)
+
+
+def _edge_angles(kind):
+    """Five angles of the solid's admissible interval: 1e-3*pi from each
+    end and three between."""
+    lo, hi = ADMISSIBLE[kind]
+    return [lo + 1e-3 * PI] + [lo + (hi - lo) * k / 4 for k in (1, 2, 3)] + [hi - 1e-3 * PI]
+
+
+@pytest.mark.parametrize("kind", list(SolidKind))
+def test_exhaustive_search_ends(kind):
+    # a search with no crossing bound ends, and finds the depth-60 search's
+    # classes plus only longer ones; on the tetrahedron its classes are
+    # count_tetra's types, plus the vertex loop exactly above pi/2
+    for alpha in _edge_angles(kind):
+        spec = build_solid(kind, alpha)
+        every = enumerate_classes(spec, None)
+        words = [c.path.seq.edges for c in every]
+        assert [w for w in words if len(w) <= 60] == [
+            c.path.seq.edges for c in enumerate_classes(spec, 60)]
+        if kind is SolidKind.TETRAHEDRON:
+            want = {f"{p},{q}" for p, q in counts.count_tetra(alpha).realizable}
+            if alpha > PI / 2:
+                want.add("vertex-loop")
+            assert sorted(c.tag for c in every) == sorted(want), alpha
+        else:
+            assert len(every) == {SolidKind.OCTAHEDRON: 2, SolidKind.CUBE: 3}[kind]
+
+
+@pytest.mark.parametrize("kind", list(SolidKind))
+def test_window_table_matches_distance(kind):
+    # each entry of the window table is the distance between the developed
+    # arcs two crossings apart, less its 1e-9 slack: never above the
+    # oracle's, and within 2e-9 of it.  Row 0 (no turn before) is 0
+    lo, hi = ADMISSIBLE[kind]
+    for k in range(120):
+        spec = build_solid(kind, lo + (hi - lo) * (k + 0.5) / 120)
+        table = finder._window_table(spec)
+        n = spec.face_size
+        assert table[0] == [0.0] * n
+        for s in range(1, n):
+            for t in range(1, n):
+                oracle = window_distance(spec, s, t)
+                assert oracle - 2e-9 <= table[s][t] <= oracle, (spec.alpha, s, t)
+
+
+def _window_sums_hold(spec, path):
+    """Whether each two consecutive segments of a solved path sum to at
+    least the window table's entry for the turns between them."""
+    table = finder._window_table(spec)
+    turns = cyclic_turn_word(spec, path.seq.edges)
+    seg = path.arc_lengths
+    m = len(turns)
+    # segment i runs from crossing i to i + 1, in the face whose exit turn is turns[i]
+    return all(seg[i] + seg[(i + 1) % m] >= table[turns[i]][turns[(i + 1) % m]]
+               for i in range(m))
+
+
+def test_window_bound_below_geodesic_pieces():
+    # every window of a real geodesic, the search's classes at depth 20
+    # on every solid and every typed path a count finds, is at least as
+    # long as the window table says
+    checked = 0
+    for kind in SolidKind:
+        for alpha in _edge_angles(kind)[1:]:
+            spec = build_solid(kind, alpha)
+            for c in enumerate_classes(spec, 20):
+                assert _window_sums_hold(spec, c.path), (kind, alpha, c.tag)
+                checked += 1
+    spec = build_solid(SolidKind.TETRAHEDRON, 0.336 * PI)
+    for p, q in counts.count_tetra(0.336 * PI).realizable:
+        assert _window_sums_hold(spec, solve_tetra_type(spec, p, q)), (p, q)
+        checked += 1
+    assert checked >= 60
+
+
+def test_power_shifts_find_every_period():
+    # a word of m letters is a proper power exactly when a shift by some
+    # proper divisor of m maps it to itself; the shifts m // p, p prime,
+    # are proper divisors, and every proper divisor divides one of them
+    for m in range(1, 2 * finder.MAX_SEARCH_DEPTH + 1):
+        shifts = finder._power_shifts(m)
+        assert all(m % d == 0 and d < m for d in shifts), m
+        assert all(any(d % e == 0 for d in shifts) for e in range(1, m) if m % e == 0), m
 
 
 @pytest.mark.parametrize("alpha,crossed,closures,decided,closed", [

@@ -131,6 +131,36 @@ def edge_copies_coincide(spec: SolidSpec, dev: unfold.Development, tol: float) -
     return True
 
 
+def point_arc_distance(x, p, q) -> float:
+    """Spherical distance from unit x to the minor arc p -> q.  Every
+    distance is an atan2 of a cross and a dot: acos and asin lose about
+    1e-8 where their argument is near 1."""
+    def dist(u, v):
+        return math.atan2(sphtrig.norm(sphtrig.cross(u, v)), sphtrig.dot(u, v))
+
+    n = sphtrig.normalize(sphtrig.cross(p, q))
+    h = sphtrig.dot(x, n)
+    foot = sphtrig.add(x, sphtrig.scale(n, -h))
+    r = sphtrig.norm(foot)
+    # the great circle's nearest point to x lies inside the arc
+    if (r > 1e-12 and sphtrig.dot(sphtrig.cross(p, foot), n) >= 0.0
+            and sphtrig.dot(sphtrig.cross(foot, q), n) >= 0.0):
+        return math.atan2(abs(h), r)
+    return min(dist(x, p), dist(x, q))
+
+
+def window_distance(spec: SolidSpec, s: int, t: int) -> float:
+    """Slow oracle for `finder._window_table`: on a walker from the
+    search's start crossing that turns s and then t, the least distance
+    from an end of one of developed arcs 0 and 2 to the other arc."""
+    walker = unfold.Walker(spec, *finder._start_crossing(spec))
+    walker.cross(s)
+    walker.cross(t)
+    (a, b), (c, d) = walker.arcs[0], walker.arcs[2]
+    return min(point_arc_distance(a, c, d), point_arc_distance(b, c, d),
+               point_arc_distance(c, a, b), point_arc_distance(d, a, b))
+
+
 def holonomy(spec: SolidSpec, seq: CrossingSequence):
     """Closing rotation of the development of `seq`."""
     return unfold.develop(spec, seq).closing
