@@ -69,7 +69,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .sphtrig import (
     CONTACT_TOL,
@@ -89,7 +89,7 @@ from .sphtrig import (
     pole_frame,
     scale,
 )
-from .solids import SolidKind, SolidSpec, cyclic_min, symmetry_group
+from .solids import SolidKind, SolidSpec, symmetry_group
 from .unfold import CrossingSequence, Development, Walker, develop
 
 TWO_PI = 2.0 * PI
@@ -450,18 +450,32 @@ def _chords_nest(ends: Dict[int, List[Tuple[int, float, int]]], tol: float) -> b
 # canonical forms under cyclic shift x reversal x symmetry
 
 
-def _orbit(spec: SolidSpec, word: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
-    """The symmetry images of `word`, each up to shift and reversal."""
-    return {
-        cyclic_min(tuple(g.edge_perm[e] for e in word)) for g in symmetry_group(spec)
-    }
+def _orbit(spec: SolidSpec, word: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+    """The least word of `word`'s class under shift, reversal and symmetry,
+    and the number of distinct geodesics (words up to shift and reversal)
+    in its symmetry orbit, from one image of `word` per symmetry.
+
+    The size is |G| over the stabilizer, the symmetries that send `word`
+    to a shift of itself or of its reversal (orbit-stabilizer).  The group
+    is transitive on edges, so some image holds edge 0 and the least word
+    starts there: only the shifts to a 0 of each image and its reversal are
+    compared, 2m |G|/|E| = 8m of them.  That is O(|G| m) for the images and
+    O(m^2) for the ring and those shifts, where taking the least shift of
+    every image was O(|G| m^2).
+    """
+    m = len(word)
+    ring = {w[r:] + w[:r] for w in (word, word[::-1]) for r in range(m)}
+    images = [tuple(g.edge_perm[e] for e in word) for g in symmetry_group(spec)]
+    least = min(w[r:] + w[:r] for img in images for w in (img, img[::-1])
+                for r in range(m) if w[r] == 0)
+    return least, len(images) // sum(img in ring for img in images)
 
 
 def canonical_word(spec: SolidSpec, word: Tuple[int, ...]) -> Tuple[int, ...]:
     """The lexicographic minimum of `word`'s orbit; raises DomainError
     unless `word` is the edge word of a closed face walk."""
     CrossingSequence.from_edges(spec, word)
-    return min(_orbit(spec, word))
+    return _orbit(spec, word)[0]
 
 
 def orbit_size(spec: SolidSpec, seq: CrossingSequence) -> int:
@@ -469,7 +483,7 @@ def orbit_size(spec: SolidSpec, seq: CrossingSequence) -> int:
     the symmetry orbit; raises DomainError unless `seq` is a closed face
     walk."""
     seq.validate(spec)
-    return len(_orbit(spec, seq.edges))
+    return _orbit(spec, seq.edges)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -840,8 +854,8 @@ def solve_class(
     path is solved on the class's canonical word (see `canonical_word`)."""
     check_tolerances(tol_closure, tol_vertex)
     own = CrossingSequence.from_edges(spec, word)
-    orbit = _orbit(spec, word)
-    seq = CrossingSequence(min(orbit))
+    least, size = _orbit(spec, word)
+    seq = CrossingSequence(least)
     path = solve_sequence(spec, seq, tol_closure, tol_vertex)
     if path is None:
         if solve_sequence(spec, own, tol_closure, tol_vertex) is None:
@@ -850,7 +864,7 @@ def solve_class(
         # it by rounding only
         raise DomainError(f"tol_closure={tol_closure!r} is too tight for the canonical "
                           "image of a solved sequence to re-solve")
-    return GeodesicClass(path=path, orbit_size=len(orbit), tag=class_tag(spec, path))
+    return GeodesicClass(path=path, orbit_size=size, tag=class_tag(spec, path))
 
 
 # ---------------------------------------------------------------------------

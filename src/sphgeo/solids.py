@@ -193,12 +193,12 @@ def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
         )
 
     # transfer rotation across each directed edge: glue the neighbour's chart
-    # copy of the shared edge onto this face's copy, endpoints matched
-    steps: Dict[Tuple[int, int], Mat3] = {}
-    for (fi, j), (gi, j2) in gluing.items():
-        steps[(fi, j)] = sphtrig.rotation_from_pairs(
-            chart[(j2 + 1) % n], chart[j2], chart[j], chart[(j + 1) % n]
-        )
+    # copy of the shared edge onto this face's copy, endpoints matched.  It
+    # depends only on the two local edge indices, so each pair is built once
+    local = {(j, j2): sphtrig.rotation_from_pairs(
+        chart[(j2 + 1) % n], chart[j2], chart[j], chart[(j + 1) % n]
+    ) for j, j2 in {(j, j2) for (_, j), (_, j2) in gluing.items()}}
+    steps = {(fi, j): local[(j, j2)] for (fi, j), (_, j2) in gluing.items()}
 
     return SolidSpec(
         kind=kind,
@@ -228,17 +228,6 @@ def cone_angle(spec: SolidSpec, vertex: int) -> float:
 
 # ---------------------------------------------------------------------------
 # symmetry group
-
-
-def cyclic_min(word: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Canonical form of a cyclic sequence up to rotation and reversal."""
-    best = None
-    for w in (word, word[::-1]):
-        for r in range(len(w)):
-            cand = w[r:] + w[:r]
-            if best is None or cand < best:
-                best = cand
-    return best  # type: ignore[return-value]
 
 
 # the ops act on vertex, edge and face ids only, which depend on the kind

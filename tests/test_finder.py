@@ -36,9 +36,11 @@ from util import (
     path_for_pole,
     pairwise_is_simple,
     prefix_has_smaller_image,
+    random_closed_word,
     random_sequence,
     random_unit,
     reference_classes,
+    reference_orbit,
     reference_path_for_pole,
     reference_tetra_type_sequence,
     sampled_is_simple,
@@ -579,6 +581,31 @@ def test_canonicalize_octa_pole_swap():
         spec, tuple(swap.edge_perm[e] for e in seq.edges)
     )
     assert canonicalize(spec, image).edges == canonicalize(spec, seq).edges
+
+
+@pytest.mark.parametrize("kind", list(SolidKind))
+def test_orbit_matches_reference(kind):
+    # the one pass over the group gives the least word and the orbit size
+    # of the slow oracle, on every class found at 4 angles, every tetra
+    # candidate type, and random closed walks with their squares and cubes:
+    # a proper power has fewer than 2m distinct shifts and a larger
+    # stabilizer
+    lo, hi = ADMISSIBLE[kind]
+    for k in range(4):
+        spec = build_solid(kind, lo + (hi - lo) * (k + 0.5) / 4)
+        for c in enumerate_classes(spec, 16):
+            assert (c.path.seq.edges, c.orbit_size) == reference_orbit(spec, c.path.seq.edges)
+    words = []
+    if kind is SolidKind.TETRAHEDRON:
+        spec = build_solid(kind, 0.336 * PI)
+        words += [tetra_type_sequence(spec, p, q).edges
+                  for p, q in counts.candidate_types(0.336 * PI)]
+    rng = random.Random(f"orbit/{kind.value}")
+    for _ in range(400):
+        word = random_closed_word(spec, rng)
+        words += [word, word * 2, word * 3]
+    for word in words:
+        assert finder._orbit(spec, word) == reference_orbit(spec, word)
 
 
 # ---------------------------------------------------------------------------
@@ -1134,8 +1161,9 @@ def test_enumerate_matches_deep_golden_file():
     # cut the most to prune; its depth-40 rows were written by the search
     # that pruned only the mirror of the first turns.  The depth-100 rows
     # (tetra 0.337pi, 23 classes; cube 0.505pi, 3) were written by the
-    # search that checked a closed word's least-ness by cyclic_min, before
-    # the closure became the prefix test run on through the word.  The
+    # search that checked a closed word's least-ness by the cyclic minimum
+    # now kept in tests/util.reference_orbit, before the closure became the
+    # prefix test run on through the word.  The
     # depth-100 rows above pi/2 (tetra 0.52pi and 0.6pi, 2 classes each),
     # where the winding length bound cuts, were written by the search
     # before that bound, which walked their repeats to the depth

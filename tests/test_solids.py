@@ -101,6 +101,20 @@ def test_every_directed_edge_has_one_owner(kind):
 
 
 @pytest.mark.parametrize("kind", list(SolidKind))
+def test_steps_equal_direct_rotations(kind):
+    # build_solid builds one transfer rotation per pair of local edges;
+    # every directed edge's entry is, bit for bit, the rotation that glues
+    # the neighbour's copy of that edge onto this face's copy
+    for alpha in _alphas(kind, 20):
+        spec = build_solid(kind, alpha)
+        n, chart = spec.face_size, spec.chart
+        for (f, j), (_, j2) in spec.gluing.items():
+            direct = sphtrig.rotation_from_pairs(
+                chart[(j2 + 1) % n], chart[j2], chart[j], chart[(j + 1) % n])
+            assert repr(spec.steps[(f, j)]) == repr(direct)
+
+
+@pytest.mark.parametrize("kind", list(SolidKind))
 def test_chart_metric_invariants(kind):
     closed_form = (
         sphtrig.cube_edge if kind is SolidKind.CUBE else sphtrig.tetra_edge

@@ -7,7 +7,7 @@ import random
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from sphgeo import finder, sphtrig, unfold
-from sphgeo.solids import SolidSpec
+from sphgeo.solids import SolidSpec, symmetry_group
 from sphgeo.sphtrig import PI, DomainError
 from sphgeo.unfold import CrossingSequence
 
@@ -224,6 +224,18 @@ def canonicalize(spec: SolidSpec, seq: CrossingSequence) -> CrossingSequence:
     """Lexicographic minimum of the sequence over cyclic shifts, reversal and
     the full symmetry group; idempotent."""
     return CrossingSequence.from_edges(spec, finder.canonical_word(spec, seq.edges))
+
+
+def reference_orbit(spec: SolidSpec, word: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+    """The least word of `word`'s class and its orbit size, the slow way:
+    the set of every symmetry image's least shift (of the image or of its
+    reversal), each found by trying every shift."""
+    def cyclic_min(w: Tuple[int, ...]) -> Tuple[int, ...]:
+        return min(v[r:] + v[:r] for v in (w, w[::-1]) for r in range(len(v)))
+
+    orbit = {cyclic_min(tuple(g.edge_perm[e] for e in word))
+             for g in symmetry_group(spec)}
+    return min(orbit), len(orbit)
 
 
 def random_unit(rng: random.Random) -> Tuple[float, float, float]:
