@@ -199,9 +199,13 @@ def count_tetra(
     """
     finder.check_tolerances(tol_closure, tol_vertex)
     # NaN or a float would pass the depth comparison below as "no cap", and
-    # True would cap every type at one crossing
+    # True would cap every type at one crossing; a bound below 3, which no
+    # closed walk fits, would report every type depth-capped with N = 0,
+    # where `finder.enumerate_classes` refuses it
     if max_crossings is not None and not finder.is_int(max_crossings):
         raise DomainError(f"max_crossings={max_crossings!r} is not an integer")
+    if max_crossings is not None and max_crossings < 3:
+        raise DomainError("max_crossings must be at least 3")
     spec = solids.build_solid(SolidKind.TETRAHEDRON, alpha)
     cands = candidate_types(alpha)
     solved = [(p, q) for p, q in cands

@@ -52,15 +52,21 @@ simple) and is least is solved on the walker's own layout, which is
 tetrahedron sequence is the walk of its turn word too, and `count_tetra`
 walks all its candidate types on one walker, in the lexicographic order of
 their turn words, each cut back to the prefix it shares with the word
-before (see `_type_walks`).
+before (see `_type_walks`).  The closure stage decides on the walker's
+crossing stack in place: it reads the arcs, the local edge each crossing
+leaves and the face and local edge it enters, which a `Development` holds
+under the same names, and it keeps each arc's length, sine and cosine on
+the walker.  So a count and the search copy no development and look up no
+gluing per crossing; only a path that is kept (`solve_sequence`,
+`solve_tetra_type`, `solve_class`, `cli.render_svg`) is copied into one.
 
 A hand-fused copy of a `sphtrig` helper, its float operations written out
 in the helper's order, is kept only in a loop that a workload runs hot:
-the closure stage's pass over the crossings (`sphtrig.pole_edge_crossing`'s
-floats among them), `_clip`, `unfold.Walker.cross` (its placement product
-too) and `cli.render_svg`'s sample and projection loops.  Elsewhere, the
-path stage, the pole box and the SVG's first crossing included, the
-helpers are called.
+the closure stage's passes over the arcs and the crossings
+(`sphtrig.pole_edge_crossing`'s floats among them), `_clip`,
+`unfold.Walker.cross` (its placement product too) and `cli.render_svg`'s
+sample and projection loops.  Elsewhere, the path stage, the pole box and
+the SVG's first crossing included, the helpers are called.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .sphtrig import (
     CONTACT_TOL,
@@ -271,11 +277,13 @@ _Closure = Tuple[Vec3, List[Tuple[float, float, Vec3]], List[float], float, floa
 
 
 def _closure(
-    spec: SolidSpec, dev: Development, tol_closure: float, tol_vertex: float
+    spec: SolidSpec, dev: Development | Walker, tol_closure: float, tol_vertex: float
 ) -> Optional[_Closure]:
     """The closure stage of `_solve_development`: whether `dev` closes,
-    decided on the one pole that can, without building its path."""
-    axis, ang, near_identity = axis_angle(dev.closing)
+    decided on the one pole that can, without building its path.  `dev` is
+    a kept path's development or the crossing stack of the walker that a
+    count or the search decides on, read in place."""
+    axis, ang, near_identity = axis_angle(dev.placements[-1])
     if near_identity:
         return None
     # negation flips every dot bit for bit, so of the axis and its negation
@@ -287,27 +295,36 @@ def _closure(
 
 def _closure_for_pole(
     spec: SolidSpec,
-    dev: Development,
+    dev: Development | Walker,
     pole: Vec3,
     theta: float,
     tol_closure: float,
     tol_vertex: float,
 ) -> Optional[_Closure]:
-    # The side test, then one pass over the crossings, with the floats of
-    # the sphtrig helpers they write out (dot, pole_edge_crossing with its
-    # angle_between and slerp, and angle_between and mat_apply for the
-    # chords) in their order; the pole frame is built once, not per
-    # crossing.  The equator must cross from the exited copy's side to the
-    # entered one; most poles fail this somewhere, so test every arc before
-    # any crossing
+    # The side test, the arc lengths, then one pass over the crossings,
+    # with the floats of the sphtrig helpers they write out (dot,
+    # pole_edge_crossing with its angle_between and slerp, and
+    # angle_between and mat_apply for the chords) in their order; the pole
+    # frame is built once, not per crossing.  The equator must cross from
+    # the exited copy's side to the entered one; most poles fail this
+    # somewhere, so test every arc before any crossing
     x, y, z = pole
-    dots = []
+    dps, dqs = [], []
     for (p0, p1, p2), (q0, q1, q2) in dev.arcs:
         dp = x * p0 + y * p1 + z * p2
         dq = x * q0 + y * q1 + z * q2
         if not dq > 0.0 > dp:
             return None
-        dots.append((dp, dq))
+        dps.append(dp)
+        dqs.append(dq)
+    # An arc's length, with its sine and cosine, depends on the arc alone:
+    # `dev.trig` holds them, and a walker keeps them across decisions, so
+    # walks that share a prefix compute them once
+    trig = dev.trig
+    for (a0, a1, a2), (b0, b1, b2) in dev.arcs[len(trig):]:
+        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        length = math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), a0 * b0 + a1 * b1 + a2 * b2)
+        trig.append((length, math.sin(length), math.cos(length)))
 
     # One loop computes each crossing and checks it.  Each keeps tol_vertex
     # clear of the edge's ends, and each in-face chord, from the crossing
@@ -315,22 +332,20 @@ def _closure_for_pole(
     # minor-arc length, so agreement also certifies the segment is the
     # minor arc, which face convexity then keeps inside the face copy.
     # Each crossing also files its boundary position in the two faces it
-    # joins (see `_chords_nest`): (j, t) in face f, which it exits, and
-    # (j2, 1 - t) in face g, whose glued edge j2 runs the other way.
+    # joins (see `_chords_nest`): (j, t) in face f, which it leaves over
+    # local edge j, and (j2, 1 - t) in face g, which it enters over j2,
+    # the glued edge, which runs the other way.
     (f0, f1, f2), (g0, g1, g2) = pole_frame(pole)
-    local, gluing = spec.face_edge_local, spec.gluing
-    m = len(dots)
+    m = len(dps)
     hits = []
     arc_lengths = []
-    ends: Dict[int, List[Tuple[int, float, int]]] = {f: [] for f in range(len(spec.faces))}
-    for i, (((a0, a1, a2), (b0, b1, b2)), (da, db), f, e) in enumerate(
-            zip(dev.arcs, dots, dev.faces, dev.seq.edges)):
+    ends: List[List[Tuple[int, float, int]]] = [[] for _ in spec.faces]
+    entered = dev.entered
+    for i, (((a0, a1, a2), (b0, b1, b2)), (length, sin_len, cos_len), da, db, (f, _), j,
+            (g, j2)) in enumerate(zip(dev.arcs, trig, dps, dqs, entered, dev.exits, entered[1:])):
         if da * db >= -CROSSING_FLOOR:
             return None
-        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-        length = math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
-                            a0 * b0 + a1 * b1 + a2 * b2)
-        s_len = math.atan2(da * math.sin(length), da * math.cos(length) - db)
+        s_len = math.atan2(da * sin_len, da * cos_len - db)
         if s_len <= 0.0:
             s_len += PI
         t = s_len / length
@@ -356,9 +371,6 @@ def _closure_for_pole(
             arc_lengths.append(seg)
         hits.append((t, azimuth, (p0, p1, p2)))
         o0, o1, o2, prev_azimuth = p0, p1, p2, azimuth
-
-        j = local[(f, e)]
-        g, j2 = gluing[(f, j)]
         # segment i runs from crossing i to crossing i + 1 in face g
         ends[f].append((j, t, (i - 1) % m))
         ends[g].append((j2, 1.0 - t, i))
@@ -369,7 +381,7 @@ def _closure_for_pole(
     gap = (azimuth + theta - prev_azimuth) % TWO_PI
     if gap <= 0.0:
         return None
-    p0, p1, p2 = mat_apply(dev.closing, point)
+    p0, p1, p2 = mat_apply(dev.placements[-1], point)
     c0, c1, c2 = o1 * p2 - o2 * p1, o2 * p0 - o0 * p2, o0 * p1 - o1 * p0
     seg = math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), o0 * p0 + o1 * p1 + o2 * p2)
     if abs(seg - gap) > tol_closure:
@@ -390,13 +402,13 @@ def _build_path(spec: SolidSpec, dev: Development, closure: _Closure) -> Geodesi
     """The path stage of `_solve_development`: each crossing of a closure,
     with its incidence measured on the edge as the exited copy develops it."""
     pole, hits, arc_lengths, total, residual = closure
-    n, local = spec.face_size, spec.face_edge_local
+    n = spec.face_size
     crossings = []
-    for f, e, (t, _, point), (p, q) in zip(dev.faces, dev.seq.edges, hits, dev.arcs):
+    for (f, _), j, e, (t, _, point), (p, q) in zip(
+            dev.entered, dev.exits, dev.seq.edges, hits, dev.arcs):
         # the geodesic's tangent at the crossing runs along the pole's equator
         inc = _edge_angle(normalize(cross(pole, point)), point, p, q)
         face = spec.faces[f]
-        j = local[(f, e)]
         if face[j] < face[(j + 1) % n]:
             crossings.append(Crossing(e, t, inc))
         else:
@@ -417,18 +429,18 @@ def _edge_angle(direction: Vec3, point: Vec3, p: Vec3, q: Vec3) -> float:
     return angle_between(direction, normalize(cross(normalize(cross(p, q)), point)))
 
 
-def _chords_nest(ends: Dict[int, List[Tuple[int, float, int]]], tol: float) -> bool:
+def _chords_nest(ends: Iterable[List[Tuple[int, float, int]]], tol: float) -> bool:
     """Whether the in-face segments whose endpoints `ends` files are
     pairwise disjoint.
 
-    `ends` maps each face to the (local edge j, fraction t, segment)
+    `ends` lists, face by face, the (local edge j, fraction t, segment)
     boundary positions of the segments' endpoints in it.  Each segment is a
     minor chord between two boundary points of one convex face, so two
     segments in one face meet exactly when their endpoints interleave
     around its boundary or lie within `tol` on one edge.  Endpoints on
     different edges never touch: every t keeps tol_vertex clear of a vertex.
     """
-    for face_ends in ends.values():
+    for face_ends in ends:
         face_ends.sort()
         prev_j, prev_t = -1, 0.0
         open_chords: List[int] = []
@@ -822,9 +834,8 @@ def enumerate_classes(
         if (m >= 3 and face == start_face and closing
                 and not any(edges[d:] + edges[:d] == edges for d in _power_shifts(m))
                 and _extend_least(turns + (closing,) + turns, m - 1, tied, n) is not None):
-            dev = walker.development()
-            if _closure(spec, dev, tol_closure, tol_vertex) is not None:
-                found.append(dev.seq.edges)
+            if _closure(spec, walker, tol_closure, tol_vertex) is not None:
+                found.append(tuple(edges))
         if m == max_crossings:
             continue
         # pushed last turn first, so the walk visits turns in increasing order
@@ -883,9 +894,10 @@ def _turn_word(p: int, q: int) -> bytes:
 
 def _type_walks(
     spec: SolidSpec, types: Sequence[Tuple[int, int]]
-) -> Iterator[Tuple[int, Development]]:
-    """(i, the laid-out walk of types[i]) for every type, in the
-    lexicographic order of their turn words.
+) -> Iterator[Tuple[int, Walker]]:
+    """(i, the walker holding the walk of types[i]) for every type, in the
+    lexicographic order of their turn words; it holds it until the next
+    step.
 
     One `unfold.Walker` lays them all out: each word cuts it back to the
     crossings fixed by the turns it shares with the word before it, and
@@ -908,7 +920,7 @@ def _type_walks(
         for t in words[i][k:]:
             walker.cross(t)
         held = words[i]
-        yield i, walker.development()
+        yield i, walker
 
 
 def tetra_type_sequence(spec: SolidSpec, p: int, q: int) -> CrossingSequence:
@@ -926,8 +938,8 @@ def tetra_type_sequence(spec: SolidSpec, p: int, q: int) -> CrossingSequence:
     the pair counts for every type a count can list, and the class against
     a line traced across the triangular lattice for q <= 30).
     """
-    ((_, dev),) = _type_walks(spec, ((p, q),))
-    return dev.seq
+    ((_, walker),) = _type_walks(spec, ((p, q),))
+    return CrossingSequence(tuple(walker.edges))
 
 
 def solve_tetra_type(
@@ -940,8 +952,8 @@ def solve_tetra_type(
     """Solve the targeted type-(p, q) sequence on the development of its
     walk; None when no such geodesic exists at this facet angle."""
     check_tolerances(tol_closure, tol_vertex)
-    ((_, dev),) = _type_walks(spec, ((p, q),))
-    return _solve_development(spec, dev, tol_closure, tol_vertex)
+    ((_, walker),) = _type_walks(spec, ((p, q),))
+    return _solve_development(spec, walker.development(), tol_closure, tol_vertex)
 
 
 def _types_found(
@@ -951,8 +963,9 @@ def _types_found(
     """Whether `solve_tetra_type` finds each of `types`, in their order.
 
     The types are walked along one shared-prefix walk (`_type_walks`), and
-    each is decided by the closure stage alone: no path is built."""
+    each is decided by the closure stage alone, on the walker's own
+    stack: no development is copied and no path is built."""
     found = [False] * len(types)
-    for i, dev in _type_walks(spec, types):
-        found[i] = _closure(spec, dev, tol_closure, tol_vertex) is not None
+    for i, walker in _type_walks(spec, types):
+        found[i] = _closure(spec, walker, tol_closure, tol_vertex) is not None
     return found

@@ -14,7 +14,9 @@ which `cut` shortens and `cross` extends by one exit turn.  ``develop``
 walks the turns of a crossing sequence, the exhaustive search in
 ``finder`` cuts and crosses once per walk node, and the tetrahedron types
 are walked by one ``Walker``, so every development comes from the same
-products in the same order.
+products in the same order.  ``finder``'s closure stage reads a walker's
+stack in place; `Walker.development` copies it only for a path that is
+kept.
 """
 
 from __future__ import annotations
@@ -92,22 +94,37 @@ class CrossingSequence:
 class Development:
     """Face placements and developed edge arcs of one crossing sequence.
 
-    ``faces[i]`` is the face crossing i leaves, and ``placements[i]``
-    carries face ``faces[i % m]`` for m crossings; ``arcs[i]`` is the
-    developed copy of crossing i's edge, directed as the boundary of the
-    face copy being exited (the entered copy traverses it backwards).
-    ``closing`` is the holonomy: placements[-1] relative to the identity
-    start.
+    ``placements[i]`` carries face ``faces[i % m]`` for m crossings, and
+    crossing i leaves it over its local edge ``exits[i]`` into the face and
+    local edge ``entered[i + 1]``; ``entered[0]`` is the start face and
+    ``exits[0]``.  ``arcs[i]`` is the developed copy of crossing i's edge,
+    directed as the boundary of the face copy being exited (the entered
+    copy traverses it backwards).  ``closing`` is the holonomy:
+    placements[-1] relative to the identity start.  A `Walker` holds
+    placements, arcs, entered and exits as lists, and the closure stage in
+    ``finder`` reads them from either.
     """
 
     seq: CrossingSequence
-    faces: Tuple[int, ...]
     placements: Tuple[Mat3, ...]
     arcs: Tuple[Tuple[Vec3, Vec3], ...]
+    entered: Tuple[Tuple[int, int], ...]
+    exits: Tuple[int, ...]
+
+    @property
+    def faces(self) -> Tuple[int, ...]:
+        """The face each crossing leaves."""
+        return tuple(f for f, _ in self.entered[:-1])
 
     @property
     def closing(self) -> Mat3:
         return self.placements[-1]
+
+    @property
+    def trig(self) -> List[Tuple[float, float, float]]:
+        """A fresh list for the closure stage's (length, sine, cosine) of
+        each arc: a development keeps none, a walker keeps its own."""
+        return []
 
 
 class Walker:
@@ -122,20 +139,24 @@ class Walker:
     from there, with the products of a fresh walk, float for float.
     ``placements[i + 1]`` and ``entered[i + 1]`` belong to the copy that
     crossing i enters; the start copy enters `face` over j itself, so its
-    turn 0 is the first crossing.
+    turn 0 is the first crossing.  ``exits[i]`` is the local edge that
+    crossing i leaves its face over.
     """
 
     def __init__(self, spec: SolidSpec, face: int, j: int) -> None:
         self.spec = spec
         self.edges: List[int] = []
+        self.exits: List[int] = []
         self.arcs: List[Tuple[Vec3, Vec3]] = []
+        # (length, sine, cosine) of arcs[i], kept by the closure stage
+        self.trig: List[Tuple[float, float, float]] = []
         self.placements: List[Mat3] = [IDENTITY]
         self.entered: List[Tuple[int, int]] = [(face, j)]  # (face, local edge)
         self.cross(0)
 
     def cut(self, k: int) -> None:
         """Keep the first k crossings."""
-        del self.edges[k:], self.arcs[k:]
+        del self.edges[k:], self.exits[k:], self.arcs[k:], self.trig[k:]
         del self.placements[k + 1:], self.entered[k + 1:]
 
     def cross(self, t: int) -> None:
@@ -152,6 +173,7 @@ class Walker:
         p0, p1, p2 = spec.chart[j]
         q0, q1, q2 = spec.chart[(j + 1) % spec.face_size]
         self.edges.append(spec.face_edges[face][j])
+        self.exits.append(j)
         self.arcs.append(((m00 * p0 + m01 * p1 + m02 * p2,
                            m10 * p0 + m11 * p1 + m12 * p2,
                            m20 * p0 + m21 * p1 + m22 * p2),
@@ -172,10 +194,9 @@ class Walker:
              m20 * s02 + m21 * s12 + m22 * s22)))
 
     def development(self) -> Development:
-        """The crossings held, as a development."""
-        return Development(CrossingSequence(tuple(self.edges)),
-                           tuple(f for f, _ in self.entered[:-1]),
-                           tuple(self.placements), tuple(self.arcs))
+        """The crossings held, copied into a development."""
+        return Development(CrossingSequence(tuple(self.edges)), tuple(self.placements),
+                           tuple(self.arcs), tuple(self.entered), tuple(self.exits))
 
 
 def develop(spec: SolidSpec, seq: CrossingSequence) -> Development:

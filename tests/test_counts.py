@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sphgeo import counts
+from sphgeo import counts, sphtrig
 from sphgeo.counts import (
     CountReport,
     c1_alpha,
@@ -20,9 +20,11 @@ from sphgeo.counts import (
     sufficient_exists,
     totient_sum,
 )
-from sphgeo.finder import solve_tetra_type
+from sphgeo.finder import SOLVE_TOL, enumerate_classes, solve_tetra_type, tetra_type_sequence
 from sphgeo.solids import SolidKind, build_solid, cone_angle
 from sphgeo.sphtrig import PI, DomainError, tetra_edge
+
+from util import reference_develop, reference_path_for_pole
 
 PI2 = PI * PI
 
@@ -303,6 +305,22 @@ def test_count_tetra_rejects_non_integer_depth(depth):
         count_tetra(0.45 * PI, depth)
 
 
+def test_count_tetra_rejects_depth_below_three():
+    # no closed walk has fewer than 3 crossings: such a bound would report
+    # every type depth-capped with N = 0, and enumerate_classes refuses it
+    # with the same message
+    spec = build_solid(SolidKind.TETRAHEDRON, 0.45 * PI)
+    for depth in (-5, 0, 2):
+        for call in (lambda: count_tetra(0.45 * PI, depth),
+                     lambda: enumerate_classes(spec, depth)):
+            with pytest.raises(DomainError, match="^max_crossings must be at least 3$"):
+                call()
+    # 3 is accepted; every type needs at least 4 crossings, so all are capped
+    rep = count_tetra(0.45 * PI, 3)
+    assert rep.n == 0 and rep.verdicts
+    assert all(v.verdict == "depth-capped" for v in rep.verdicts)
+
+
 @pytest.mark.parametrize("alpha", [PI / 3, 2 * PI / 3, 0.7 * PI, math.nan])
 def test_count_tetra_rejects_inadmissible_alpha(alpha):
     # the tetrahedron is built first, and it refuses the angle
@@ -330,3 +348,24 @@ def test_count_tetra_verdicts_in_candidate_order():
     assert [v.found for v in rep.verdicts] == [
         solve_tetra_type(spec, v.p, v.q) is not None for v in rep.verdicts]
     assert not all(v.found for v in rep.verdicts)
+
+
+def test_count_verdicts_match_reference_near_flat_limit():
+    # the sweep-flat benchmark's range, 0.334pi to 0.340pi in steps of
+    # 0.0005pi, where the typed walks are longest: every candidate's verdict
+    # must be the arc-by-arc reference solver's on the reference layout of
+    # the type's sequence, with both signs of the closing rotation's axis
+    outcomes = set()
+    for k in range(13):
+        api = 0.334 + 0.0005 * k
+        alpha = api * PI
+        spec = build_solid(SolidKind.TETRAHEDRON, alpha)
+        for v in count_tetra(alpha).verdicts:
+            dev = reference_develop(spec, tetra_type_sequence(spec, v.p, v.q))
+            axis, ang, near_identity = sphtrig.axis_angle(dev.closing)
+            poles = () if near_identity else ((axis, ang), (sphtrig.neg(axis), 2 * PI - ang))
+            found = any(reference_path_for_pole(spec, dev, pole, theta, SOLVE_TOL, SOLVE_TOL)
+                        is not None for pole, theta in poles)
+            assert v.found == found, (api, v.p, v.q)
+            outcomes.add(found)
+    assert outcomes == {True, False}

@@ -32,6 +32,7 @@ from util import (
     edge_copies_coincide,
     feasible_pole_exists,
     is_simple,
+    laid_out,
     least_turn_image,
     path_for_pole,
     pairwise_is_simple,
@@ -471,7 +472,7 @@ def simplicity_verdicts(monkeypatch):
     closure_for_pole, chords_nest = finder._closure_for_pole, finder._chords_nest
 
     def solve(spec, dev, pole, *args):
-        solving[:] = [(spec, dev, pole)]
+        solving[:] = [(spec, laid_out(dev), pole)]
         return closure_for_pole(spec, dev, pole, *args)
 
     def checked(ends, tol):
@@ -747,7 +748,8 @@ def test_tetra_type_sequence_structure():
         counts.MAX_CANDIDATES * math.sqrt(3.0) * PI)
     assert len(types) == 2002 and max(q for _, q in types) == 103
     traced = 0
-    for i, dev in finder._type_walks(spec, types):
+    for i, walker in finder._type_walks(spec, types):
+        dev = walker.development()
         p, q = types[i]
         seq = dev.seq
         assert len(seq.edges) == 4 * (p + q)
@@ -795,12 +797,12 @@ def test_shared_prefix_walk_matches_one_type_walks(alpha, types, run, rnd):
     types = types + [(1, q) for q in range(1, run + 1)]
     rnd.shuffle(types)
     spec = build_solid(SolidKind.TETRAHEDRON, alpha * PI)
-    batched = list(finder._type_walks(spec, types))
+    batched = [(i, walker.development()) for i, walker in finder._type_walks(spec, types)]
     assert sorted(i for i, _ in batched) == list(range(len(types)))
     for i, dev in batched:
         p, q = types[i]
         ((_, alone),) = finder._type_walks(spec, [(p, q)])
-        assert repr(dev) == repr(alone), (p, q)
+        assert repr(dev) == repr(alone.development()), (p, q)
         path = finder._solve_development(spec, dev, finder.SOLVE_TOL, finder.SOLVE_TOL)
         assert repr(path) == repr(solve_tetra_type(spec, p, q)), (p, q)
     found = finder._types_found(spec, types, finder.SOLVE_TOL, finder.SOLVE_TOL)
@@ -917,7 +919,7 @@ def test_proper_powers_never_simple(kind, alphas, monkeypatch):
     solve = finder._closure
 
     def recorded(spec, dev, tol_closure, tol_vertex):
-        closures.append(dev.seq.edges)
+        closures.append(laid_out(dev).seq.edges)
         return solve(spec, dev, tol_closure, tol_vertex)
 
     monkeypatch.setattr(finder, "_closure", recorded)
@@ -941,7 +943,7 @@ def test_search_lays_out_closures_as_develop(monkeypatch):
     solve = finder._closure
 
     def recorded(spec, dev, tol_closure, tol_vertex):
-        devs.append(dev)
+        devs.append(laid_out(dev))
         return solve(spec, dev, tol_closure, tol_vertex)
 
     monkeypatch.setattr(finder, "_closure", recorded)
@@ -1057,10 +1059,11 @@ def test_path_for_pole_matches_reference(monkeypatch):
     calls = []
     solve = finder._closure_for_pole
 
-    def recorded(*args):
-        closure = solve(*args)
-        spec, dev = args[:2]
-        calls.append((args, None if closure is None else finder._build_path(spec, dev, closure)))
+    def recorded(spec, dev, *args):
+        closure = solve(spec, dev, *args)
+        dev = laid_out(dev)
+        calls.append(((spec, dev) + args,
+                      None if closure is None else finder._build_path(spec, dev, closure)))
         return closure
 
     monkeypatch.setattr(finder, "_closure_for_pole", recorded)
@@ -1089,9 +1092,10 @@ def test_solve_tries_one_pole(monkeypatch):
     solve, closure_for_pole = finder._closure, finder._closure_for_pole
 
     def recorded(spec, dev, tol_closure, tol_vertex):
-        solved.append([spec, dev, tol_closure, tol_vertex, 0])
+        solved.append([spec, laid_out(dev), tol_closure, tol_vertex, 0])
         closure = solve(spec, dev, tol_closure, tol_vertex)
-        solved[-1].append(None if closure is None else finder._build_path(spec, dev, closure))
+        kept = solved[-1][1]
+        solved[-1].append(None if closure is None else finder._build_path(spec, kept, closure))
         return closure
 
     def counted(*args):
@@ -1360,6 +1364,28 @@ def test_count_work_counts(alpha, crossed, closures, decided, closed, monkeypatc
     assert len(decisions) == closures
     assert sum(m for m, _ in decisions) == decided
     assert sum(ok for _, ok in decisions) == closed
+
+
+def test_decisions_copy_no_development(monkeypatch):
+    # a count and the search decide each word on the walker's own crossing
+    # stack; only a kept path is copied into a development, once per class
+    # the search finds (solve_class solves the class's canonical word)
+    copies = []
+    development = unfold.Walker.development
+
+    def copying(walker):
+        copies.append(None)
+        return development(walker)
+
+    monkeypatch.setattr(unfold.Walker, "development", copying)
+    counts.count_tetra(0.336 * PI)
+    assert copies == []
+    for kind, alpha, found in [(SolidKind.OCTAHEDRON, 0.42 * PI, 2),
+                               (SolidKind.CUBE, 0.52 * PI, 3),
+                               (SolidKind.TETRAHEDRON, 0.337 * PI, 4)]:
+        copies.clear()
+        assert len(enumerate_classes(build_solid(kind, alpha), 16)) == found
+        assert len(copies) == found, kind
 
 
 def test_closure_crossings_match_helper(monkeypatch):

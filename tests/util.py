@@ -101,16 +101,30 @@ def reference_develop(spec: SolidSpec, seq: CrossingSequence) -> unfold.Developm
     faces = reference_face_walk(spec, seq.edges)
     placements = [sphtrig.IDENTITY]
     arcs = []
+    exits = []
+    entered = []
     r = sphtrig.IDENTITY
     for f, e in zip(faces, seq.edges):
         j = spec.face_edge_local[(f, e)]
         p = sphtrig.mat_apply(r, spec.chart[j])
         q = sphtrig.mat_apply(r, spec.chart[(j + 1) % n])
         arcs.append((p, q))
+        exits.append(j)
+        entered.append(spec.gluing[(f, j)])
         r = sphtrig.mat_compose(r, spec.steps[(f, j)])
         placements.append(r)
-    return unfold.Development(seq=seq, faces=faces, placements=tuple(placements),
-                              arcs=tuple(arcs))
+    # the start copy enters faces[0] over the edge of crossing 0 itself
+    entered.insert(0, (faces[0], exits[0]))
+    return unfold.Development(seq=seq, placements=tuple(placements), arcs=tuple(arcs),
+                              entered=tuple(entered), exits=tuple(exits))
+
+
+def laid_out(dev) -> unfold.Development:
+    """What the closure stage was handed, as a development that outlives
+    the call: a kept path's development, or a copy of the crossing stack
+    of the `unfold.Walker` that a count or the search decides on and then
+    moves on."""
+    return dev.development() if isinstance(dev, unfold.Walker) else dev
 
 
 def edge_copies_coincide(spec: SolidSpec, dev: unfold.Development, tol: float) -> bool:
@@ -217,7 +231,7 @@ def dev_is_simple(spec: SolidSpec, dev: unfold.Development, hits) -> bool:
         g, j2 = spec.gluing[(f, j)]
         ends.setdefault(f, []).append((j, t, (i - 1) % m))
         ends.setdefault(g, []).append((j2, 1.0 - t, i))
-    return finder._chords_nest(ends, sphtrig.CONTACT_TOL / spec.edge_length)
+    return finder._chords_nest(ends.values(), sphtrig.CONTACT_TOL / spec.edge_length)
 
 
 def canonicalize(spec: SolidSpec, seq: CrossingSequence) -> CrossingSequence:
