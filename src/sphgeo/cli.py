@@ -180,7 +180,7 @@ def render_svg(
     otherwise DomainError is raised and nothing is drawn.
     """
     finder.check_tolerances(tol_closure, tol_vertex)
-    dev = unfold.develop(spec, unfold.CrossingSequence(tuple(cls_doc["canonical_sequence"])))
+    dev = unfold.develop(spec, unfold.CrossingSequence(cls_doc["canonical_sequence"]))
     path = finder._solve_development(spec, dev, tol_closure, tol_vertex)
     if path is None:
         raise DomainError("document sequence does not solve at this angle")

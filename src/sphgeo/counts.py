@@ -203,14 +203,8 @@ def count_tetra(
     `max_crossings` (when given) are reported as depth-capped and not counted.
     """
     finder.check_tolerances(tol_closure, tol_vertex)
-    # NaN or a float would pass the depth comparison below as "no cap", and
-    # True would cap every type at one crossing; a bound below 3, which no
-    # closed walk fits, would report every type depth-capped with N = 0,
-    # where `finder.enumerate_classes` refuses it
-    if max_crossings is not None and not finder.is_int(max_crossings):
-        raise DomainError(f"max_crossings={max_crossings!r} is not an integer")
-    if max_crossings is not None and max_crossings < 3:
-        raise DomainError("max_crossings must be at least 3")
+    # a bound below 3 would report every type depth-capped with N = 0
+    finder.check_depth(max_crossings)
     spec = solids.build_solid(SolidKind.TETRAHEDRON, alpha)
     cands = candidate_types(alpha)
     solved = [(p, q) for p, q in cands

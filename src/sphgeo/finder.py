@@ -23,11 +23,12 @@ they nest like parentheses decides simplicity in O(k log k) for k crossings.
 The search over sequences is a depth-first walk over faces, run as one loop
 over a stack of immutable walk nodes.  It is pruned by a pole-feasibility
 test (does any great circle cross all developed edges the right way?) and
-by a running lower bound on length against the 2*pi cap: the straight turn
-across a square adds one edge length, a run of r equal turns that are not
-straight, which winds r*alpha about one vertex, adds pi*floor(r*alpha/pi),
-and every two crossings add at least the distance between their developed
-edges, a closed form in the two turns between them (see `enumerate_classes`).
+by a running lower bound on length against the 2*pi cap: the best sum of
+bounds on disjoint pieces of the walk, each piece a straight turn across a
+square (one edge length), a run of r equal turns that are not straight,
+which winds r*alpha about one vertex (pi*floor(r*alpha/pi)), or two
+crossings (the distance between their developed edges, a closed form in
+the two turns between them; see `enumerate_classes`).
 The cap closes every branch, so with no crossing bound the search ends on
 its own.
 The feasible poles form a convex polygon in the gnomonic chart about the first
@@ -117,6 +118,18 @@ def check_tolerances(tol_closure: float, tol_vertex: float) -> None:
     if not tol_vertex < 0.5:
         raise DomainError(f"tol_vertex={tol_vertex!r} must be below 0.5: each crossing "
                           "keeps that fraction of its edge clear of both ends")
+
+
+def check_depth(max_crossings: Optional[int]) -> None:
+    """Raise DomainError unless a crossing bound is None or an int (not a
+    bool) of at least 3, the fewest crossings of a closed walk."""
+    # a float bound would never equal a walk's depth and NaN passes every
+    # range check, so either would be no bound; True would bound at 1
+    if max_crossings is not None:
+        if not is_int(max_crossings):
+            raise DomainError(f"max_crossings={max_crossings!r} is not an integer")
+        if max_crossings < 3:
+            raise DomainError("max_crossings must be at least 3")
 
 
 def is_int(x: object) -> bool:
@@ -627,27 +640,25 @@ def _extend_least(
     return tied
 
 
-def _turn_bound(
-    spec: SolidSpec, closed: float, run: int, last: int, t: int
-) -> Tuple[float, float, int]:
-    """The search's length bound (see `enumerate_classes`) after exit turn
-    t of a walk whose last turn is `last` (0 for none).  `closed` bounds
-    the walk's straight turns and closed runs, and `run` counts the turns of
-    its open run of equal turns that are not straight; returns the bound,
-    `closed` and `run` after turn t.  A run of r turns earns
+def _length_bound(
+    spec: SolidSpec, window: List[List[float]], turns: bytes, best: Sequence[float]
+) -> float:
+    """best[k], the search's length bound (see `enumerate_classes`) on the
+    walk of the k `turns` from crossing 0 to crossing k, given best[:k].
+    A trailing run of r equal turns that are not straight earns
     pi * floor(r * alpha / pi * (1 - 1e-9)): the slack keeps rounding from
     crediting a winding just below k*pi, as for r = 2 at the float
     alpha = 0.5 * PI, which lies below the true pi/2."""
-    wind = spec.alpha / PI * (1.0 - 1e-9)
-    straight = 2 * t == spec.face_size
-    if straight or t != last:
-        closed += PI * math.floor(run * wind)
-        run = 0
-    if straight:
-        closed += spec.edge_length
+    k, t = len(turns), turns[-1]
+    if 2 * t == spec.face_size:
+        lb = best[k - 1] + spec.edge_length
     else:
-        run += 1
-    return closed + PI * math.floor(run * wind), closed, run
+        r = k - len(turns.rstrip(turns[-1:]))
+        wind = spec.alpha / PI * (1.0 - 1e-9)
+        lb = max(best[k - 1], best[k - r] + PI * math.floor(r * wind))
+    if k >= 2:
+        lb = max(lb, best[k - 2] + window[turns[-2]][t])
+    return lb
 
 
 def _window_table(spec: SolidSpec) -> List[List[float]]:
@@ -732,51 +743,41 @@ def enumerate_classes(
     "Generating bracelets in constant amortized time", SIAM J. Comput. 31,
     2001), whose comparisons `_extend_least` states.
 
-    Length bound by turns.  The geodesic's segment in a face copy joins
-    its entry and exit edges, so it is at least their distance, which
-    depends on the exit turn alone: every copy is a rotated copy of one
-    regular chart.  Edges with a common vertex are at distance 0.  The
-    opposite sides of a square (the straight turn, 2t = n) are one edge
-    length apart: the nearest points of two disjoint arcs are the feet of a
-    common perpendicular (here the midline, longer than a side, since a
-    spherical Saccheri quadrilateral's summit is shorter than its base), a
-    corner and its foot (none lands inside the far side, as alpha > pi/2)
-    or two corners (a diagonal, opposite an obtuse corner, is longer than a
-    side).  A run of r equal turns that are not straight makes r + 1
-    crossings on edges that share one vertex v, in face copies that fan
-    around one copy of v, so the geodesic's azimuth about v moves by
-    r*alpha from the first to the last.  A great circle that misses +-v
-    moves its azimuth about v monotonically, by exactly pi per length pi,
-    and a convex face copy that holds v never holds -v, so that piece is at
-    least pi*floor(r*alpha/pi) long.  Runs and straight turns do not
-    overlap, so the walk sums their bounds (`_turn_bound`).
-
-    Window bound.  The geodesic's piece from crossing i - 2 to crossing i,
-    unfolded into the two face copies between them, is one great-circle arc
-    from a point of developed edge arc i - 2 to a point of arc i, so it is
-    at least the distance between the two arcs.  Two disjoint minor arcs
-    are nearest at an endpoint of one of them: a pair of interior points
-    joined perpendicular to both great circles is no local minimum, as
-    moving both toward the circles' intersection shortens it.  The two
-    copies are laid out by the turns t_{i-2} and t_{i-1} alone, so the
-    distance is a closed form in them (`_window_table`).  Each node keeps best[i], a
-    bound on the piece from crossing 0 to crossing i: the maximum of the
-    sum above, best[i - 1], and best[i - 2] plus the window's distance.
-    best[i - 2] bounds a piece that ends where the window starts, so the
-    two add, and the others bound the same piece or a shorter one.  On the
-    tetrahedron's alternating repeats, such as (1, 2)^k, the runs earn
-    nothing but every window earns a rhombus width.  A child is cut when
-    it is pushed, once its bound reaches the 2*pi cap.
+    Length bound.  Three pieces of the geodesic have bounds of their own.
+    Its segment in a face copy joins the entry and exit edges, so it is at
+    least their distance, which depends on the exit turn alone: every copy
+    is a rotated copy of one regular chart.  Edges with a common vertex are
+    at distance 0; the opposite sides of a square (the straight turn, 2t =
+    n) are one edge length a apart: the nearest points of two disjoint arcs
+    are the feet of a common perpendicular (here the midline, longer than a
+    side, since a spherical Saccheri quadrilateral's summit is shorter than
+    its base), a corner and its foot (none lands inside the far side, as
+    alpha > pi/2) or two corners (a diagonal, opposite an obtuse corner, is
+    longer than a side).  A run of r equal turns that are not straight makes
+    r + 1 crossings on edges that share one vertex v, in face copies that
+    fan around one copy of v, so the geodesic's azimuth about v moves by
+    r*alpha.  A great circle that misses +-v moves its azimuth about v
+    monotonically, by exactly pi per length pi, and a convex face copy that
+    holds v never holds -v, so that piece is at least pi*floor(r*alpha/pi).
+    The piece from crossing i - 2 to crossing i, unfolded, is one
+    great-circle arc between developed edge arcs i - 2 and i, so it is at
+    least their distance, which two disjoint minor arcs take at an endpoint
+    of one (interior feet of a common perpendicular are no local minimum),
+    a closed form in t_{i-2} and t_{i-1} (`_window_table`).  Each node keeps
+    best[i], a bound on the piece from crossing 0 to crossing i, for each i
+    up to its k turns (`_length_bound`): best[0] = 0, and best[k] is the
+    largest of best[k - 1] + a if t_{k-1} is straight, else best[k - 1] and
+    best[k - r] plus the winding of the trailing run of r turns equal to
+    t_{k-1}, and best[k - 2] plus the window.  By induction on k it is
+    sound, as each term adds a piece's bound to a bound of the disjoint
+    piece before it, and it is at least the sum of the walk's straight
+    turns and maximal runs.  On the tetrahedron's alternating repeats, such
+    as (1, 2)^k, the runs earn nothing but every window earns a rhombus
+    width.  A child is cut when it is pushed, once its bound reaches 2*pi.
     """
-    # a float bound would never equal the depth, and NaN passes both range
-    # checks, so either would let the walk run without end
-    if max_crossings is not None:
-        if not is_int(max_crossings):
-            raise DomainError(f"max_crossings={max_crossings!r} is not an integer")
-        if max_crossings < 3:
-            raise DomainError("max_crossings must be at least 3")
-        if max_crossings > MAX_SEARCH_DEPTH:
-            raise DomainError(f"max_crossings must be at most {MAX_SEARCH_DEPTH}")
+    check_depth(max_crossings)
+    if max_crossings is not None and max_crossings > MAX_SEARCH_DEPTH:
+        raise DomainError(f"max_crossings must be at most {MAX_SEARCH_DEPTH}")
     check_tolerances(tol_closure, tol_vertex)
     n = spec.face_size
     window = _window_table(spec)
@@ -784,18 +785,17 @@ def enumerate_classes(
     found: List[bytes] = []
     # A node is the walk of the start crossing and its `turns`, with the
     # pole region of its parent's crossings (the root's is the chart about
-    # its entry vertex), its length bound as `_turn_bound` keeps it (the
-    # bound of its closed runs and the length of its open run), the bounds
-    # of its parent and of itself, and the forward images of `turns` that
+    # its entry vertex), best[i] for each i up to len(turns) (see
+    # `_length_bound`), and the forward images of `turns` that
     # `_extend_least` has not yet decided.
     # Nodes are popped in preorder, so the walker always holds the parent's
     # crossings, perhaps followed by those of an earlier sibling's subtree:
     # the root is the walker's first crossing, and any other node costs one
     # cut and one crossing.
     walker = Walker(spec, start_face, start_j)
-    stack = [(b"", (_pole_box(walker.arcs[0][1]), None), 0.0, 0, 0.0, 0.0, ())]
+    stack = [(b"", (_pole_box(walker.arcs[0][1]), None), (0.0,), ())]
     while stack:
-        turns, region, closed, run, before, bound, tied = stack.pop()
+        turns, region, best, tied = stack.pop()
         if turns:
             walker.cut(len(turns))
             walker.cross(turns[-1])
@@ -820,16 +820,13 @@ def enumerate_classes(
         if m == max_crossings:
             continue
         # pushed last turn first, so the walk visits turns in increasing order
-        last = turns[-1] if turns else 0
-        gaps = window[last]
         for t in range(n - 1, 0, -1):
-            lb, closed2, run2 = _turn_bound(spec, closed, run, last, t)
-            lb = max(lb, bound, before + gaps[t])
+            grown = turns + bytes((t,))
+            lb = _length_bound(spec, window, grown, best)
             if lb < TWO_PI - 1e-12:
-                grown = turns + bytes((t,))
                 still = _extend_least(grown, len(turns), tied, n)
                 if still is not None:
-                    stack.append((grown, region, closed2, run2, bound, lb, still))
+                    stack.append((grown, region, best + (lb,), still))
 
     classes = [solve_class(spec, word, tol_closure, tol_vertex) for word in found]
     classes.sort(key=lambda c: c.path.seq.edges)

@@ -45,13 +45,18 @@ class CrossingSequence:
 
     edges: Tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        # any iterable of edge ids: a list would neither hash nor equal the
+        # tuple, and an iterator has no length to validate
+        object.__setattr__(self, "edges", tuple(self.edges))
+
     def __len__(self) -> int:
         return len(self.edges)
 
     @staticmethod
     def from_edges(spec: SolidSpec, edges: Sequence[int]) -> "CrossingSequence":
         """The sequence of a cyclic edge-id list, checked by `validate`."""
-        seq = CrossingSequence(tuple(edges))
+        seq = CrossingSequence(edges)
         seq.validate(spec)
         return seq
 
@@ -121,7 +126,7 @@ class Walker:
     @property
     def seq(self) -> CrossingSequence:
         """The edge word of the crossings held."""
-        return CrossingSequence(tuple(self.edges))
+        return CrossingSequence(self.edges)
 
     @property
     def faces(self) -> Tuple[int, ...]:

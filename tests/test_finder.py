@@ -40,6 +40,7 @@ from util import (
     random_sequence,
     random_unit,
     reference_classes,
+    reference_length_bound,
     reference_orbit,
     reference_path_for_pole,
     reference_tetra_type_sequence,
@@ -477,10 +478,14 @@ def test_any_int_sequence_is_an_edge_word(kind):
         least = finder.canonical_word(spec, word)
         size = orbit_size(spec, CrossingSequence(word))
         cls = finder.solve_class(spec, word)
-        assert orbit_size(spec, CrossingSequence(list(word))) == size
         for like in (list, iter):
             assert finder.canonical_word(spec, like(word)) == least
             assert finder.solve_class(spec, like(word)) == cls
+            # the sequence stores the tuple, so it equals, hashes and
+            # validates as the tuple's
+            seq = CrossingSequence(like(word))
+            assert seq == CrossingSequence(word) and hash(seq) == hash(CrossingSequence(word))
+            assert orbit_size(spec, seq) == size
 
 
 @pytest.fixture
@@ -934,7 +939,7 @@ def test_enumerate_deterministic():
     (SolidKind.CUBE, ((0.54, 16, 9), (0.64, 16, 6))),
     (SolidKind.TETRAHEDRON, ((0.337, None, 196), (0.3343, None, 1273))),
     (SolidKind.OCTAHEDRON, ((0.33433333333333333, None, 370),)),
-    (SolidKind.CUBE, ((0.505, None, 121),)),
+    (SolidKind.CUBE, ((0.505, None, 80),)),
 ])
 def test_proper_powers_never_simple(kind, alphas, monkeypatch):
     # a closed geodesic traversed twice retraces itself, so the search may
@@ -1271,8 +1276,8 @@ def _search_work(spec, depth, monkeypatch):
 @pytest.mark.parametrize("kind,alpha,nodes", [
     (SolidKind.TETRAHEDRON, 0.45 * PI, 44),
     (SolidKind.OCTAHEDRON, 0.42 * PI, 62),
-    (SolidKind.CUBE, 0.52 * PI, 475),
-    (SolidKind.CUBE, 0.6 * PI, 106),
+    (SolidKind.CUBE, 0.52 * PI, 444),
+    (SolidKind.CUBE, 0.6 * PI, 91),
     (SolidKind.TETRAHEDRON, 0.52 * PI, 15),
     (SolidKind.TETRAHEDRON, 0.6 * PI, 15),
 ])
@@ -1290,12 +1295,14 @@ def test_search_node_counts(kind, alpha, nodes, monkeypatch):
 
 def test_exhaustive_search_node_count(monkeypatch):
     # with no crossing bound the length cap alone ends the search; pinned
-    # like the depth-20 counts.  Its deepest class has 48 crossings
-    calls, crossed, classes = _search_work(
-        build_solid(SolidKind.TETRAHEDRON, 0.337 * PI), None, monkeypatch)
-    assert (calls, len(classes)) == (2207, 23)
-    assert max(len(c.path.seq) for c in classes) == 48
-    assert crossed == calls + sum(len(c.path.seq) for c in classes)
+    # like the depth-20 counts, with each case's classes and the crossings
+    # of its deepest class
+    for kind, k, nodes, found, deepest in ((SolidKind.TETRAHEDRON, 0.337, 2207, 23, 48),
+                                           (SolidKind.CUBE, 0.505, 4006, 3, 6)):
+        calls, crossed, classes = _search_work(build_solid(kind, k * PI), None, monkeypatch)
+        assert (calls, len(classes)) == (nodes, found), kind
+        assert max(len(c.path.seq) for c in classes) == deepest
+        assert crossed == calls + sum(len(c.path.seq) for c in classes)
 
 
 def _edge_angles(kind):
@@ -1522,19 +1529,45 @@ def test_closure_decision_exhaustive():
 
 
 def _turn_bounds(spec, turns):
-    """finder._turn_bound folded over `turns` from the search's root, as
-    the search calls it: (bound, closed, run) after each turn."""
-    closed, run, last, out = 0.0, 0, 0, []
-    for t in turns:
-        lb, closed, run = finder._turn_bound(spec, closed, run, last, t)
-        out.append((lb, closed, run))
-        last = t
-    return out
+    """finder._length_bound folded over `turns` from the search's root, as
+    the search calls it: best[k] after each turn, k = 1, ..., len(turns)."""
+    window = finder._window_table(spec)
+    best = (0.0,)
+    for k in range(1, len(turns) + 1):
+        best += (finder._length_bound(spec, window, bytes(turns[:k]), best),)
+    return list(best[1:])
+
+
+def _trailing_run(spec, turns):
+    """The number of trailing turns equal to the last of `turns`, the run
+    whose winding the bound credits, or 0 if that turn is straight."""
+    if 2 * turns[-1] == spec.face_size:
+        return 0
+    return len(turns) - len(bytes(turns).rstrip(bytes(turns[-1:])))
+
+
+@pytest.mark.parametrize("kind", list(SolidKind))
+def test_length_bound_not_below_reference(kind):
+    # on every turn word of up to 8 turns (the prefixes of those of 8), the
+    # sum of piece bounds is at every prefix at least the earlier bound,
+    # the largest of its turn fold, the parent's bound and the
+    # grandparent's plus the window; on the cube a window adds onto a
+    # straight turn's credit, so some words are strictly above it
+    lo, hi = ADMISSIBLE[kind]
+    above = 0
+    for k in (1, 2, 3):
+        spec = build_solid(kind, lo + (hi - lo) * k / 4)
+        for word in itertools.product(range(1, spec.face_size), repeat=8):
+            for got, ref in zip(_turn_bounds(spec, word), reference_length_bound(spec, word)):
+                assert got >= ref, (spec.alpha, word)
+                above += got > ref
+    if kind is SolidKind.CUBE:
+        assert above
 
 
 @pytest.mark.parametrize("kind", list(SolidKind))
 def test_winding_runs_share_one_vertex(kind):
-    # the length bound credits an open run of `run` turns with the winding
+    # the length bound credits a trailing run of `run` turns with the winding
     # of its run + 1 crossings about one vertex: on every turn word of up
     # to 8 turns, those crossings' edges share exactly one vertex, and a
     # straight turn ends every run
@@ -1547,7 +1580,8 @@ def test_winding_runs_share_one_vertex(kind):
             walker.cut(1)
             for t in word:
                 walker.cross(t)
-            for k, (_, _, run) in enumerate(_turn_bounds(spec, word)):
+            for k in range(m):
+                run = _trailing_run(spec, word[:k + 1])
                 assert (run == 0) == (2 * word[k] == n), word
                 if run:
                     shared = set.intersection(
@@ -1571,9 +1605,9 @@ def test_length_bound_below_class_lengths():
                     walker.cross(t)
                 assert finder.canonical_word(spec, tuple(walker.edges)) == c.path.seq.edges
                 steps = _turn_bounds(spec, least)
-                assert max(lb for lb, _, _ in steps) < c.path.total_length, (
-                    kind, spec.alpha, c.tag)
-                credited += any(run * spec.alpha > PI for _, _, run in steps)
+                assert max(steps) < c.path.total_length, (kind, spec.alpha, c.tag)
+                credited += any(_trailing_run(spec, least[:k + 1]) * spec.alpha > PI
+                                for k in range(len(least)))
     assert credited == 4  # the vertex loops at the 4 angles above pi/2
 
 
@@ -1597,7 +1631,7 @@ def test_winding_credit_rounds_down(kind):
             for alpha in (math.nextafter(k * PI / r, 0.0), k * PI / r,
                           math.nextafter(k * PI / r, 4.0)):
                 spec = build_solid(kind, alpha)
-                lb, _, _ = _turn_bounds(spec, (1,) * r)[-1]
+                lb = _turn_bounds(spec, (1,) * r)[-1]
                 credit = round(lb / PI)
                 assert lb == PI * credit
                 assert credit * PI_ABOVE <= r * Fraction(alpha), (alpha, r)
@@ -1658,9 +1692,12 @@ def test_enumerate_rejects_depth_beyond_search_cap():
 def test_enumerate_rejects_non_integer_depth(depth):
     # no walk depth equals 12.5 and NaN passes both range checks, so either
     # bound would let the walk run without end; True is no count at all
+    # count_tetra shares the check (`finder.check_depth`)
     spec = build_solid(SolidKind.TETRAHEDRON, 0.45 * PI)
-    with pytest.raises(sphtrig.DomainError, match="not an integer"):
-        enumerate_classes(spec, depth)
+    for call in (lambda: enumerate_classes(spec, depth),
+                 lambda: counts.count_tetra(spec.alpha, depth)):
+        with pytest.raises(sphtrig.DomainError, match="not an integer"):
+            call()
 
 
 @pytest.mark.parametrize("bad", [

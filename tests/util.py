@@ -202,6 +202,31 @@ def window_distance(spec: SolidSpec, s: int, t: int) -> float:
                point_arc_distance(c, a, b), point_arc_distance(d, a, b))
 
 
+def reference_length_bound(spec: SolidSpec, turns: Sequence[int]) -> List[float]:
+    """The search's earlier length bound after each turn of `turns`: the
+    largest of a fold of straight-turn and winding-run credits (the
+    credits of the walk's straight turns and closed runs, plus that of its
+    open run), the parent's bound, and the grandparent's bound plus the
+    window table's entry for the last two turns."""
+    window = finder._window_table(spec)
+    wind = spec.alpha / PI * (1.0 - 1e-9)
+    closed, run, last, before, bound = 0.0, 0, 0, 0.0, 0.0
+    out = []
+    for t in turns:
+        straight = 2 * t == spec.face_size
+        if straight or t != last:
+            closed += PI * math.floor(run * wind)
+            run = 0
+        if straight:
+            closed += spec.edge_length
+        else:
+            run += 1
+        lb = max(closed + PI * math.floor(run * wind), bound, before + window[last][t])
+        before, bound, last = bound, lb, t
+        out.append(lb)
+    return out
+
+
 def holonomy(spec: SolidSpec, seq: CrossingSequence):
     """Closing rotation of the development of `seq`."""
     return unfold.develop(spec, seq).placements[-1]
