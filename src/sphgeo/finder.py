@@ -41,9 +41,14 @@ read the rotations, reversals and mirrors (t -> n - t) of one cyclic turn
 word, so the search walks only the least of them: it cuts a prefix as soon
 as some such image is smaller at a turn the prefix fixes, and solves a
 closed word of m turns only if that test, run on through its first m - 1
-turns, passes it (see `enumerate_classes`).  This is orderly generation by
-canonical augmentation (McKay, J. Algorithms 26, 1998) with the incremental
-prefix test of bracelet generators (Sawada, SIAM J. Comput. 31, 2001).
+turns, passes it (see `enumerate_classes`).  Of the forward images still
+tied with a prefix, a node keeps two shifts, the least plain one and the
+least mirrored one: a later tie of either kind cuts only where the least
+one does, as the FKM necklace algorithm keeps only a prenecklace's least
+period (Cattell et al., J. Algorithms 37, 2000).  This is orderly
+generation by canonical augmentation (McKay, J. Algorithms 26, 1998) with
+the incremental prefix test of bracelet generators (Sawada, SIAM J.
+Comput. 31, 2001).
 
 The search lays out every node on one `unfold.Walker`, a crossing stack
 that each node cuts back to its parent's crossings and crosses once.  A
@@ -602,42 +607,65 @@ def class_tag(spec: SolidSpec, path: GeodesicPath) -> str:
 _MIRRORS = {n: bytes.maketrans(bytes(range(n + 1)), bytes(range(n, -1, -1))) for n in (3, 4)}
 
 
-def _extend_least(
-    turns: bytes, start: int, tied: Sequence[Tuple[int, bool]], n: int
-) -> Optional[Sequence[Tuple[int, bool]]]:
+# the prefix test's state (see `_extend_least`): the least shift of a tied
+# plain and of a tied mirrored forward image; the root's has neither
+_Ties = Tuple[Optional[int], Optional[int]]
+_UNTIED: _Ties = (None, None)
+
+
+def _extend_least(turns: bytes, start: int, tied: _Ties, n: int) -> Optional[_Ties]:
     """The search's prefix test (see `enumerate_classes`) on turns[start:].
 
-    Each turn t_k is tested against t_0..t_{k-1}.  `tied` lists the forward
-    images (s, mirrored) whose turns so far equal the prefix's first ones:
-    t_s..t_{k-1} (each read as n - t if mirrored) equal t_0..t_{k-1-s}.
-    Returns the forward images still tied after the last turn, or None as
-    soon as some image is strictly smaller at a position the turns fix.
-    t_k starts two forward images and two backward reads, t_k, t_{k-1},
-    ..., t_0 and its mirror n - t_k, ..., n - t_0: each has k + 1 turns,
-    all fixed, so one byte comparison with t_0..t_k decides it.
+    Each turn t_k is tested against t_0..t_{k-1}.  The forward image at
+    shift s, plain or mirrored, is tied while its turns so far equal the
+    prefix's first ones: t_s..t_{k-1} (each read as n - t if mirrored)
+    equal t_0..t_{k-1-s}.  `tied` is (p, q), the least shift of a tied
+    plain image and of a tied mirrored one, or None where none is tied.
+    Returns (p, q) after the last turn, or None as soon as some image is
+    strictly smaller at a position the turns fix.  t_k starts a plain image
+    (k >= 1) and a mirrored one, each where the turn equals t_0, and two
+    backward reads, t_k, t_{k-1}, ..., t_0 and its mirror n - t_k, ...,
+    n - t_0: each has k + 1 turns, all fixed, so one byte comparison with
+    t_0..t_k decides it.
+
+    The least tie of each kind decides.  Let P = t_0..t_{L-1}, which has
+    passed the test, hold ties of one kind at shifts s1 < s2, and let t_L
+    be the new turn.  Both images read P[:L - s2] alike, so P[s1:L], and
+    with it P[:L - s1] (which it equals, or mirrors), has period
+    d = s2 - s1.  If s1 >= 1, the plain image at shift d was then tied
+    through position L - s1 - 1 and tested at L - s1, so
+    t_{L-s1} >= t_{L-s2}.  If s1 = 0 (a mirrored image), t_{L-s1} is the
+    new turn, and that order is its own plain test at shift d: where it
+    fails, the least plain tie, at most d, cuts.  Both images compare the
+    same turn, t_L or n - t_L, with t_{L-s1} and t_{L-s2}, so the image at
+    s2 is smaller only where the one at s1 is, and larger wherever that
+    one is: a tie never cuts alone or outlives the least one of its kind.
+    This is the least period of the FKM algorithm, which keeps one shift
+    per prenecklace (K. Cattell, F. Ruskey, J. Sawada, M. Serra and C. R.
+    Miers, "Fast algorithms to generate necklaces, unlabeled necklaces and
+    irreducible polynomials over GF(2)", J. Algorithms 37, 2000), derived
+    here for the mirrored images too.
     """
     mirror = _MIRRORS[n]
+    p, q = tied
     for k in range(start, len(turns)):
         t = turns[k]
-        out = []
-        for s, mirrored in tied:
-            a = n - t if mirrored else t
-            b = turns[k - s]
-            if a < b:
+        if p is not None and t != turns[k - p]:
+            if t < turns[k - p]:
                 return None
-            if a == b:
-                out.append((s, mirrored))
-        # t_k starts a forward image and its mirror (the plain image from
-        # t_0 is the prefix itself)
-        if k and t == turns[0]:
-            out.append((k, False))
-        if n - t == turns[0]:
-            out.append((k, True))
+            p = None
+        if q is not None and n - t != turns[k - q]:
+            if n - t < turns[k - q]:
+                return None
+            q = None
+        if p is None and k and t == turns[0]:
+            p = k
+        if q is None and n - t == turns[0]:
+            q = k
         back, prefix = turns[k::-1], turns[:k + 1]
         if back < prefix or back.translate(mirror) < prefix:
             return None
-        tied = out
-    return tied
+    return p, q
 
 
 def _length_bound(
@@ -732,11 +760,23 @@ def enumerate_classes(
     The prefix test (`_extend_least`) cuts t_0..t_k as soon as some image
     is strictly smaller at a position t_0..t_k fixes, which every
     completion of the prefix shares; no image is smaller than the least
-    one, so it is never cut.  A closed word of m turns is solved, on the
-    walker's layout of it, only if the prefix test run on through the
-    word's first m - 1 turns passes it: that copy carries every forward
-    image still tied through the wrap and reads every backward image in
-    full, so it passes exactly the least of the 4m images.  This is
+    one, so it is never cut.  Of the forward images still tied with the
+    prefix, a node keeps only the least shift of a plain one and of a
+    mirrored one.  If two images of one kind are tied with t_0..t_{k-1} at
+    shifts s1 < s2, then t_0..t_{k-1-s1} has period d = s2 - s1, and the
+    plain test at shift d, which the prefix passed at position k - s1,
+    gives t_{k-s1} >= t_{k-s2} (if s1 = 0, t_k meets that test itself, and
+    the least plain tie cuts where it fails).  Both images compare one
+    turn, t_k or n - t_k, with these two, so at t_k the image at s2 is
+    smaller only where the one at s1 is, and its tie breaks whenever that
+    one's does (the proof is in `_extend_least`).  This is the least period
+    that the FKM algorithm keeps for a prenecklace (K. Cattell, F. Ruskey,
+    J. Sawada, M. Serra and C. R. Miers, J. Algorithms 37, 2000), carried
+    over to the mirrored images.  A closed word of m turns is solved, on
+    the walker's layout of it, only if the prefix test run on through the
+    word's first m - 1 turns passes it: that copy decides every forward
+    image through the wrap by its least ties and reads every backward image
+    in full, so it passes exactly the least of the 4m images.  This is
     isomorph-free generation by canonical augmentation (B. D. McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26, 1998), with
     the incremental prefix test of bracelet generators (J. Sawada,
@@ -786,14 +826,14 @@ def enumerate_classes(
     # A node is the walk of the start crossing and its `turns`, with the
     # pole region of its parent's crossings (the root's is the chart about
     # its entry vertex), best[i] for each i up to len(turns) (see
-    # `_length_bound`), and the forward images of `turns` that
-    # `_extend_least` has not yet decided.
+    # `_length_bound`), and the least shifts of a plain and of a mirrored
+    # forward image still tied with `turns` (`_extend_least`).
     # Nodes are popped in preorder, so the walker always holds the parent's
     # crossings, perhaps followed by those of an earlier sibling's subtree:
     # the root is the walker's first crossing, and any other node costs one
     # cut and one crossing.
     walker = Walker(spec, start_face, start_j)
-    stack = [(b"", (_pole_box(walker.arcs[0][1]), None), (0.0,), ())]
+    stack = [(b"", (_pole_box(walker.arcs[0][1]), None), (0.0,), _UNTIED)]
     while stack:
         turns, region, best, tied = stack.pop()
         if turns:

@@ -40,6 +40,7 @@ from util import (
     random_sequence,
     random_unit,
     reference_classes,
+    reference_extend_least,
     reference_length_bound,
     reference_orbit,
     reference_path_for_pole,
@@ -1490,7 +1491,7 @@ def test_search_walks_least_turn_word_only(case):
     n, word = case
     least = least_turn_image(word, n)
     for image in set(turn_images(word, n)):
-        tied = ()
+        tied = finder._UNTIED
         cut_at = None
         accepted = False  # unless the walk reaches the closure and passes
         for k in range(len(image)):
@@ -1516,7 +1517,7 @@ def test_closure_decision_exhaustive():
     # test on its first m - 1 turns and the closure call accept a word
     # exactly when it is the least of its 4m images
     for n in (3, 4):
-        tied_after = {(): ()}  # prefix -> forward images still tied, or None once cut
+        tied_after = {(): finder._UNTIED}  # prefix -> prefix test state, or None once cut
         for m in range(1, 11):
             grown = {}
             for word in itertools.product(range(1, n), repeat=m):
@@ -1526,6 +1527,40 @@ def test_closure_decision_exhaustive():
                 grown[word] = None if tied is None else finder._extend_least(
                     bytes(word), m - 1, tied, n)
             tied_after = grown
+
+
+def _least_ties(listed):
+    """The least plain and the least mirrored shift of a list of tied
+    forward images (s, mirrored), None where the list has none."""
+    return (min((s for s, mirrored in listed if not mirrored), default=None),
+            min((s for s, mirrored in listed if mirrored), default=None))
+
+
+def test_two_shifts_match_tied_images():
+    # on every prefix that the prefix test passes, up to 18 turns on
+    # triangles and 11 on squares, finder._extend_least cuts each new turn
+    # and each closing wrap exactly where the list version in util.py does,
+    # and keeps the least plain and least mirrored shift of its list
+    def check(turns, start, listed, tied, n):
+        ref = reference_extend_least(turns, start, listed, n)
+        got = finder._extend_least(turns, start, tied, n)
+        assert got == (None if ref is None else _least_ties(ref)), (n, turns, start)
+        return ref, got
+
+    for n, depth in ((3, 18), (4, 11)):
+        level = [(b"", [], finder._UNTIED)]  # every passing prefix of k turns
+        for k in range(depth + 1):
+            grown = []
+            for turns, listed, tied in level:
+                for t in range(1, n):
+                    # the search's closure call on the closing turn t
+                    check(turns + bytes((t,)) + turns, k, listed, tied, n)
+                    if k < depth:
+                        word = turns + bytes((t,))
+                        ref, got = check(word, k, listed, tied, n)
+                        if ref is not None:
+                            grown.append((word, ref, got))
+            level = grown
 
 
 def _turn_bounds(spec, turns):

@@ -812,3 +812,36 @@ def _reference_incidence(spec, placement, local_edge, point, pole):
     tau = sphtrig.normalize(sphtrig.cross(edge_pole, point))      # edge tangent, p -> q
     direction = sphtrig.normalize(sphtrig.cross(pole, point))     # geodesic tangent
     return sphtrig.angle_between(direction, tau)
+
+
+def reference_extend_least(
+    turns: bytes, start: int, tied: Sequence[Tuple[int, bool]], n: int
+) -> Optional[Sequence[Tuple[int, bool]]]:
+    """Oracle for `finder._extend_least`: the search's earlier prefix test,
+    which lists every forward image (s, mirrored) still tied with the
+    prefix, where t_s..t_{k-1} (each read as n - t if mirrored) equal
+    t_0..t_{k-1-s}, and compares each with every new turn.  Returns the
+    list after the last turn, or None as soon as some image is strictly
+    smaller at a position the turns fix (the root's list is empty)."""
+    mirror = finder._MIRRORS[n]
+    for k in range(start, len(turns)):
+        t = turns[k]
+        out = []
+        for s, mirrored in tied:
+            a = n - t if mirrored else t
+            b = turns[k - s]
+            if a < b:
+                return None
+            if a == b:
+                out.append((s, mirrored))
+        # t_k starts a forward image and its mirror (the plain image from
+        # t_0 is the prefix itself)
+        if k and t == turns[0]:
+            out.append((k, False))
+        if n - t == turns[0]:
+            out.append((k, True))
+        back, prefix = turns[k::-1], turns[:k + 1]
+        if back < prefix or back.translate(mirror) < prefix:
+            return None
+        tied = out
+    return tied
