@@ -33,8 +33,9 @@ The cap closes every branch, so with no crossing bound the search ends on
 its own.
 The feasible poles form a convex polygon in the gnomonic chart about the first
 edge's entry vertex; each crossing clips it by its two half-planes
-(Sutherland-Hodgman), and a branch survives while a witness pole meets every
-constraint strictly.  The symmetry group is transitive on (face, edge)
+(Sutherland-Hodgman), and a branch survives while the polygon keeps 3
+vertices.  That test is necessary only, and the closure stage tests its one
+pole strictly.  The symmetry group is transitive on (face, edge)
 incidences, so the walk starts from one directed crossing only.  A walk
 from there is fixed by its exit turns, and the walks that trace one class
 read the rotations, reversals and mirrors (t -> n - t) of one cyclic turn
@@ -116,8 +117,10 @@ def check_tolerances(tol_closure: float, tol_vertex: float) -> None:
     """Raise DomainError unless both solve tolerances are positive and
     finite and tol_vertex is below 0.5.  A NaN tolerance would switch a
     check off or fail every candidate, and past 0.5 no crossing fraction t
-    satisfies tol_vertex < t < 1 - tol_vertex."""
-    if not all(math.isfinite(t) and t > 0 for t in (tol_closure, tol_vertex)):
+    satisfies tol_vertex < t < 1 - tol_vertex.  A bool, which would count
+    as 0 or 1, is refused."""
+    if not all(not isinstance(t, bool) and math.isfinite(t) and t > 0
+               for t in (tol_closure, tol_vertex)):
         raise DomainError(f"tolerances must be positive and finite, got "
                           f"tol_closure={tol_closure!r}, tol_vertex={tol_vertex!r}")
     if not tol_vertex < 0.5:
@@ -195,9 +198,6 @@ class GeodesicClass:
 # polygon, narrowed by Sutherland-Hodgman clipping.  Vertices are stored as
 # the 3-vectors q0 + x e1 + y e2, so a constraint is evaluated by one dot.
 
-PoleRegion = Tuple[List[Vec3], Optional[Vec3]]  # polygon, strict witness
-
-
 def _pole_box(q0: Vec3) -> List[Vec3]:
     """The square |x|, |y| <= 1/FEAS_MARGIN in the chart about unit q0.
 
@@ -229,31 +229,23 @@ def _clip(poly: List[Vec3], c: Vec3) -> List[Vec3]:
     return out
 
 
-def _narrow(region: PoleRegion, arcs: Sequence[Tuple[Vec3, Vec3]]) -> Optional[PoleRegion]:
-    """Clip a (polygon, witness) region by the last of `arcs`; each
-    developed edge arc (p, q) asks u.q > 0 > u.p of a pole u.
+def _narrow(poly: List[Vec3], arc: Tuple[Vec3, Vec3]) -> Optional[List[Vec3]]:
+    """Clip a chart polygon of poles by one developed edge arc (p, q),
+    which asks u.q > 0 > u.p of a pole u: the part where u.q >= 0 and
+    u.(-p) >= 0, or None once fewer than 3 vertices are left.
 
-    Returns the clipped polygon with a witness pole that satisfies every
-    constraint strictly, or None when there is none.  The previous witness
-    is kept while it passes the last arc's; otherwise the normalized
-    vertex centroid is tried against all of them.  A polygon that clipped
-    down to zero area has no strict witness and so counts as infeasible.
+    The poles that meet every arc so far strictly form an open set inside
+    the polygon, so where there is one the polygon has area and keeps 3
+    vertices or more: the test is a necessary condition and cuts no walk
+    that a geodesic traces.  A polygon that rounding leaves with 3 vertices
+    and no area passes; the closure stage tests its one pole strictly.
     """
-    poly, witness = region
-    p, q = arcs[-1]
+    p, q = arc
     for c in (q, neg(p)):
         poly = _clip(poly, c)
         if len(poly) < 3:
             return None
-    if witness is not None and dot(witness, q) > 0.0 > dot(witness, p):
-        return poly, witness
-    k = 1.0 / len(poly)
-    u = normalize((sum(v[0] for v in poly) * k,
-                   sum(v[1] for v in poly) * k,
-                   sum(v[2] for v in poly) * k))
-    if all(dot(u, q) > 0.0 > dot(u, p) for p, q in arcs):
-        return poly, u
-    return None
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +661,7 @@ def _extend_least(turns: bytes, start: int, tied: _Ties, n: int) -> Optional[_Ti
 
 
 def _length_bound(
-    spec: SolidSpec, window: List[List[float]], turns: bytes, best: Sequence[float]
+    spec: SolidSpec, window: Dict[bytes, float], turns: bytes, best: Sequence[float]
 ) -> float:
     """best[k], the search's length bound (see `enumerate_classes`) on the
     walk of the k `turns` from crossing 0 to crossing k, given best[:k].
@@ -685,14 +677,14 @@ def _length_bound(
         wind = spec.alpha / PI * (1.0 - 1e-9)
         lb = max(best[k - 1], best[k - r] + PI * math.floor(r * wind))
     if k >= 2:
-        lb = max(lb, best[k - 2] + window[turns[-2]][t])
+        lb = max(lb, best[k - 2] + window[turns[-2:]])
     return lb
 
 
-def _window_table(spec: SolidSpec) -> List[List[float]]:
-    """D[s][t], less 1e-9 and floored at 0: the distance between the
-    developed edge arcs two crossings apart, across exit turns s and t (see
-    `enumerate_classes`); row 0, no turn before t, is 0.
+def _window_table(spec: SolidSpec) -> Dict[bytes, float]:
+    """D[bytes((s, t))], less 1e-9 and floored at 0, for the exit turns
+    s, t = 1, ..., n - 1: the distance between the developed edge arcs two
+    crossings apart, across turns s and t (see `enumerate_classes`).
 
     Equal turns that are not straight cross two edges with a common vertex.
     On triangles the others are opposite sides of a two-triangle rhombus:
@@ -701,14 +693,11 @@ def _window_table(spec: SolidSpec) -> List[List[float]]:
     square the two straight turns cross the far sides of a domino, nearest
     at two corners across its long side's middle vertex, where the outer
     angle is 2*pi - 2*alpha; the others are a apart."""
-    a, alpha = spec.edge_length, spec.alpha
-    if spec.face_size == 3:
-        d = max(0.0, (math.asin(math.sin(a) * math.sin(alpha)) if alpha <= PI / 2 else a)
-                - 1e-9)
-        return [[0.0, 0.0, 0.0], [0.0, 0.0, d], [0.0, d, 0.0]]
-    d = max(0.0, a - 1e-9)
-    far = max(0.0, cos_side(a, a, TWO_PI - 2.0 * alpha) - 1e-9)
-    return [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, d, d], [0.0, d, far, d], [0.0, d, d, 0.0]]
+    a, alpha, n = spec.edge_length, spec.alpha, spec.face_size
+    d = math.asin(math.sin(a) * math.sin(alpha)) if n == 3 and alpha <= PI / 2 else a
+    far = cos_side(a, a, TWO_PI - 2.0 * alpha) if n == 4 else 0.0
+    return {bytes((s, t)): max(0.0, (d if s != t else far if 2 * t == n else 0.0) - 1e-9)
+            for s in range(1, n) for t in range(1, n)}
 
 
 def _start_crossing(spec: SolidSpec) -> Tuple[int, int]:
@@ -824,22 +813,22 @@ def enumerate_classes(
     start_face, start_j = _start_crossing(spec)
     found: List[bytes] = []
     # A node is the walk of the start crossing and its `turns`, with the
-    # pole region of its parent's crossings (the root's is the chart about
-    # its entry vertex), best[i] for each i up to len(turns) (see
-    # `_length_bound`), and the least shifts of a plain and of a mirrored
-    # forward image still tied with `turns` (`_extend_least`).
+    # pole polygon of its parent's crossings (the root's is the chart square
+    # about its entry vertex, `_pole_box`), best[i] for each i up to
+    # len(turns) (see `_length_bound`), and the least shifts of a plain and
+    # of a mirrored forward image still tied with `turns` (`_extend_least`).
     # Nodes are popped in preorder, so the walker always holds the parent's
     # crossings, perhaps followed by those of an earlier sibling's subtree:
     # the root is the walker's first crossing, and any other node costs one
     # cut and one crossing.
     walker = Walker(spec, start_face, start_j)
-    stack = [(b"", (_pole_box(walker.arcs[0][1]), None), (0.0,), _UNTIED)]
+    stack = [(b"", _pole_box(walker.arcs[0][1]), (0.0,), _UNTIED)]
     while stack:
         turns, region, best, tied = stack.pop()
         if turns:
             walker.cut(len(turns))
             walker.cross(turns[-1])
-        region = _narrow(region, walker.arcs)
+        region = _narrow(region, walker.arcs[-1])
         if region is None:
             continue
         face, entry = walker.entered[-1]

@@ -47,6 +47,7 @@ from util import (
     reference_tetra_type_sequence,
     sampled_is_simple,
     snapshot,
+    strict_pole,
     trace_geodesic,
     turn_images,
     two_pole_solve,
@@ -1281,6 +1282,7 @@ def _search_work(spec, depth, monkeypatch):
     (SolidKind.CUBE, 0.6 * PI, 91),
     (SolidKind.TETRAHEDRON, 0.52 * PI, 15),
     (SolidKind.TETRAHEDRON, 0.6 * PI, 15),
+    (SolidKind.CUBE, 0.5 * PI + (PI / 6) * (3.5 / 8), 130),
 ])
 def test_search_node_counts(kind, alpha, nodes, monkeypatch):
     # the DFS makes one _narrow call per node; the counts at depth 20 pin
@@ -1304,6 +1306,38 @@ def test_exhaustive_search_node_count(monkeypatch):
         assert (calls, len(classes)) == (nodes, found), kind
         assert max(len(c.path.seq) for c in classes) == deepest
         assert crossed == calls + sum(len(c.path.seq) for c in classes)
+
+
+def test_kept_regions_hold_a_strict_pole(monkeypatch):
+    # the search cuts a node only when its pole polygon keeps fewer than 3
+    # vertices, a necessary condition; every polygon it keeps here also
+    # holds a pole that meets every arc on the walker strictly, its
+    # normalized vertex centroid
+    walkers = []
+    kept = []
+    narrow = finder._narrow
+
+    class Recorded(unfold.Walker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            walkers.append(self)
+
+    def checked(poly, arc):
+        poly = narrow(poly, arc)
+        if poly is not None:
+            assert strict_pole(poly, walkers[-1].arcs), len(walkers[-1].arcs)
+            kept.append(None)
+        return poly
+
+    monkeypatch.setattr(finder, "Walker", Recorded)
+    monkeypatch.setattr(finder, "_narrow", checked)
+    cases = [(kind, lo + (hi - lo) * (k + 0.5) / 4, 16)
+             for kind, (lo, hi) in ADMISSIBLE.items() for k in range(4)]
+    cases += [(SolidKind.CUBE, 0.5 * PI + (PI / 6) * (3.5 / 8), 20),
+              (SolidKind.TETRAHEDRON, 0.337 * PI, None), (SolidKind.CUBE, 0.505 * PI, None)]
+    for kind, alpha, depth in cases:
+        enumerate_classes(build_solid(kind, alpha), depth)
+    assert len(kept) > 4000
 
 
 def _edge_angles(kind):
@@ -1337,17 +1371,17 @@ def test_exhaustive_search_ends(kind):
 def test_window_table_matches_distance(kind):
     # each entry of the window table is the distance between the developed
     # arcs two crossings apart, less its 1e-9 slack: never above the
-    # oracle's, and within 2e-9 of it.  Row 0 (no turn before) is 0
+    # oracle's, and within 2e-9 of it.  It has one entry per turn pair
     lo, hi = ADMISSIBLE[kind]
     for k in range(120):
         spec = build_solid(kind, lo + (hi - lo) * (k + 0.5) / 120)
         table = finder._window_table(spec)
         n = spec.face_size
-        assert table[0] == [0.0] * n
+        assert set(table) == {bytes((s, t)) for s in range(1, n) for t in range(1, n)}
         for s in range(1, n):
             for t in range(1, n):
                 oracle = window_distance(spec, s, t)
-                assert oracle - 2e-9 <= table[s][t] <= oracle, (spec.alpha, s, t)
+                assert oracle - 2e-9 <= table[bytes((s, t))] <= oracle, (spec.alpha, s, t)
 
 
 def _window_sums_hold(spec, path):
@@ -1358,7 +1392,7 @@ def _window_sums_hold(spec, path):
     seg = path.arc_lengths
     m = len(turns)
     # segment i runs from crossing i to i + 1, in the face whose exit turn is turns[i]
-    return all(seg[i] + seg[(i + 1) % m] >= table[turns[i]][turns[(i + 1) % m]]
+    return all(seg[i] + seg[(i + 1) % m] >= table[bytes((turns[i], turns[(i + 1) % m]))]
                for i in range(m))
 
 
@@ -1738,13 +1772,14 @@ def test_enumerate_rejects_non_integer_depth(depth):
 @pytest.mark.parametrize("bad", [
     {"tol_vertex": math.nan}, {"tol_vertex": 0.7}, {"tol_vertex": 0.5},
     {"tol_vertex": 0.0}, {"tol_closure": -1.0}, {"tol_closure": math.nan},
-    {"tol_closure": math.inf},
+    {"tol_closure": math.inf}, {"tol_closure": True},
 ], ids=["vertex-nan", "vertex-0.7", "vertex-0.5", "vertex-0", "closure-neg",
-        "closure-nan", "closure-inf"])
+        "closure-nan", "closure-inf", "closure-true"])
 def test_library_rejects_bad_tolerances(bad):
     # a NaN tol_vertex or one past 0.5 fails every crossing and a negative
     # tol_closure every chord, so the search would find nothing; a NaN
-    # tol_closure would switch the chord and residual checks off
+    # tol_closure would switch the chord and residual checks off, and True
+    # would run as a tolerance of 1.0
     octa = build_solid(SolidKind.OCTAHEDRON, 0.4 * PI)
     tetra = build_solid(SolidKind.TETRAHEDRON, 0.45 * PI)
     cls = enumerate_classes(octa, 12)[0]

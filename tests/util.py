@@ -206,8 +206,9 @@ def reference_length_bound(spec: SolidSpec, turns: Sequence[int]) -> List[float]
     """The search's earlier length bound after each turn of `turns`: the
     largest of a fold of straight-turn and winding-run credits (the
     credits of the walk's straight turns and closed runs, plus that of its
-    open run), the parent's bound, and the grandparent's bound plus the
-    window table's entry for the last two turns."""
+    open run), the parent's bound, and from the second turn on the
+    grandparent's bound plus the window table's entry for the last two
+    turns."""
     window = finder._window_table(spec)
     wind = spec.alpha / PI * (1.0 - 1e-9)
     closed, run, last, before, bound = 0.0, 0, 0, 0.0, 0.0
@@ -221,7 +222,9 @@ def reference_length_bound(spec: SolidSpec, turns: Sequence[int]) -> List[float]
             closed += spec.edge_length
         else:
             run += 1
-        lb = max(closed + PI * math.floor(run * wind), bound, before + window[last][t])
+        lb = max(closed + PI * math.floor(run * wind), bound)
+        if last:
+            lb = max(lb, before + window[bytes((last, t))])
         before, bound, last = bound, lb, t
         out.append(lb)
     return out
@@ -241,18 +244,26 @@ def feasible_pole_exists(arcs: Iterable) -> bool:
 
     Decided by clipping the chart square about the first `a` (see
     `finder._pole_box`) by every constraint, as the search does one crossing
-    at a time; True only with a witness pole that meets all of them strictly.
+    at a time; True only with a pole that meets all of them strictly, the
+    normalized vertex centroid of the polygon that is left.
     """
     # the search's arcs (p, q) ask u.q > 0 > u.p
     dev_arcs = [(b, a) for a, b in arcs]
     if not dev_arcs:
         return True
-    region = (finder._pole_box(sphtrig.normalize(dev_arcs[0][1])), None)
-    for k in range(1, len(dev_arcs) + 1):
-        region = finder._narrow(region, dev_arcs[:k])
-        if region is None:
+    poly = finder._pole_box(sphtrig.normalize(dev_arcs[0][1]))
+    for arc in dev_arcs:
+        poly = finder._narrow(poly, arc)
+        if poly is None:
             return False
-    return True
+    return strict_pole(poly, dev_arcs)
+
+
+def strict_pole(poly, dev_arcs) -> bool:
+    """Whether the normalized vertex centroid of a chart polygon of poles
+    meets every developed arc (p, q) strictly: u.q > 0 > u.p."""
+    u = sphtrig.normalize(tuple(sum(v[i] for v in poly) for i in range(3)))
+    return all(sphtrig.dot(u, q) > 0.0 > sphtrig.dot(u, p) for p, q in dev_arcs)
 
 
 def is_simple(spec: SolidSpec, path) -> bool:
