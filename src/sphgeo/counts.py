@@ -221,11 +221,14 @@ def count_tetra(
             p, q, "sufficient-guaranteed" if guaranteed else "solver-resolved",
             found[p, q],
         ))
+    # the candidates past (0, 1) are psi_count(g_alpha(alpha))'s pairs, and
+    # f < g, as f / g = (cos(alpha) / (2 sin^2(alpha / 2)))^2 < 1 on
+    # (pi/3, 2pi/3]: so psi_count(f)'s pairs are those of them with s < f
+    f = f_alpha(alpha)
     return CountReport(
         c1=c1_alpha(alpha),
         c2=c2_alpha(alpha),
-        psi1=psi_count(f_alpha(alpha)),
-        # the candidates past (0, 1) are psi_count(g_alpha(alpha))'s pairs
+        psi1=sum(s_form(p, q) < f for p, q in cands[1:]),
         psi2=len(cands) - 1,
         verdicts=tuple(verdicts),
     )

@@ -467,27 +467,48 @@ def _chords_nest(ends: Iterable[List[Tuple[int, float, int]]], tol: float) -> bo
 # canonical forms under cyclic shift x reversal x symmetry
 
 
+# per kind, for each edge e, the bytes.translate tables of the |G|/|E| = 4
+# symmetries that send e to edge 0
+_TO_EDGE0: Dict[SolidKind, Tuple[List[bytes], ...]] = {}
+
+
+def _to_edge0(spec: SolidSpec) -> Tuple[List[bytes], ...]:
+    tables = _TO_EDGE0.get(spec.kind)
+    if tables is None:
+        ids = bytes(range(len(spec.edges)))
+        tables = tuple([] for _ in ids)
+        for g in symmetry_group(spec):
+            tables[g.edge_perm.index(0)].append(bytes.maketrans(ids, bytes(g.edge_perm)))
+        _TO_EDGE0[spec.kind] = tables
+    return tables
+
+
 def _orbit(spec: SolidSpec, word: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
     """The least word of `word`'s class under shift, reversal and symmetry,
     and the number of distinct geodesics (words up to shift and reversal)
-    in its symmetry orbit, from one image of `word` per symmetry.
+    in its symmetry orbit.
 
-    Words are byte strings, so the shifts of a word w are the substrings of
-    length m of w + w.  The size is |G| over the stabilizer, the symmetries
-    whose image of w occurs in w + w or in w's reversal doubled
-    (orbit-stabilizer).  The group is transitive on edges, so some image
-    holds edge 0 and the least word starts there: only the shifts to a 0
-    of each image and its reversal are compared, 2m |G|/|E| = 8m of them:
-    O(|G| m) for the images and O(m^2) for those shifts.
+    Words are byte strings, so the 2m shifts and reversals of a word w of m
+    edges are the substrings of length m of w + w and of w's reversal
+    doubled.  The group G is transitive on edges, so the least word starts
+    at edge 0, and each of those 2m words is carried onto edge 0 by the
+    |G|/|E| = 4 symmetries that send its first edge there (`_to_edge0`):
+    the least word is the least of these 8m translated slices.  They hold
+    every pair of a symmetry and a shift or reversal that sends w to the
+    least word, so the c slices equal to it are s for each symmetry that
+    sends w's geodesic (w up to shift and reversal) to the least word's,
+    where s counts the shifts and reversals that fix w; those symmetries
+    are as many as the ones that fix w's geodesic, so by orbit-stabilizer
+    the orbit holds |G| s / c geodesics.  That is O(m^2) bytes translated,
+    and no image of the whole word.
     """
     w = bytes(word)
     m = len(w)
-    ww, rr = w + w, w[::-1] * 2
-    images = [bytes([g.edge_perm[e] for e in w]) for g in symmetry_group(spec)]
-    least = min(d[r:r + m] for img in images for d in (img + img, img[::-1] * 2)
-                for r in range(m) if d[r] == 0)
-    stabilizer = sum(img in ww or img in rr for img in images)
-    return tuple(least), len(images) // stabilizer
+    tables = _to_edge0(spec)
+    rotations = [d[i:i + m] for d in (w + w, w[::-1] * 2) for i in range(m)]
+    slices = [r.translate(tab) for r in rotations for tab in tables[r[0]]]
+    least = min(slices)
+    return tuple(least), len(symmetry_group(spec)) * rotations.count(w) // slices.count(least)
 
 
 def canonical_word(spec: SolidSpec, word: Sequence[int]) -> Tuple[int, ...]:

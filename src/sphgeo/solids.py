@@ -6,6 +6,11 @@ are stored as cyclic vertex lists with a globally consistent orientation:
 every directed edge (a, b) appears in exactly one face, and its reverse
 (b, a) in exactly one other.
 
+The combinatorial tables (faces, edges, incidences and gluing) depend on
+the kind alone: they are built once per kind, and every spec of that kind
+shares them and never mutates them.  A spec computes only its chart, edge
+length and transfer rotations from its angle.
+
 The symmetry group is derived from that face table alone: the symmetries of
 a regular solid act simply transitively on its flags (face, local edge,
 orientation), so each flag names one symmetry, which the gluing spreads
@@ -18,7 +23,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import sphtrig
 from .sphtrig import PI, DomainError, Mat3, Vec3
@@ -130,25 +135,20 @@ class SolidSpec:
         return shared[0] if len(shared) == 1 else None
 
 
-@functools.lru_cache(maxsize=1, typed=True)
-def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
-    """Construct a solid at the given facet angle.
+# The tables that depend on the kind alone (ids, incidences and gluing),
+# with the (j, j2) local edge pairs the gluing joins: built once per kind,
+# shared by every spec of it and never mutated
+_TABLES_CACHE: Dict[SolidKind, Tuple[Dict[str, Any], Tuple[Tuple[int, int], ...]]] = {}
 
-    Raises DomainError when alpha is inadmissible or edges < MIN_EDGE_LENGTH.
-    The latest spec is kept, so a caller that asks for the solid just built
-    (`count_tetra` after `enumerate`, `export` after either) shares it; an
-    int and an equal float are different angles to the memo, so the spec's
-    alpha has the type asked for.
-    """
-    lo, hi = ADMISSIBLE[kind]
-    if not lo < alpha < hi:
-        raise DomainError(
-            f"alpha={alpha!r} outside the admissible interval ({lo!r}, {hi!r}) "
-            f"for {kind.value}"
-        )
+
+def _kind_tables(kind: SolidKind) -> Tuple[Dict[str, Any], Tuple[Tuple[int, int], ...]]:
+    """The combinatorial `SolidSpec` fields of a kind, by name, and the local
+    edge pairs (j, j2) that its gluing joins, sorted."""
+    cached = _TABLES_CACHE.get(kind)
+    if cached is not None:
+        return cached
     faces = _FACES[kind]
     n = len(faces[0])
-    n_vertices = max(max(f) for f in faces) + 1
 
     directed: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for fi, f in enumerate(faces):
@@ -181,6 +181,42 @@ def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
             a, b = f[j], f[(j + 1) % n]
             gluing[(fi, j)] = directed[(b, a)]
 
+    tables: Dict[str, Any] = dict(
+        faces=faces,
+        vertex_names=_VERTEX_NAMES[kind],
+        n_vertices=max(max(f) for f in faces) + 1,
+        face_size=n,
+        edges=tuple(pairs),
+        edge_index=edge_index,
+        edge_faces=tuple(edge_faces),
+        face_edge_local=face_edge_local,
+        face_edges=tuple(face_edges),
+        gluing=gluing,
+    )
+    local_pairs = tuple(sorted({(j, j2) for (_, j), (_, j2) in gluing.items()}))
+    cached = _TABLES_CACHE[kind] = (tables, local_pairs)
+    return cached
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
+    """Construct a solid at the given facet angle.
+
+    Raises DomainError when alpha is inadmissible or edges < MIN_EDGE_LENGTH.
+    The latest spec is kept, so a caller that asks for the solid just built
+    (`count_tetra` after `enumerate`, `export` after either) shares it; an
+    int and an equal float are different angles to the memo, so the spec's
+    alpha has the type asked for.
+    """
+    lo, hi = ADMISSIBLE[kind]
+    if not lo < alpha < hi:
+        raise DomainError(
+            f"alpha={alpha!r} outside the admissible interval ({lo!r}, {hi!r}) "
+            f"for {kind.value}"
+        )
+    tables, local_pairs = _kind_tables(kind)
+    n = tables["face_size"]
+
     rho = sphtrig.circumradius(n, alpha)
     sr, cr = math.sin(rho), math.cos(rho)
     chart = tuple(
@@ -199,25 +235,16 @@ def build_solid(kind: SolidKind, alpha: float) -> SolidSpec:
     # depends only on the two local edge indices, so each pair is built once
     local = {(j, j2): sphtrig.rotation_from_pairs(
         chart[(j2 + 1) % n], chart[j2], chart[j], chart[(j + 1) % n]
-    ) for j, j2 in {(j, j2) for (_, j), (_, j2) in gluing.items()}}
-    steps = {(fi, j): local[(j, j2)] for (fi, j), (_, j2) in gluing.items()}
+    ) for j, j2 in local_pairs}
+    steps = {(fi, j): local[(j, j2)] for (fi, j), (_, j2) in tables["gluing"].items()}
 
     return SolidSpec(
         kind=kind,
         alpha=alpha,
-        faces=faces,
-        vertex_names=_VERTEX_NAMES[kind],
-        n_vertices=n_vertices,
-        face_size=n,
-        edges=tuple(pairs),
-        edge_index=edge_index,
-        edge_faces=tuple(edge_faces),
-        face_edge_local=face_edge_local,
-        face_edges=tuple(face_edges),
-        gluing=gluing,
         chart=chart,
         edge_length=edge_length,
         steps=steps,
+        **tables,
     )
 
 

@@ -180,6 +180,17 @@ def test_psi2_counts_candidates_past_first():
         assert len(candidate_types(alpha)) - 1 == psi_count(g_alpha(alpha))
 
 
+def test_psi1_counts_candidates_below_f():
+    # count_tetra reads psi1 off its candidate list too: f < g on the whole
+    # interval, so the lattice pairs psi_count finds below f(alpha) are the
+    # candidates past (0, 1) with s < f.  A bound of 3 crossings solves no
+    # type, so each count only lists its candidates
+    for k in range(1, 200):
+        alpha = PI / 3 + (PI / 3) * k / 200
+        assert f_alpha(alpha) < g_alpha(alpha)
+        assert count_tetra(alpha, 3).psi1 == psi_count(f_alpha(alpha)), alpha
+
+
 def test_candidate_listing_bounded():
     # every angle in use lists its candidates, down to 0.3334pi; at
     # pi/3 + 1e-9, g(alpha) = 1.4e9 would ask for 2.6e8 pairs, so each

@@ -33,6 +33,7 @@ from util import (
     feasible_pole_exists,
     is_simple,
     least_turn_image,
+    midpoint_class_length,
     path_for_pole,
     pairwise_is_simple,
     prefix_has_smaller_image,
@@ -634,6 +635,60 @@ def test_orbit_matches_reference(kind):
         words += [word, word * 2, word * 3]
     for word in words:
         assert finder._orbit(spec, word) == reference_orbit(spec, word)
+
+
+def test_orbit_slices_match_reference():
+    # _orbit reads the least word and the orbit size off 8m translated
+    # slices, and agrees with the slow oracle: on every shift and reversal
+    # of every symmetry image of each class word in
+    # data/enumerate_classes.txt (all of one class, so all with that class's
+    # least word and size), on the squares and cubes of those words, and on
+    # a word that a shifted reversal fixes, so that s = 2.  No face walk is
+    # such a word (it would cross one edge twice in a row, or twice around
+    # one crossing), but the count is the same on any word
+    images = 0
+    for line in ENUMERATE_CLASSES_TXT.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        kind, alpha, _, letters = line.split()[:4]
+        spec = build_solid(SolidKind(kind), float(alpha))
+        word = tuple(int(e) for e in letters.split(","))
+        want = reference_orbit(spec, word)
+        assert want[0] == word
+        for g in symmetry_group(spec):
+            image = tuple(g.edge_perm[e] for e in word)
+            for v in (image, image[::-1]):
+                for r in range(len(v)):
+                    assert finder._orbit(spec, v[r:] + v[:r]) == want
+                    images += 1
+        for power in (word * 2, word * 3):
+            assert finder._orbit(spec, power) == reference_orbit(spec, power)
+            assert orbit_size(spec, CrossingSequence(power)) == reference_orbit(spec, power)[1]
+        mirrored = word + word[-2:0:-1]
+        assert sum(v[r:] + v[:r] == mirrored for v in (mirrored, mirrored[::-1])
+                   for r in range(len(mirrored))) == 2
+        assert finder._orbit(spec, mirrored) == reference_orbit(spec, mirrored)
+    assert images == 14_688
+
+
+@pytest.mark.parametrize("kind", [SolidKind.OCTAHEDRON, SolidKind.CUBE])
+def test_midpoint_classes_closed_form(kind):
+    # the octahedron's 6-crossing class and the cube's 4-crossing and
+    # 6-crossing orbit-4 classes cross every edge at its midpoint, and have
+    # closed-form lengths (util.midpoint_class_length): checked at 60
+    # angles across the open interval, to 1e-12
+    lo, hi = ADMISSIBLE[kind]
+    for k in range(60):
+        spec = build_solid(kind, lo + (hi - lo) * (k + 0.5) / 60)
+        checked = []
+        for c in enumerate_classes(spec, 8):
+            want = midpoint_class_length(spec, c.tag)
+            if want is not None:
+                assert abs(c.path.total_length - want) < 1e-12, (spec.alpha, c.tag)
+                assert all(abs(x.t - 0.5) < 1e-12 for x in c.path.crossings), (spec.alpha, c.tag)
+                checked.append((c.tag, c.orbit_size, len(c.path.crossings)))
+        assert sorted(checked) == ([("type1", 4, 6)] if kind is SolidKind.OCTAHEDRON
+                                   else [("type1", 3, 4), ("type2", 4, 6)])
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,29 @@ def test_group_shared_across_angles(kind, monkeypatch):
     assert symmetry_group(far) == ops
 
 
+@pytest.mark.parametrize("kind", list(SolidKind))
+def test_kind_tables_shared_across_angles(kind, monkeypatch):
+    # the combinatorial tables depend on the kind alone, so every angle of
+    # one kind shares them; a rebuild from an emptied cache gives equal
+    # tables, and only the chart and the transfer rotations move with alpha
+    names = ("faces", "edges", "edge_index", "edge_faces", "face_edge_local",
+             "face_edges", "gluing")
+    lo, hi = ADMISSIBLE[kind]
+    near = build_solid(kind, lo + 0.2 * (hi - lo))
+    far = build_solid(kind, lo + 0.8 * (hi - lo))
+    for name in names:
+        assert getattr(far, name) is getattr(near, name), name
+    assert far.chart != near.chart and far.steps != near.steps
+    pairs = solids._kind_tables(kind)[1]
+    monkeypatch.setattr(solids, "_TABLES_CACHE", {})
+    again = build_solid(kind, lo + 0.2 * (hi - lo))
+    assert again.gluing is not near.gluing
+    for name in names:
+        assert getattr(again, name) == getattr(near, name), name
+    assert solids._kind_tables(kind)[1] == pairs
+    assert (again.chart, again.steps) == (near.chart, near.steps)
+
+
 def test_edge_by_names():
     spec = build_solid(SolidKind.OCTAHEDRON, 0.45 * PI)
     assert spec.edges[spec.edge_by_names("A1", "A2")] == (0, 1)

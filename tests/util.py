@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from sphgeo import finder, sphtrig, unfold
-from sphgeo.solids import SolidSpec, symmetry_group
+from sphgeo.solids import SolidKind, SolidSpec, symmetry_group
 from sphgeo.sphtrig import PI, DomainError
 from sphgeo.unfold import CrossingSequence
 
@@ -313,6 +313,28 @@ def reference_orbit(spec: SolidSpec, word: Tuple[int, ...]) -> Tuple[Tuple[int, 
     orbit = {cyclic_min(tuple(g.edge_perm[e] for e in word))
              for g in symmetry_group(spec)}
     return min(orbit), len(orbit)
+
+
+def midpoint_class_length(spec: SolidSpec, tag: str) -> Optional[float]:
+    """The closed-form length of the octahedron or cube class `tag` whose
+    crossings are all edge midpoints, or None for any other class.
+
+    The cube's 4-crossing class (type1) is four face midlines end to end.
+    The octahedron's 6-crossing class (type1) and the cube's 6-crossing
+    class of orbit 4 (type2) cut a corner of each face they cross: each
+    segment joins the midpoints of two edges that meet at angle alpha, so
+    it is the side d opposite alpha of a triangle with two sides a/2,
+    cos d = cos^2(a/2) + sin^2(a/2) cos(alpha), for the edge length a of
+    the face's closed form."""
+    alpha = spec.alpha
+    if spec.kind is SolidKind.CUBE and tag == "type1":
+        return 4 * sphtrig.square_midline(alpha)
+    if (spec.kind, tag) in ((SolidKind.OCTAHEDRON, "type1"), (SolidKind.CUBE, "type2")):
+        a = sphtrig.tetra_edge(alpha) if spec.kind is SolidKind.OCTAHEDRON else \
+            sphtrig.cube_edge(alpha)
+        cos_d = math.cos(a / 2) ** 2 + math.sin(a / 2) ** 2 * math.cos(alpha)
+        return 6 * math.acos(cos_d)
+    return None
 
 
 def random_unit(rng: random.Random) -> Tuple[float, float, float]:
